@@ -19,6 +19,7 @@ from .series import (
     GaussianRational,
     Poly2,
     VectorField2,
+    ensure,
     gr,
     lie_derivative,
 )
@@ -134,8 +135,8 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     new_q = (tinv[1][0] * p_sub + tinv[1][1] * q_sub) * scale
     normalized = VectorField2(new_p, new_q)
     lin = normalized.linear_part_matrix()
-    assert lin[0][0] == GR_ZERO and lin[0][1] == gr(-1), "normalization failed"
-    assert lin[1][0] == gr(1) and lin[1][1] == GR_ZERO, "normalization failed"
+    ensure(lin == [[GR_ZERO, gr(-1)], [gr(1), GR_ZERO]],
+           "normalization failed")
     return RotationNormalization(field, t, scale, normalized)
 
 
@@ -189,13 +190,13 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
         m = _rotation_operator_matrix(k)
         if k % 2 == 1:
             sol = linsolve.solve(m, rhs)
-            assert sol is not None, "odd-degree homological solve failed"
+            ensure(sol is not None, "odd-degree homological solve failed")
             coeffs, eta = sol, None
         else:
             s = _radius_power_vector(k)
             aug = [row + [-s[r]] for r, row in enumerate(m)]
             sol = linsolve.solve(aug, rhs)
-            assert sol is not None, "even-degree homological solve failed"
+            ensure(sol is not None, "even-degree homological solve failed")
             coeffs, eta = sol[: k + 1], sol[k + 1]
             # remove the kernel component along (x^2+y^2)^(k/2)
             dot = sum((c * sv for c, sv in zip(coeffs, s)), GR_ZERO)
@@ -216,7 +217,7 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     for deg, eta in obstructions:
         if eta:
             expected = expected + r2 ** (deg // 2) * eta
-    assert check.truncate(n) == expected, "obstruction decomposition failed"
+    ensure(check.truncate(n) == expected, "obstruction decomposition failed")
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None
     )

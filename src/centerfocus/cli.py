@@ -30,11 +30,13 @@ import hashlib
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from . import center as center_mod
@@ -42,7 +44,8 @@ from . import flow as flow_mod
 from . import foliation as fol_mod
 from .germ import Germ1, InconclusiveOrder, finite_order, multiplier_order, \
     pseudo_orbit
-from .series import GaussianRational, OneForm2, Poly2, VectorField2, gr
+from .series import GaussianRational, InternalError, OneForm2, Poly2, \
+    VectorField2, gr
 
 __all__ = ["ParseError", "ValidationError", "ProblemSpec", "parse_spec",
            "run_pipeline", "main"]
@@ -247,10 +250,17 @@ def parse_spec(path) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# report assembly: one function per stage, each writing its own sections
 
 _NUMERIC_FAILURES = (flow_mod.NoReturn, flow_mod.StepUnderflow,
                      fol_mod.NoSamples)
+
+# Why a real field has no exact normalization: status, verdict summary.
+_NO_NORMALIZATION = {
+    center_mod.NotARotation: ("not_a_rotation", "rotation hypothesis fails"),
+    center_mod.IrrationalRotationFrequency: (
+        "irrational_frequency", "exact normalization is unavailable"),
+}
 
 
 def _poly_rows(p: Poly2) -> list:
@@ -258,48 +268,34 @@ def _poly_rows(p: Poly2) -> list:
             for (i, j), c in sorted(p.terms.items())]
 
 
-def _stage(report, name, fn):
-    """Run one pipeline stage, embedding failures instead of aborting."""
+def _normalization(run):
     try:
-        report["sections"][name] = fn()
-        return True
-    except _NUMERIC_FAILURES as exc:
-        report["sections"][name] = {
-            "error": {"type": type(exc).__name__, "message": str(exc),
-                      "category": "numeric"},
-            "summary": f"{name} failed: {exc}",
-        }
-        report["numeric_failure"] = True
-        return False
-
-
-def _real_field_sections(spec, params, report, dump_dir=None):
-    order = params["order"]
-    fld = spec.build_field(order)
-    try:
-        norm = center_mod.normalize_rotation(fld)
-    except center_mod.NotARotation as exc:
-        report["sections"]["normalization"] = {
-            "status": "not_a_rotation", "summary": str(exc),
-        }
-        report["sections"]["verdict"] = {
-            "symbolic": "NOT_APPLICABLE", "numeric": None, "agreement": None,
-            "summary": "rotation hypothesis fails; nothing to compare",
-        }
+        run.norm = norm = center_mod.normalize_rotation(
+            run.spec.build_field(run.params["order"]))
+    except tuple(_NO_NORMALIZATION) as exc:
+        status, run.why_not = _NO_NORMALIZATION[type(exc)]
+        run.sections["normalization"] = {"status": status,
+                                         "summary": str(exc)}
         return
-    mat = [[format_coefficient(c) for c in row] for row in norm.change_matrix]
-    report["sections"]["normalization"] = {
+    run.sections["normalization"] = {
         "status": "ok",
-        "change_matrix": mat,
+        "change_matrix": [[format_coefficient(c) for c in row]
+                          for row in norm.change_matrix],
         "time_rescale": format_coefficient(norm.time_rescale),
         "summary": f"linear part conjugated to the standard rotation; "
                    f"time rescaled by {format_coefficient(norm.time_rescale)}",
     }
-    rep = center_mod.lyapunov_quantities(norm, order)
+
+
+def _lyapunov(run):
+    if run.norm is None:
+        return
+    order = run.params["order"]
+    rep = center_mod.lyapunov_quantities(run.norm, order)
     morse = center_mod.morse_check(rep.first_integral)
     first_deg = None if rep.first_nonzero is None else \
         rep.obstructions[rep.first_nonzero][0]
-    report["sections"]["lyapunov"] = {
+    run.sections["lyapunov"] = {
         "order": order,
         "obstructions": [{"degree": d, "value": format_coefficient(e)}
                          for d, e in rep.obstructions],
@@ -309,121 +305,131 @@ def _real_field_sections(spec, params, report, dump_dir=None):
                     f"{order}" if first_deg is None else
                     f"first nonzero obstruction at degree {first_deg}"),
     }
-    report["sections"]["morse"] = {
+    run.sections["morse"] = {
         "nondegenerate": morse.nondegenerate,
         "definite": morse.definite,
         "summary": "quadratic part is "
                    + ("definite" if morse.definite else "nondegenerate but "
                       "indefinite" if morse.nondegenerate else "degenerate"),
     }
-    symbolic = "CENTER_TO_ORDER_N" if first_deg is None else "FOCUS"
 
+
+def _return_maps(run):
+    if run.norm is None:
+        return
+    params = run.params
     seg = flow_mod.TransverseSegment((1.0, 0.0), max(params["radii"]))
+    seq = flow_mod.detect_periodic_sequence(
+        run.norm.normalized, seg, params["radii"],
+        rel_tol=params["rel_tol"], tol=params["tol"],
+    )
+    run.sections["return_maps"] = {
+        "rows": [
+            {"r_in": s.r_in, "r_out": s.r_out, "residual": res,
+             "crossings": s.crossings, "tol": s.tolerance_used}
+            for s, res in zip(seq.samples, seq.residuals)
+        ],
+        "relative_tolerance": seq.relative_tolerance,
+        "verdict": seq.verdict,
+        "summary": f"{seq.verdict} over radii {list(seq.radii)}",
+    }
 
-    def run_returns():
-        seq = flow_mod.detect_periodic_sequence(
-            norm.normalized, seg, params["radii"],
-            rel_tol=params["rel_tol"], tol=params["tol"],
-        )
-        return {
-            "rows": [
-                {"r_in": s.r_in, "r_out": s.r_out, "residual": res,
-                 "crossings": s.crossings, "tol": s.tolerance_used}
-                for s, res in zip(seq.samples, seq.residuals)
-            ],
-            "relative_tolerance": seq.relative_tolerance,
-            "verdict": seq.verdict,
-            "summary": f"{seq.verdict} over radii {list(seq.radii)}",
-        }
 
-    ok = _stage(report, "return_maps", run_returns)
-    numeric = report["sections"]["return_maps"].get("verdict") if ok else None
-    agreement = None
-    if numeric is not None:
-        agreement = (symbolic == "CENTER_TO_ORDER_N") == \
-            (numeric == "PERIODIC_SEQUENCE")
-    report["sections"]["verdict"] = {
-        "symbolic": symbolic,
-        "numeric": numeric,
-        "agreement": agreement,
-        "summary": (
+def _verdict(run):
+    if run.norm is None:
+        symbolic, numeric, agreement = "NOT_APPLICABLE", None, None
+        summary = f"{run.why_not}; nothing to compare"
+    else:
+        center = run.sections["lyapunov"]["first_nonzero_degree"] is None
+        symbolic = "CENTER_TO_ORDER_N" if center else "FOCUS"
+        numeric = run.sections["return_maps"].get("verdict")
+        agreement = None if numeric is None else \
+            center == (numeric == "PERIODIC_SEQUENCE")
+        summary = (
             f"symbolic {symbolic} vs numeric {numeric}; "
             f"agreement={agreement}. Numeric detection cannot distinguish "
             "a center from a focus whose first obstruction lies beyond the "
-            "tolerance horizon; the symbolic verdict is authoritative."
-        ),
+            "tolerance horizon; the symbolic verdict is authoritative.")
+    run.sections["verdict"] = {"symbolic": symbolic, "numeric": numeric,
+                               "agreement": agreement, "summary": summary}
+
+
+def _orbit_dumps(run):
+    if run.norm is None or run.dump_dir is None:
+        return
+    dump_dir = Path(run.dump_dir)
+    dump_dir.mkdir(parents=True, exist_ok=True)
+    files = [f"orbit_r{r}.csv" for r in run.params["radii"]]
+    for r, name in zip(run.params["radii"], files):
+        traj = flow_mod.integrate(run.norm.normalized, (r, 0.0), 7.0,
+                                  tol=run.params["tol"])
+        flow_mod.trajectory_to_csv(traj, dump_dir / name)
+    run.sections["orbit_dumps"] = {
+        "directory": str(dump_dir), "files": files,
+        "summary": f"dumped {len(files)} orbits",
     }
-    if dump_dir is not None:
-        dump_dir = Path(dump_dir)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        files = []
-        for r in params["radii"]:
-            traj = flow_mod.integrate(norm.normalized, (r, 0.0), 7.0,
-                                      tol=params["tol"])
-            name = f"orbit_r{r}.csv"
-            flow_mod.trajectory_to_csv(traj, dump_dir / name)
-            files.append(name)
-        report["sections"]["orbit_dumps"] = {
-            "directory": str(dump_dir), "files": files,
-            "summary": f"dumped {len(files)} orbits",
-        }
 
 
-def _complex_form_sections(spec, params, report):
-    order = params["order"]
-    internal = order + 3  # factorization verification loses three degrees
-    form = spec.build_form(internal)
-    is_siegel = fol_mod.siegel_check(form)
-    report["sections"]["siegel"] = {
+def _siegel(run):
+    # factorization verification loses three degrees
+    run.form = run.spec.build_form(run.params["order"] + 3)
+    is_siegel = fol_mod.siegel_check(run.form)
+    run.sections["siegel"] = {
         "is_siegel": is_siegel,
         "summary": "linear part is exactly x dy + y dx" if is_siegel
                    else "form is not in Siegel resonant shape",
     }
 
-    def run_blowup():
-        res = fol_mod.blowup(form)
-        divisor = ("invariant" if res.divisor_invariant
-                   else "not invariant (dicritical)")
-        return {
-            "divisor_invariant": res.divisor_invariant,
-            "divided_power_t": res.divided_power_t,
-            "divided_power_s": res.divided_power_s,
-            "chart_t": {"dx": _poly_rows(res.chart_t.a),
-                        "dt": _poly_rows(res.chart_t.b)},
-            "chart_s": {"ds": _poly_rows(res.chart_s.a),
-                        "dy": _poly_rows(res.chart_s.b)},
-            "singularities": [
-                {"chart": s.chart,
-                 "location": [s.location.real, s.location.imag],
-                 "eigenvalues": [[e.real, e.imag] for e in s.eigenvalues],
-                 "ratio": None if s.ratio is None
-                 else [s.ratio.real, s.ratio.imag]}
-                for s in res.singularities_on_E
-            ],
-            "summary": (
-                f"divisor {divisor}; "
-                f"{len(res.singularities_on_E)} singular point(s) on E"
-            ),
-        }
 
+def _blowup(run):
     try:
-        report["sections"]["blowup"] = run_blowup()
+        res = fol_mod.blowup(run.form)
     except fol_mod.NotIsolated as exc:
-        report["sections"]["blowup"] = {
+        run.sections["blowup"] = {
             "error": {"type": "NotIsolated", "message": str(exc),
                       "category": "input"},
             "summary": f"blow-up skipped: {exc}",
         }
-    if not is_siegel:
-        report["sections"]["formal_first_integral"] = {
+        return
+    divisor = ("invariant" if res.divisor_invariant
+               else "not invariant (dicritical)")
+    run.sections["blowup"] = {
+        "divisor_invariant": res.divisor_invariant,
+        "divided_power_t": res.divided_power_t,
+        "divided_power_s": res.divided_power_s,
+        "chart_t": {"dx": _poly_rows(res.chart_t.a),
+                    "dt": _poly_rows(res.chart_t.b)},
+        "chart_s": {"ds": _poly_rows(res.chart_s.a),
+                    "dy": _poly_rows(res.chart_s.b)},
+        "singularities": [
+            {"chart": s.chart,
+             "location": [s.location.real, s.location.imag],
+             "eigenvalues": [[e.real, e.imag] for e in s.eigenvalues],
+             "ratio": None if s.ratio is None
+             else [s.ratio.real, s.ratio.imag]}
+            for s in res.singularities_on_E
+        ],
+        "summary": (
+            f"divisor {divisor}; "
+            f"{len(res.singularities_on_E)} singular point(s) on E"
+        ),
+    }
+
+
+def _formal_first_integral(run):
+    """The first integral and its factorization F = f*g*unit."""
+    if not run.sections["siegel"]["is_siegel"]:
+        run.sections["formal_first_integral"] = {
             "skipped": True,
             "summary": "skipped: the construction needs the Siegel shape",
         }
         return
-    f_int, obstructions = fol_mod.formal_first_integral_siegel(form, internal)
+    order = run.params["order"]
+    f_int, obstructions = fol_mod.formal_first_integral_siegel(
+        run.form, order + 3)
     visible = [(d, e) for d, e in obstructions if d <= order]
     all_zero = all(not e for _, e in obstructions)
-    report["sections"]["formal_first_integral"] = {
+    run.sections["formal_first_integral"] = {
         "order": order,
         "obstructions": [{"degree": d, "value": format_coefficient(e)}
                          for d, e in visible],
@@ -433,8 +439,8 @@ def _complex_form_sections(spec, params, report):
                     f"{order}" if all_zero else
                     "nonzero resonant obstructions; no formal first integral"),
     }
-    pair = fol_mod.factor_fg(f_int, order)
-    report["sections"]["factorization"] = {
+    run.pair = pair = fol_mod.factor_fg(f_int, order)
+    run.sections["factorization"] = {
         "verified_degree": pair.verified_degree,
         "f": _poly_rows(pair.f.truncate(order)),
         "g": _poly_rows(pair.g.truncate(order)),
@@ -444,47 +450,45 @@ def _complex_form_sections(spec, params, report):
                    f"{pair.verified_degree}",
     }
 
-    def run_slice():
-        grid = fol_mod.SliceGrid(tuple(params["slice_radii"]),
-                                 params["slice_angles"])
-        sl, ver = fol_mod.real_slice(pair, grid, tol=params["tol"])
-        hist = {}
-        for c in ver.contact_orders:
-            hist[str(c)] = hist.get(str(c), 0) + 1
-        return {
-            "n_samples": ver.n_samples,
-            "n_failed_seeds": ver.n_failed_seeds,
-            "max_abs_im_fg": ver.max_abs_im_fg,
-            "min_re_fg": ver.min_re_fg,
-            "contact_order_histogram": hist,
-            "tol": sl.tol,
-            "residual_tol": ver.residual_tol,
-            "samples": [
-                {"x": [x.real, x.imag], "y": [y.real, y.imag],
-                 "tol": ver.residual_tol}
-                for x, y in sl.sample_points
-            ],
-            "summary": (
-                f"{ver.n_samples} samples; max |Im(fg)| = "
-                f"{ver.max_abs_im_fg:.3e}, min Re(fg) = {ver.min_re_fg:.3e}, "
-                f"contact orders {hist}"
-            ),
-        }
 
-    _stage(report, "real_slice", run_slice)
+def _real_slice(run):
+    if run.pair is None:
+        return
+    params = run.params
+    grid = fol_mod.SliceGrid(tuple(params["slice_radii"]),
+                             params["slice_angles"])
+    sl, ver = fol_mod.real_slice(run.pair, grid, tol=params["tol"])
+    hist = dict(Counter(str(c) for c in ver.contact_orders))
+    run.sections["real_slice"] = {
+        "n_samples": ver.n_samples,
+        "n_failed_seeds": ver.n_failed_seeds,
+        "max_abs_im_fg": ver.max_abs_im_fg,
+        "min_re_fg": ver.min_re_fg,
+        "contact_order_histogram": hist,
+        "tol": sl.tol,
+        "residual_tol": ver.residual_tol,
+        "samples": [
+            {"x": [x.real, x.imag], "y": [y.real, y.imag],
+             "tol": ver.residual_tol}
+            for x, y in sl.sample_points
+        ],
+        "summary": (
+            f"{ver.n_samples} samples; max |Im(fg)| = "
+            f"{ver.max_abs_im_fg:.3e}, min Re(fg) = {ver.min_re_fg:.3e}, "
+            f"contact orders {hist}"
+        ),
+    }
 
 
-def _germ_sections(spec, params, report):
-    g = spec.build_germ()
-    lam = g.multiplier
-    lam_order = multiplier_order(lam)
+def _finite_order(run):
+    g = run.spec.build_germ()
     section = {
-        "multiplier": format_coefficient(lam),
-        "multiplier_order": lam_order,
-        "k_max": params["k_max"],
+        "multiplier": format_coefficient(g.multiplier),
+        "multiplier_order": multiplier_order(g.multiplier),
+        "k_max": run.params["k_max"],
     }
     try:
-        order = finite_order(g, params["k_max"])
+        order = finite_order(g, run.params["k_max"])
         section["order"] = order
         section["summary"] = (
             f"finite order {order}" if order is not None else
@@ -495,7 +499,12 @@ def _germ_sections(spec, params, report):
         section["order"] = None
         section["inconclusive"] = {"needed_degree": exc.needed_degree}
         section["summary"] = str(exc)
-    report["sections"]["finite_order"] = section
+    run.sections["finite_order"] = section
+
+
+def _pseudo_orbits(run):
+    g = run.spec.build_germ()
+    params = run.params
     rows = []
     for pt in params["points"]:
         z0 = complex(pt[0], pt[1])
@@ -510,16 +519,36 @@ def _germ_sections(spec, params, report):
             "tol": rec.return_tolerance,
         })
     statuses = sorted({r["status"] for r in rows})
-    report["sections"]["pseudo_orbits"] = {
+    run.sections["pseudo_orbits"] = {
         "escape_radius": params["escape_radius"],
         "rows": rows,
         "summary": f"{len(rows)} starting points; statuses {statuses}",
     }
 
 
+# The stages each command runs, in order, for each kind it accepts.  A
+# stage that needs an earlier one which did not succeed writes nothing.
+_REAL = (_normalization, _lyapunov, _return_maps, _verdict, _orbit_dumps)
+_COMPLEX = (_siegel, _blowup, _formal_first_integral, _real_slice)
+_GERM = (_finite_order, _pseudo_orbits)
+_STAGES = {
+    "analyze": {"real_field": _REAL, "complex_form": _COMPLEX, "germ": _GERM},
+    "lyapunov": {"real_field": (_normalization, _lyapunov)},
+    "returnmap": {"real_field": (_normalization, _return_maps)},
+    "blowup": {"complex_form": (_siegel, _blowup)},
+    "germ": {"germ": _GERM},
+    "slice": {"complex_form": (_siegel, _formal_first_integral, _real_slice)},
+}
+
+
 def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
-                 dump_dir=None) -> dict:
-    """Full analysis for one spec; per-stage errors are embedded."""
+                 dump_dir=None, command: str = "analyze") -> dict:
+    """Run the stages `command` lists for the spec's kind; a numeric
+    failure is embedded under the stage's name and later stages still run."""
+    stages = _STAGES.get(command, {}).get(spec.kind)
+    if stages is None:
+        raise ValidationError(f"command {command!r} does not apply to kind "
+                              f"{spec.kind!r}")
     params = dict(DEFAULT_ANALYSIS[spec.kind])
     params.update(spec.analysis)
     if overrides:
@@ -536,12 +565,21 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
         },
         "sections": {},
     }
-    if spec.kind == "real_field":
-        _real_field_sections(spec, params, report, dump_dir)
-    elif spec.kind == "complex_form":
-        _complex_form_sections(spec, params, report)
-    else:
-        _germ_sections(spec, params, report)
+    # what the stages hand on: norm (or why_not), form, pair
+    run = SimpleNamespace(spec=spec, params=params, dump_dir=dump_dir,
+                          sections=report["sections"], norm=None, form=None,
+                          pair=None, why_not=None)
+    for stage in stages:
+        try:
+            stage(run)
+        except _NUMERIC_FAILURES as exc:
+            name = stage.__name__.lstrip("_")
+            report["sections"][name] = {
+                "error": {"type": type(exc).__name__, "message": str(exc),
+                          "category": "numeric"},
+                "summary": f"{name} failed: {exc}",
+            }
+            report["numeric_failure"] = True
     return report
 
 
@@ -552,11 +590,6 @@ def render_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # command line
 
-def _add_common(sub):
-    sub.add_argument("spec", help="path to the JSON problem document")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="centerfocus",
@@ -564,64 +597,39 @@ def _build_parser():
                     "singularities",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    p = subs.add_parser("analyze", help="run the full pipeline for the kind")
-    _add_common(p)
+
+    def command(name, text):
+        p = subs.add_parser(name, help=text)
+        p.add_argument("spec", help="path to the JSON problem document")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        return p
+
+    p = command("analyze", "run the full pipeline for the kind")
     p.add_argument("--truncation", type=int, dest="order",
                    help="series order for the symbolic stages")
     p.add_argument("--radii", help="comma-separated return-map radii")
     p.add_argument("--tol", type=float, help="integrator / slice tolerance")
     p.add_argument("--dump-orbits", dest="dump_dir",
                    help="directory for CSV orbit dumps (real fields)")
-    p = subs.add_parser("lyapunov", help="symbolic stages only (real field)")
-    _add_common(p)
+    p = command("lyapunov", "symbolic stages only (real field)")
     p.add_argument("--truncation", type=int, dest="order")
-    p = subs.add_parser("returnmap", help="return-map table only (real field)")
-    _add_common(p)
+    p = command("returnmap", "return-map table only (real field)")
     p.add_argument("--radii")
     p.add_argument("--tol", type=float)
-    p = subs.add_parser("blowup", help="blow-up report (complex form)")
-    _add_common(p)
-    p = subs.add_parser("germ", help="finite order and pseudo-orbits")
-    _add_common(p)
+    command("blowup", "blow-up report (complex form)")
+    p = command("germ", "finite order and pseudo-orbits")
     p.add_argument("--kmax", type=int, dest="k_max")
-    p = subs.add_parser("slice", help="first integral, factors, real slice")
-    _add_common(p)
+    p = command("slice", "first integral, factors, real slice")
     p.add_argument("--truncation", type=int, dest="order")
     return parser
-
-
-_COMMAND_KINDS = {
-    "analyze": {"real_field", "complex_form", "germ"},
-    "lyapunov": {"real_field"},
-    "returnmap": {"real_field"},
-    "blowup": {"complex_form"},
-    "germ": {"germ"},
-    "slice": {"complex_form"},
-}
-
-_SECTION_FILTER = {
-    "lyapunov": ("normalization", "lyapunov", "morse"),
-    "returnmap": ("normalization", "return_maps"),
-    "blowup": ("siegel", "blowup"),
-    "germ": ("finite_order", "pseudo_orbits"),
-    "slice": ("siegel", "formal_first_integral", "factorization",
-              "real_slice"),
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_spec(args.spec)
-        if spec.kind not in _COMMAND_KINDS[args.command]:
-            raise ValidationError(
-                f"command {args.command!r} does not apply to kind "
-                f"{spec.kind!r}"
-            )
-        overrides = {}
-        for key in ("order", "tol", "k_max"):
-            if hasattr(args, key):
-                overrides[key] = getattr(args, key)
+        overrides = {key: getattr(args, key, None)
+                     for key in ("order", "tol", "k_max")}
         if getattr(args, "radii", None):
             try:
                 overrides["radii"] = [float(v)
@@ -629,14 +637,13 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ValidationError(f"--radii: {exc}")
         report = run_pipeline(spec, overrides,
-                              dump_dir=getattr(args, "dump_dir", None))
+                              getattr(args, "dump_dir", None), args.command)
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command in _SECTION_FILTER:
-        keep = _SECTION_FILTER[args.command]
-        report["sections"] = {k: v for k, v in report["sections"].items()
-                              if k in keep}
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = render_report(report)
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")

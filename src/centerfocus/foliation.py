@@ -17,9 +17,12 @@ from .center import RotationNormalization
 from .series import (
     GR_ZERO,
     GaussianRational,
+    InternalError,
     OneForm2,
     Poly2,
+    ensure,
     gr,
+    umul,
 )
 
 __all__ = [
@@ -52,7 +55,7 @@ class SingularPoint(ValueError):
     """The 1-form vanishes at the requested point."""
 
 
-class BranchFailure(RuntimeError):
+class BranchFailure(InternalError):
     """Order-by-order branch solve or unit division hit an unsolvable step."""
 
 
@@ -95,8 +98,14 @@ class FactorPair:
     f: Poly2  # y - a(x)
     g: Poly2  # x - b(y)
     unit: Poly2
-    general_position: bool
     verified_degree: int
+
+    @property
+    def general_position(self) -> bool:
+        """The degree-1 parts of f and g are linearly independent."""
+        f, g = self.f, self.g
+        return bool(f.coefficient(1, 0) * g.coefficient(0, 1)
+                    - f.coefficient(0, 1) * g.coefficient(1, 0))
 
     def absorbed(self) -> tuple[Poly2, Poly2]:
         """(f*unit, g): a pair whose plain product equals F to truncation."""
@@ -148,9 +157,9 @@ def complexify(norm: RotationNormalization) -> SiegelForm:
     )
     pulled = w.pullback_linear(m)
     c = pulled.b.coefficient(1, 0)
-    assert c, "rotational linear part did not survive complexification"
+    ensure(c, "rotational linear part did not survive complexification")
     siegel = pulled.scale(1 / c)
-    assert siegel_check(siegel), "complexified form is not in Siegel shape"
+    ensure(siegel_check(siegel), "complexified form is not in Siegel shape")
     return SiegelForm(siegel, m, 1 / c)
 
 
@@ -313,7 +322,8 @@ def blowup(form: OneForm2) -> BlowupResult:
     # E = {x = 0} is invariant iff the dt-component vanishes on it
     invariant_t = not _restrict_to_divisor(bt, "t")
     invariant_s = not _restrict_to_divisor(as_, "s")
-    assert invariant_t == invariant_s, "charts disagree on divisor invariance"
+    ensure(invariant_t == invariant_s,
+           "charts disagree on divisor invariance")
     sings = _divisor_singularities("t", at, bt)
     sings += _divisor_singularities_chart_s(as_, bs)
     return BlowupResult(
@@ -381,24 +391,13 @@ def formal_first_integral_siegel(
 # branch factorization F = f g unit
 
 
-def _useries_mul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
-                 n: int) -> dict[int, GaussianRational]:
-    out: dict[int, GaussianRational] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            if k <= n:
-                out[k] = out.get(k, GR_ZERO) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
 def _branch_substitute(F: Poly2, branch: dict[int, GaussianRational],
                        n: int, solve_for_y: bool) -> dict[int, GaussianRational]:
     """Coefficients of F(x, branch(x)) (or F(branch(y), y)) up to degree n."""
     max_pow = max((j if solve_for_y else i) for i, j in F.terms)
     powers: list[dict[int, GaussianRational]] = [{0: gr(1)}]
     for _ in range(max_pow):
-        powers.append(_useries_mul(powers[-1], branch, n))
+        powers.append(umul(powers[-1], branch, n))
     out: dict[int, GaussianRational] = {}
     for (i, j), c in F.terms.items():
         base, pw = (i, j) if solve_for_y else (j, i)
@@ -463,7 +462,7 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     recon = f * g * unit
     if recon.truncate(n) != F.truncate(n).promote_complex():
         raise BranchFailure("f * g * unit fails to reconstruct F")
-    return FactorPair(f, g, unit, general_position=True, verified_degree=n)
+    return FactorPair(f, g, unit, verified_degree=n)
 
 
 # ---------------------------------------------------------------------------

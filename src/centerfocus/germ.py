@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .series import GR_ONE, GR_ZERO, GaussianRational, Scalar, gr
+from .series import GR_ONE, GR_ZERO, GaussianRational, Scalar, gr, umul
 
 __all__ = [
     "Germ1",
@@ -113,22 +113,6 @@ class Germ1:
         return acc * z
 
 
-def _umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
-          n: int) -> dict[int, GaussianRational]:
-    out: dict[int, GaussianRational] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            if k > n:
-                continue
-            v = out.get(k, GR_ZERO) + ca * cb
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
 def compose(f: Germ1, g: Germ1) -> Germ1:
     """Truncated series of f(g(z))."""
     n = min(f.truncation_degree, g.truncation_degree)
@@ -139,7 +123,7 @@ def compose(f: Germ1, g: Germ1) -> Germ1:
     if top:
         acc[0] = top
     for m in range(n - 1, 0, -1):
-        acc = _umul(acc, gt, n)
+        acc = umul(acc, gt, n)
         c = f.coefficient(m)
         if c:
             v = acc.get(0, GR_ZERO) + c
@@ -147,7 +131,7 @@ def compose(f: Germ1, g: Germ1) -> Germ1:
                 acc[0] = v
             elif 0 in acc:
                 del acc[0]
-    acc = _umul(acc, gt, n)
+    acc = umul(acc, gt, n)
     return Germ1(acc, n)
 
 

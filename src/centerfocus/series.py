@@ -17,8 +17,11 @@ __all__ = [
     "VectorField2",
     "OneForm2",
     "SingularMatrix",
+    "InternalError",
+    "ensure",
     "gr",
     "mul",
+    "umul",
     "lie_derivative",
     "linear_change",
     "evaluate",
@@ -27,6 +30,16 @@ __all__ = [
 
 class SingularMatrix(ValueError):
     """Linear substitution matrix has zero determinant."""
+
+
+class InternalError(RuntimeError):
+    """An exact internal consistency check failed: a defect, not bad input."""
+
+
+def ensure(condition, message: str) -> None:
+    """Check an internal invariant; unlike `assert`, it survives -O."""
+    if not condition:
+        raise InternalError(message)
 
 
 Scalar = Union[int, Fraction, "GaussianRational"]
@@ -497,6 +510,24 @@ class OneForm2:
 def mul(u: Poly2, v: Poly2) -> Poly2:
     """Truncated Cauchy product; degree = min of the operands' degrees."""
     return u * v
+
+
+def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
+         n: int) -> dict[int, GaussianRational]:
+    """Product of univariate series {degree: coefficient} to degree n,
+    without zero coefficients."""
+    out: dict[int, GaussianRational] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            if k > n:
+                continue
+            v = out.get(k, GR_ZERO) + ca * cb
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+    return out
 
 
 def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:

@@ -1,4 +1,8 @@
-"""Shared helpers: random series generation and the sympy cross-check oracle."""
+"""Test helpers: random series generation and the sympy cross-check oracle.
+
+A plain module, not a conftest, so that it cannot be confused with the
+benchmark's `perfbench/tests/conftest.py` when both suites run together.
+"""
 
 from __future__ import annotations
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,3 +260,105 @@ class TestMainExitCodes:
         report = json.loads(out.read_text())
         assert set(report["sections"]) == {"normalization", "lyapunov",
                                            "morse"}
+
+
+IRRATIONAL = {"kind": "real_field", "truncation": 1,
+              "dx": [[0, 1, "-1"]], "dy": [[1, 0, "2"]]}
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestIrrationalFrequency:
+    """det 2 is a rotation whose frequency sqrt(2) is not rational."""
+
+    @pytest.mark.parametrize("command", ["lyapunov", "returnmap", "analyze"])
+    def test_report_instead_of_error(self, tmp_path, command):
+        out = tmp_path / "report.json"
+        code = main([command, str(_write(tmp_path, IRRATIONAL)),
+                     "--out", str(out)])
+        assert code == 0
+        sections = json.loads(out.read_text())["sections"]
+        assert sections["normalization"]["status"] == "irrational_frequency"
+        assert "not a rational square" in \
+            sections["normalization"]["summary"]
+        expected = {"normalization", "verdict"} if command == "analyze" \
+            else {"normalization"}
+        assert set(sections) == expected
+
+    def test_analyze_verdict_not_applicable(self, tmp_path):
+        report = run_pipeline(parse_spec(_write(tmp_path, IRRATIONAL)))
+        verdict = report["sections"]["verdict"]
+        assert verdict["symbolic"] == "NOT_APPLICABLE"
+        assert verdict["numeric"] is None and verdict["agreement"] is None
+        assert "exact normalization is unavailable" in verdict["summary"]
+
+
+class TestStagesPerCommand:
+    def test_unasked_stages_do_not_run(self, monkeypatch, tmp_path):
+        from centerfocus import flow, foliation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unasked stage ran")
+
+        monkeypatch.setattr(flow, "detect_periodic_sequence", refuse)
+        monkeypatch.setattr(foliation, "blowup", refuse)
+        out = str(tmp_path / "report.json")
+        assert main(["lyapunov", str(FIXTURES / "hamiltonian_cubic.json"),
+                     "--out", out]) == 0
+        assert main(["slice", str(FIXTURES / "product_form.json"),
+                     "--out", out]) == 0
+
+    def test_exit_code_reflects_only_the_stages_run(self, tmp_path):
+        doc = json.loads((FIXTURES / "cubic_focus.json").read_text())
+        doc.setdefault("analysis", {})["radii"] = [1.5, 0.1]
+        path = _write(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert main(["lyapunov", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert "numeric_failure" not in report
+        assert set(report["sections"]) == {"normalization", "lyapunov",
+                                           "morse"}
+        assert main(["returnmap", str(path), "--out", str(out)]) == 2
+
+    def test_slice_sections(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["slice", str(FIXTURES / "product_form.json"),
+                     "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["sections"]) == {
+            "siegel", "formal_first_integral", "factorization", "real_slice"}
+
+
+_FAIL_A_CHECK = """
+import sys
+from centerfocus import linsolve
+from centerfocus.cli import main
+linsolve.solve = lambda *args: None
+sys.exit(main(["lyapunov", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+class TestInternalError:
+    def test_failed_check_exits_3(self, monkeypatch, capsys):
+        from centerfocus import linsolve
+        monkeypatch.setattr(linsolve, "solve", lambda *args: None)
+        code = main(["lyapunov", str(FIXTURES / "cubic_focus.json")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: ")
+        assert "homological solve failed" in captured.err
+        assert captured.out == ""
+
+    def test_check_survives_optimize_flag(self, tmp_path):
+        import centerfocus
+        src = str(Path(centerfocus.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _FAIL_A_CHECK,
+             str(FIXTURES / "cubic_focus.json"), str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3, proc.stderr
+        assert "internal error: " in proc.stderr

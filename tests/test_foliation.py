@@ -20,7 +20,7 @@ from centerfocus.foliation import (
 )
 from centerfocus.series import OneForm2, Poly2, VectorField2
 
-from conftest import X, Y
+from sympy_oracle import X, Y
 
 
 def siegel_linear(n):
@@ -323,7 +323,8 @@ class TestRealSlice:
         n = 6
         y = Poly2.var_y(n).promote_complex()
         pair = FactorPair(y, y, Poly2.constant(1, n).promote_complex(),
-                          general_position=False, verified_degree=n)
+                          verified_degree=n)
+        assert not pair.general_position
         with pytest.raises(ValueError):
             real_slice(pair)
 

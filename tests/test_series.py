@@ -16,7 +16,7 @@ from centerfocus.series import (
     mul,
 )
 
-from conftest import X, Y, random_poly, to_sympy
+from sympy_oracle import X, Y, random_poly, to_sympy
 
 
 def poly(terms, n):
