@@ -5,6 +5,11 @@ integral F = x^2 + y^2 + ... degree by degree, and reads off the exact
 obstruction coefficients along powers of x^2 + y^2.  All obstructions zero
 up to the truncation order means "center to order N"; the first nonzero
 one certifies a focus together with its sign.
+
+Degree k of F solves L F_k = eta_k (x^2+y^2)^(k/2) - R_k, where R_k is the
+degree-k part of X(F_2 + ... + F_(k-1)) and L = -y d/dx + x d/dy.  L is
+tridiagonal with zero diagonal on the monomials of degree k, so a two-term
+recurrence inverts it in O(k) exact operations (`_rotation_inverse`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linsolve
 from .series import (
     GR_ZERO,
     GaussianRational,
@@ -21,6 +25,7 @@ from .series import (
     VectorField2,
     ensure,
     gr,
+    homological_series,
     lie_derivative,
 )
 
@@ -140,18 +145,6 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     return RotationNormalization(field, t, scale, normalized)
 
 
-def _rotation_operator_matrix(k: int) -> list[list[GaussianRational]]:
-    """Matrix of f -> -y df/dx + x df/dy on monomials x^(k-j) y^j."""
-    m = [[GR_ZERO] * (k + 1) for _ in range(k + 1)]
-    for j in range(k + 1):
-        i = k - j
-        if i >= 1:
-            m[j + 1][j] = m[j + 1][j] + gr(-i)
-        if j >= 1:
-            m[j - 1][j] = m[j - 1][j] + gr(j)
-    return m
-
-
 def _radius_power_vector(k: int) -> list[GaussianRational]:
     """Coefficients of (x^2 + y^2)^(k/2) on monomials x^(k-j) y^j."""
     half = k // 2
@@ -161,14 +154,68 @@ def _radius_power_vector(k: int) -> list[GaussianRational]:
     return s
 
 
+def _sweep_up(b: list[GaussianRational], first: int,
+              k: int) -> list[GaussianRational]:
+    """Rows r = first, first + 2, ... below k of L f = b, each solved in
+    turn for f[r + 1], starting from f[first - 1] = 0."""
+    out, prev = [], GR_ZERO
+    for r in range(first, k, 2):
+        prev = (b[r] + (k - r + 1) * prev) / (r + 1)
+        out.append(prev)
+    return out
+
+
+def _rotation_inverse(
+    k: int, rhs: list[GaussianRational]
+) -> tuple[list[GaussianRational], GaussianRational | None]:
+    """Solve L f - eta s = rhs for L = -y d/dx + x d/dy on degree k.
+
+    On the coefficients f[r] of x^(k-r) y^r, row r of L f is
+    (r+1) f[r+1] - (k-r+1) f[r-1].  A row couples coefficients of one
+    parity only, so the system splits into two bidiagonal ones, each
+    solved by a sweep in O(k) exact operations.  At odd k, L is
+    invertible: the even rows sweep forward from f[-1] = 0 and the odd
+    rows backward from f[k+1] = 0.  At even k, L has kernel and cokernel
+    along s = (x^2+y^2)^(k/2): the odd rows sweep forward from f[0] = 0,
+    the even rows forward with eta s added, eta is fixed by the one
+    surplus even row r = k, and f is projected (Euclidean) off s.
+    """
+    f = [GR_ZERO] * (k + 1)
+    if k % 2 == 1:
+        f[1::2] = _sweep_up(rhs, 0, k)
+        nxt = GR_ZERO  # f[k + 1]
+        for r in range(k, 0, -2):
+            nxt = f[r - 1] = ((r + 1) * nxt - rhs[r]) / (k - r + 1)
+        return f, None
+    s = _radius_power_vector(k)
+    f[2::2] = _sweep_up(rhs, 1, k)
+    # odd coefficients u + eta v; row k reads -f[k-1] = rhs[k] + eta s[k]
+    u, v = _sweep_up(rhs, 0, k), _sweep_up(s, 0, k)
+    denominator = s[k] + v[-1]
+    ensure(denominator, "even-degree homological solve failed")
+    eta = -(rhs[k] + u[-1]) / denominator
+    f[1::2] = [a + eta * b for a, b in zip(u, v)]
+    # remove the kernel component along (x^2+y^2)^(k/2)
+    dot = sum((c * sv for c, sv in zip(f, s)), GR_ZERO)
+    norm2 = sum((sv * sv for sv in s), GR_ZERO)
+    tpar = dot / norm2
+    return [c - tpar * sv for c, sv in zip(f, s)], eta
+
+
 def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     """Build F = x^2 + y^2 + sum F_k and the obstruction sequence.
 
-    At each degree the rotational part is inverted on the monomial basis;
-    at even degrees 2j the cokernel direction (x^2+y^2)^j carries the
-    obstruction eta_j, and F_{2j} is normalized to have zero component
-    along (x^2+y^2)^j.  Requires the normalized field to be known to
-    degree n at least.
+    `series.homological_series` runs degree by degree: at degree k it
+    forms only the new degree-k part R_k of X(F), from the field's
+    homogeneous parts and the partials of the solved F_m, and solves
+    L F_k - eta_k (x^2+y^2)^(k/2) = -R_k for the rotation L by the
+    two-term recurrence (r+1) f[r+1] - (k-r+1) f[r-1] = rhs[r] (+ eta
+    s[r]) in O(k) exact operations (`_rotation_inverse`).  At even
+    degrees the cokernel direction (x^2+y^2)^(k/2) carries the
+    obstruction eta, and F_k is normalized to have zero component along
+    it.  A full Lie derivative of F at the end checks the result
+    exactly.  Requires the normalized field to be known to degree n at
+    least.
     """
     if n < 4:
         raise ValueError("truncation order must be at least 4")
@@ -178,36 +225,8 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
             f"normalized field truncated at {field.truncation_degree}; "
             f"lift it to at least {n} before requesting order {n}"
         )
-    f_terms: dict[tuple[int, int], GaussianRational] = {
-        (2, 0): gr(1),
-        (0, 2): gr(1),
-    }
-    obstructions: list[tuple[int, GaussianRational]] = []
-    for k in range(3, n + 1):
-        partial = Poly2(f_terms, k + 1)
-        residual = lie_derivative(field, partial).homogeneous_part(k)
-        rhs = [-residual.coefficient(k - j, j) for j in range(k + 1)]
-        m = _rotation_operator_matrix(k)
-        if k % 2 == 1:
-            sol = linsolve.solve(m, rhs)
-            ensure(sol is not None, "odd-degree homological solve failed")
-            coeffs, eta = sol, None
-        else:
-            s = _radius_power_vector(k)
-            aug = [row + [-s[r]] for r, row in enumerate(m)]
-            sol = linsolve.solve(aug, rhs)
-            ensure(sol is not None, "even-degree homological solve failed")
-            coeffs, eta = sol[: k + 1], sol[k + 1]
-            # remove the kernel component along (x^2+y^2)^(k/2)
-            dot = sum((c * sv for c, sv in zip(coeffs, s)), GR_ZERO)
-            norm2 = sum((sv * sv for sv in s), GR_ZERO)
-            tpar = dot / norm2
-            coeffs = [c - tpar * sv for c, sv in zip(coeffs, s)]
-            if k >= 4:
-                obstructions.append((k, eta))
-        for j, c in enumerate(coeffs):
-            if c:
-                f_terms[(k - j, j)] = c
+    f_terms, obstructions = homological_series(
+        field.p, field.q, _radius_power_vector(2), n, _rotation_inverse)
     first_integral = Poly2(f_terms, n)
     # exact consistency guard: X(F) must equal the obstruction series
     check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),

@@ -22,6 +22,7 @@ from .series import (
     Poly2,
     ensure,
     gr,
+    homological_series,
     umul,
 )
 
@@ -355,16 +356,40 @@ def wedge_coefficient(f: Poly2, form: OneForm2) -> Poly2:
     return f.diff_x() * form.b - f.diff_y() * form.a
 
 
+def _siegel_inverse(
+    k: int, rhs: list[GaussianRational]
+) -> tuple[list[GaussianRational], GaussianRational | None]:
+    """Solve L f - eta (xy)^(k/2) = rhs for L = x d/dx - y d/dy on degree k.
+
+    L multiplies x^(k-r) y^r by k - 2r, so every nonresonant coefficient
+    is one division; the resonant (xy)^(k/2) gets no component in f and
+    its right-hand side gives eta.
+    """
+    f = [GR_ZERO] * (k + 1)
+    eta = None
+    for r, c in enumerate(rhs):
+        if 2 * r == k:
+            eta = -c
+        elif c:
+            f[r] = c / (k - 2 * r)
+    return f, eta
+
+
 def formal_first_integral_siegel(
     form: OneForm2, n: int
 ) -> tuple[Poly2, list[tuple[int, GaussianRational]]]:
     """Seek F = xy + ... with dF ^ form = 0 to degree n.
 
-    The linear part acts diagonally on monomials with eigenvalue i - j, so
-    every nonresonant coefficient is solved directly; the resonant (xy)^j
-    coefficients of the wedge residual are returned as the obstruction
-    list (all zero iff a formal first integral exists to this order).
-    F's own (xy)^j coefficients are fixed to zero.
+    The wedge coefficient F_x b - F_y a is the Lie derivative of F along
+    the dual field (b, -a), whose linear part x d/dx - y d/dy acts
+    diagonally on monomials with eigenvalue i - j.  `series.
+    homological_series` forms at each degree k only the new degree-k
+    residual R_k of the wedge of F_2 + ... + F_(k-1), and every
+    nonresonant coefficient of F_k is -R_k / (i - j) (`_siegel_inverse`).
+    The resonant (xy)^j coefficients of the residual are returned as the
+    obstruction list (all zero iff a formal first integral exists to this
+    order); F's own (xy)^j coefficients are fixed to zero.  One full wedge
+    of F at the end checks the result exactly.
     """
     if not siegel_check(form):
         raise ValueError("form is not in Siegel resonant shape")
@@ -372,19 +397,15 @@ def formal_first_integral_siegel(
         raise ValueError(
             f"form truncated at {form.truncation_degree}; lift it to {n} first"
         )
-    f_terms: dict[tuple[int, int], GaussianRational] = {(1, 1): gr(1)}
-    obstructions: list[tuple[int, GaussianRational]] = []
-    for k in range(3, n + 1):
-        partial = Poly2(f_terms, k + 1, real=False)
-        resid = wedge_coefficient(partial, form).homogeneous_part(k)
-        for j in range(k + 1):
-            i = k - j
-            r = resid.coefficient(i, j)
-            if i == j:
-                obstructions.append((k, r))
-            elif r:
-                f_terms[(i, j)] = -r / (i - j)
-    return Poly2(f_terms, n, real=False), obstructions
+    f_terms, obstructions = homological_series(
+        form.b, -form.a, [GR_ZERO, gr(1), GR_ZERO], n, _siegel_inverse)
+    first_integral = Poly2(f_terms, n, real=False)
+    # exact consistency guard: dF ^ form must equal the obstruction series
+    check = wedge_coefficient(first_integral.lift(n + 1), form)
+    expected = Poly2({(k // 2, k // 2): eta for k, eta in obstructions}, n)
+    ensure(check.truncate(n) == expected,
+           "Siegel obstruction decomposition failed")
+    return first_integral, obstructions
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exact Gaussian elimination over the Gaussian rationals.
 
-Small dense systems only (homogeneous-degree homological solves touch at
-most a couple dozen monomials), so plain fraction arithmetic is fine.
+No program code calls this module any more: both homological solves
+invert their tridiagonal or diagonal operators by O(k) recurrences
+(`center._rotation_inverse`, `foliation._siegel_inverse`).  It stays
+importable because the benchmark's tracer (`perfbench/tracing.py`) wraps
+`linsolve.solve` by name; it can be deleted together with that target.
 """
 
 from __future__ import annotations

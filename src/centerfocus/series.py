@@ -23,6 +23,7 @@ __all__ = [
     "mul",
     "umul",
     "lie_derivative",
+    "homological_series",
     "linear_change",
     "evaluate",
 ]
@@ -533,6 +534,66 @@ def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
 def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:
     """p df/dx + q df/dy, truncated one degree below f."""
     return field.p * f.diff_x() + field.q * f.diff_y()
+
+
+Homogeneous = list[GaussianRational]  # degree d: coefficients of x^(d-r) y^r
+
+
+def _homogeneous_parts(f: Poly2, n: int) -> list[Homogeneous]:
+    parts = [[GR_ZERO] * (d + 1) for d in range(n + 1)]
+    for (i, j), c in f.terms.items():
+        if i + j <= n:
+            parts[i + j][j] = c
+    return parts
+
+
+def _add_product(out: Homogeneous, a: Homogeneous, b: Homogeneous) -> None:
+    for r, ca in enumerate(a):
+        if ca:
+            for s, cb in enumerate(b):
+                if cb:
+                    out[r + s] = out[r + s] + ca * cb
+
+
+def homological_series(p: Poly2, q: Poly2, quadratic: Homogeneous, n: int,
+                       invert) -> tuple[dict[tuple[int, int], GaussianRational],
+                                        list[tuple[int, GaussianRational]]]:
+    """Build F = F_2 + F_3 + ... + F_n with p F_x + q F_y = sum eta_k s_k.
+
+    F_2 is `quadratic`, which the linear part L = p_1 d/dx + q_1 d/dy of
+    the field kills.  At each degree k = 3..n only the new degree-k part
+    of p F_x + q F_y is formed,
+
+        R_k = sum_{m=2}^{k-1} (p_{k+1-m} dF_m/dx + q_{k+1-m} dF_m/dy),
+
+    from the field's homogeneous parts and the cached partials of the
+    solved F_m.  `invert(k, rhs)` is L's structured inverse on degree k:
+    it returns F_k and eta_k with L F_k - eta_k s_k = rhs = -R_k, where
+    s_k spans L's cokernel (eta_k is None at odd k).  Returns F's
+    coefficients and the obstructions (k, eta_k) at even k >= 4.
+    """
+    ps, qs = _homogeneous_parts(p, n), _homogeneous_parts(q, n)
+    dx: dict[int, Homogeneous] = {}
+    dy: dict[int, Homogeneous] = {}
+    terms: dict[tuple[int, int], GaussianRational] = {}
+    obstructions: list[tuple[int, GaussianRational]] = []
+
+    def record(m: int, f: Homogeneous) -> None:
+        dx[m] = [(m - r) * f[r] for r in range(m)]
+        dy[m] = [(r + 1) * f[r + 1] for r in range(m)]
+        terms.update(((m - r, r), c) for r, c in enumerate(f) if c)
+
+    record(2, quadratic)
+    for k in range(3, n + 1):
+        residual = [GR_ZERO] * (k + 1)
+        for m in range(2, k):
+            _add_product(residual, ps[k + 1 - m], dx[m])
+            _add_product(residual, qs[k + 1 - m], dy[m])
+        f, eta = invert(k, [-c for c in residual])
+        if k % 2 == 0:
+            obstructions.append((k, eta))
+        record(k, f)
+    return terms, obstructions
 
 
 def linear_change(f: Poly2, m: Sequence[Sequence[Scalar]]) -> Poly2:

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from centerfocus import linsolve
+from centerfocus import center
 from centerfocus.center import (
     IrrationalRotationFrequency,
     NotARotation,
@@ -11,9 +14,18 @@ from centerfocus.center import (
     lyapunov_quantities,
     morse_check,
     normalize_rotation,
-    _rotation_operator_matrix,
+    _radius_power_vector,
+    _rotation_inverse,
 )
-from centerfocus.series import Poly2, VectorField2, gr, lie_derivative
+from centerfocus.series import (
+    GaussianRational,
+    Poly2,
+    VectorField2,
+    gr,
+    lie_derivative,
+)
+
+from sympy_oracle import X, Y, to_sympy
 
 
 def rotation_field(n):
@@ -25,6 +37,56 @@ def cubic_focus(n):
     x, y = Poly2.var_x(n), Poly2.var_y(n)
     r2 = x * x + y * y
     return VectorField2(-y + x * r2, x + y * r2)
+
+
+def dense_quadratic(n):
+    x, y = Poly2.var_x(n), Poly2.var_y(n)
+    return VectorField2(-y + 2 * x * x + 3 * x * y - y * y,
+                        x + x * x - 5 * x * y + 2 * y * y)
+
+
+def rotate(k, f):
+    """-y df/dx + x df/dy on the degree-k coefficients f, through the
+    series kernel rather than the solver."""
+    poly = Poly2({(k - r, r): c for r, c in enumerate(f)}, k + 1)
+    image = lie_derivative(rotation_field(k + 1), poly)
+    return [image.coefficient(k - r, r) for r in range(k + 1)]
+
+
+def oracle_lyapunov(field: VectorField2, n: int):
+    """Dense sympy solve of X(F) = sum eta_k (x^2+y^2)^(k/2) to degree n,
+    with F = x^2 + y^2 + ... and each even-degree F_k orthogonal
+    (Euclidean, on coefficients) to (x^2+y^2)^(k/2)."""
+    p_expr, q_expr = to_sympy(field.p), to_sympy(field.q)
+    unknowns = {}
+    f_expr = X**2 + Y**2
+    side = []
+    for k in range(3, n + 1):
+        for j in range(k + 1):
+            sym = sp.Symbol(f"c_{k - j}_{j}")
+            unknowns[(k - j, j)] = sym
+            f_expr += sym * X**(k - j) * Y**j
+        if k % 2 == 0:
+            s = _radius_power_vector(k)
+            side.append(sum(unknowns[(k - j, j)] * sp.Rational(s[j].re)
+                            for j in range(k + 1)))
+    etas = {k: sp.Symbol(f"eta_{k}") for k in range(4, n + 1, 2)}
+    target = sum(eta * (X**2 + Y**2) ** (k // 2) for k, eta in etas.items())
+    lie = sp.expand(p_expr * sp.diff(f_expr, X) + q_expr * sp.diff(f_expr, Y)
+                    - target)
+    poly = sp.Poly(lie, X, Y)
+    eqs = [c for (i, j), c in zip(poly.monoms(), poly.coeffs()) if i + j <= n]
+    sol = sp.solve(eqs + side, [*unknowns.values(), *etas.values()],
+                   dict=True)
+    assert len(sol) == 1
+    f_coeffs = {e: sol[0][sym] for e, sym in unknowns.items()}
+    f_coeffs[(2, 0)] = f_coeffs[(0, 2)] = sp.Integer(1)
+    return f_coeffs, {k: sol[0][sym] for k, sym in etas.items()}
+
+
+def exact_gaussian():
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return st.builds(GaussianRational, fractions, fractions)
 
 
 def hamiltonian_cubic(n):
@@ -151,15 +213,55 @@ class TestLyapunovQuantities:
         d2, e2 = rep2.obstructions[rep2.first_nonzero]
         assert d1 == d2 and (e1.re > 0) == (e2.re > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 16).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(
+            exact_gaussian(), min_size=k + 1, max_size=k + 1))))
+    def test_structured_inverse_solves_exactly(self, case):
+        k, rhs = case
+        f, eta = _rotation_inverse(k, rhs)
+        s = _radius_power_vector(k)
+        lf = rotate(k, f)
+        if k % 2 == 1:
+            assert eta is None
+            assert lf == rhs
+        else:
+            assert [a - eta * b for a, b in zip(lf, s)] == rhs
+
     def test_odd_degree_operator_injective(self):
-        for k in range(3, 13, 2):
-            m = _rotation_operator_matrix(k)
-            assert linsolve.rank(m) == k + 1
+        for k in range(3, 17, 2):
+            f, eta = _rotation_inverse(k, [gr(0)] * (k + 1))
+            assert f == [gr(0)] * (k + 1) and eta is None
 
     def test_even_degree_operator_rank_deficit_one(self):
-        for k in range(4, 13, 2):
-            m = _rotation_operator_matrix(k)
-            assert linsolve.rank(m) == k
+        # kernel and cokernel both along s = (x^2+y^2)^(k/2)
+        for k in range(4, 17, 2):
+            s = _radius_power_vector(k)
+            assert rotate(k, s) == [gr(0)] * (k + 1)
+            _, eta = _rotation_inverse(k, s)
+            assert eta
+
+    def test_dense_oracle(self):
+        n = 8
+        rep = lyapunov_quantities(normalize_rotation(dense_quadratic(n)), n)
+        f_coeffs, etas = oracle_lyapunov(dense_quadratic(n), n)
+        assert [(k, sp.Rational(eta.re)) for k, eta in rep.obstructions] == \
+            sorted(etas.items())
+        assert all(c.is_real for c in rep.first_integral.terms.values())
+        got = {e: sp.Rational(c.re)
+               for e, c in rep.first_integral.terms.items()}
+        assert got == {e: c for e, c in f_coeffs.items() if c}
+
+    def test_one_lie_derivative_per_run(self, monkeypatch):
+        # the degree-by-degree solve forms residuals from homogeneous
+        # parts; the only full Lie derivative is the final exact check
+        calls = []
+        lie = center.lie_derivative
+        monkeypatch.setattr(center, "lie_derivative",
+                            lambda *args: calls.append(1) or lie(*args))
+        n = 24
+        lyapunov_quantities(normalize_rotation(dense_quadratic(n)), n)
+        assert len(calls) == 1
 
     def test_requires_enough_truncation(self):
         norm = normalize_rotation(rotation_field(6))

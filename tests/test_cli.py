@@ -332,24 +332,39 @@ class TestStagesPerCommand:
             "siegel", "formal_first_integral", "factorization", "real_slice"}
 
 
+def corrupted(inverse):
+    """A structured homological inverse with one coefficient of F_5 off."""
+    def solve(k, rhs):
+        f, eta = inverse(k, rhs)
+        if k == 5:
+            f = [f[0] + 1, *f[1:]]
+        return f, eta
+    return solve
+
+
 _FAIL_A_CHECK = """
 import sys
-from centerfocus import linsolve
+from centerfocus import center
 from centerfocus.cli import main
-linsolve.solve = lambda *args: None
+inverse = center._rotation_inverse
+def solve(k, rhs):
+    f, eta = inverse(k, rhs)
+    return ([f[0] + 1, *f[1:]] if k == 5 else f), eta
+center._rotation_inverse = solve
 sys.exit(main(["lyapunov", sys.argv[1], "--out", sys.argv[2]]))
 """
 
 
 class TestInternalError:
     def test_failed_check_exits_3(self, monkeypatch, capsys):
-        from centerfocus import linsolve
-        monkeypatch.setattr(linsolve, "solve", lambda *args: None)
+        from centerfocus import center
+        monkeypatch.setattr(center, "_rotation_inverse",
+                            corrupted(center._rotation_inverse))
         code = main(["lyapunov", str(FIXTURES / "cubic_focus.json")])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("internal error: ")
-        assert "homological solve failed" in captured.err
+        assert "obstruction decomposition failed" in captured.err
         assert captured.out == ""
 
     def test_check_survives_optimize_flag(self, tmp_path):
@@ -361,4 +376,16 @@ class TestInternalError:
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 3, proc.stderr
-        assert "internal error: " in proc.stderr
+        assert "internal error: obstruction decomposition failed" \
+            in proc.stderr
+
+    def test_failed_siegel_check_exits_3(self, monkeypatch, capsys):
+        from centerfocus import foliation
+        monkeypatch.setattr(foliation, "_siegel_inverse",
+                            corrupted(foliation._siegel_inverse))
+        code = main(["slice", str(FIXTURES / "product_form.json")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: ")
+        assert "Siegel obstruction decomposition failed" in captured.err
+        assert captured.out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from centerfocus import foliation
 from centerfocus.center import lyapunov_quantities, normalize_rotation
 from centerfocus.foliation import (
     NotIsolated,
@@ -231,6 +232,22 @@ class TestFormalFirstIntegral:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         with pytest.raises(ValueError):
             formal_first_integral_siegel(d_of(x * x + y * y), n)
+
+    def test_one_wedge_per_run(self, monkeypatch):
+        # residuals come from homogeneous parts; the only full wedge is
+        # the final exact check
+        calls = []
+        wedge = foliation.wedge_coefficient
+        monkeypatch.setattr(foliation, "wedge_coefficient",
+                            lambda *args: calls.append(1) or wedge(*args))
+        n = 17
+        x, y = Poly2.var_x(n), Poly2.var_y(n)
+        field = VectorField2(-y + 2 * x * x + 3 * x * y - y * y,
+                             x + x * x - 5 * x * y + 2 * y * y)
+        form = complexify(normalize_rotation(field)).form
+        _, obstructions = formal_first_integral_siegel(form, n)
+        assert len(calls) == 1
+        assert any(eta for _, eta in obstructions)
 
 
 class TestFactorFg:
