@@ -232,10 +232,13 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),
                            first_integral.lift(n + 1))
     r2 = Poly2({(2, 0): 1, (0, 2): 1}, n)
+    r2_powers = [Poly2.constant(1, n)]  # (x^2+y^2)^j, one product per j
     expected = Poly2.zero(n)
     for deg, eta in obstructions:
         if eta:
-            expected = expected + r2 ** (deg // 2) * eta
+            while len(r2_powers) <= deg // 2:
+                r2_powers.append(r2_powers[-1] * r2)
+            expected = expected + r2_powers[deg // 2] * eta
     ensure(check.truncate(n) == expected, "obstruction decomposition failed")
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None

@@ -20,9 +20,12 @@ from .series import (
     InternalError,
     OneForm2,
     Poly2,
+    _add_product,
+    _homogeneous_parts,
     ensure,
     gr,
     homological_series,
+    substitution_root,
     umul,
 )
 
@@ -430,27 +433,58 @@ def _branch_substitute(F: Poly2, branch: dict[int, GaussianRational],
 
 
 def _solve_branch(F: Poly2, solve_for_y: bool) -> dict[int, GaussianRational]:
-    n = F.truncation_degree
-    branch: dict[int, GaussianRational] = {}
-    for k in range(2, n):
-        resid = _branch_substitute(F, branch, k + 1, solve_for_y)
-        low = {d: c for d, c in resid.items() if d <= k}
-        if low:
-            raise BranchFailure(
-                f"branch residual has unexpected low-order terms {sorted(low)}"
-            )
-        c = resid.get(k + 1, GR_ZERO)
-        if c:
-            branch[k] = -c
+    """The branch y = a(x) (or x = b(y)) of F = 0 through degree m - 1.
+
+    a_k is read off the degree-(k+1) coefficient of F(x, a(x)), where it
+    enters through the xy term alone (`series.substitution_root`).  One
+    full substitution of the solved branch then checks that F vanishes
+    on it through degree m.
+    """
+    m = F.truncation_degree
+    terms = [((i, j, c) if solve_for_y else (j, i, c))
+             for (i, j), c in F.terms.items()]
+    branch = substitution_root(terms, 1, m)
+    resid = _branch_substitute(F, branch, m, solve_for_y)
+    if resid:
+        raise BranchFailure(
+            f"branch residual has unexpected low-order terms {sorted(resid)}"
+        )
     return branch
+
+
+def _solve_unit(F: Poly2, prod: Poly2) -> Poly2:
+    """u with F = prod * u through degree m - 1, for prod = xy + h.o.t.
+
+    At degree d only [F - prod u]_(d+2) = F_(d+2) - sum_(e<d)
+    prod_(d+2-e) u_e is formed, from homogeneous parts, and divided by xy
+    to give u_d.
+    """
+    m = F.truncation_degree
+    fs, ps = _homogeneous_parts(F, m - 1), _homogeneous_parts(prod, m - 1)
+    units: list[list[GaussianRational]] = []
+    for d in range(m - 2):
+        known = [GR_ZERO] * (d + 3)
+        for e, u in enumerate(units):
+            _add_product(known, ps[d + 2 - e], u)
+        resid = [c - k for c, k in zip(fs[d + 2], known)]
+        for r in (0, d + 2):
+            if resid[r]:
+                raise BranchFailure(f"residual term x^{d + 2 - r} y^{r} "
+                                    "is not divisible by xy")
+        units.append(resid[1:-1])
+    return Poly2({(d - r, r): c for d, u in enumerate(units)
+                  for r, c in enumerate(u)}, m - 3, real=False)
 
 
 def factor_fg(F: Poly2, n: int) -> FactorPair:
     """Split a Morse level set F = xy + h.o.t. into its two branches.
 
-    Solves F(x, a(x)) = 0 and F(b(y), y) = 0 order by order, returns
+    Solves F(x, a(x)) = 0 and F(b(y), y) = 0 degree by degree, returns
     f = y - a(x), g = x - b(y) together with the unit making
-    F = f * g * unit hold exactly to degree n.  Requires F to be known to
+    F = f * g * unit hold exactly to degree n.  Each degree of a branch
+    or of the unit costs one new coefficient, not a new product or
+    substitution; one full substitution per branch and the reconstruction
+    f * g * unit check the result exactly.  Requires F to be known to
     degree n + 3 (lift exact polynomials first).
     """
     if (F.coefficient(0, 0) or F.coefficient(1, 0) or F.coefficient(0, 1)
@@ -468,20 +502,8 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     g = Poly2({(1, 0): gr(1), **{(0, k): -c for k, c in b.items()}},
               m - 1, real=False)
     prod = f * g
-    unit_terms: dict[tuple[int, int], GaussianRational] = {}
-    for d in range(0, m - 2):
-        upartial = Poly2(unit_terms, m - 1, real=False)
-        resid = (F.truncate(m - 1) - prod * upartial).homogeneous_part(d + 2)
-        for (i, j), c in resid.terms.items():
-            if i == 0 or j == 0:
-                raise BranchFailure(
-                    f"residual term x^{i} y^{j} is not divisible by xy"
-                )
-            unit_terms[(i - 1, j - 1)] = unit_terms.get((i - 1, j - 1),
-                                                        GR_ZERO) + c
-    unit = Poly2({k: v for k, v in unit_terms.items() if v}, m - 3, real=False)
-    recon = f * g * unit
-    if recon.truncate(n) != F.truncate(n).promote_complex():
+    unit = _solve_unit(F, prod)
+    if (prod * unit).truncate(n) != F.truncate(n).promote_complex():
         raise BranchFailure("f * g * unit fails to reconstruct F")
     return FactorPair(f, g, unit, verified_degree=n)
 
@@ -572,8 +594,7 @@ def real_slice(
     h1 = _CEval(fa - gb)
     h2 = _CEval(fa + gb)
     fa_ev, gb_ev = _CEval(fa), _CEval(gb)
-    first_integral = fa * gb
-    form = OneForm2(first_integral.diff_x(), first_integral.diff_y())
+    first_integral = _CEval(fa * gb)
     samples: list[tuple[complex, complex]] = []
     bases: list[np.ndarray] = []
     failed = 0
@@ -601,7 +622,8 @@ def real_slice(
         val = fa_ev.value(x, y) * gb_ev.value(x, y)
         max_im = max(max_im, abs(val.imag))
         min_re = min(min_re, val.real)
-        contact.append(contact_order(form, (x, y), (basis[0], basis[1])))
+        contact.append(_contact_order(*first_integral.grad(x, y), (x, y),
+                                      (basis[0], basis[1])))
     return (
         RealSlice(samples, tol),
         SliceVerification(len(samples), failed, max_im, min_re, contact,
@@ -614,14 +636,21 @@ def contact_order(form: OneForm2, point, tangent_basis) -> int:
 
     The leaf tangent of a dx + b dy = 0 is the complex line (-b, a),
     viewed as a real 2-plane in R^4 with coordinates
-    (Re x, Im x, Re y, Im y).  Returns 0 (transverse), 1 (totally real
-    non-invariant) or 2 (invariant direction).
+    (Re x, Im x, Re y, Im y).  a and b are evaluated in binary64
+    (`_CEval`), as their values only feed a rank test with tolerance
+    1e-8.  Returns 0 (transverse), 1 (totally real non-invariant) or 2
+    (invariant direction).
     """
+    x, y = complex(point[0]), complex(point[1])
+    return _contact_order(_CEval(form.a).value(x, y),
+                          _CEval(form.b).value(x, y), point, tangent_basis)
+
+
+def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:
+    """`contact_order` from the values a, b of the form at the point."""
     x, y = complex(point[0]), complex(point[1])
     if x == 0 and y == 0:
         raise ValueError("contact order is defined away from the origin")
-    av = form.a.evaluate((x, y))
-    bv = form.b.evaluate((x, y))
     if max(abs(av), abs(bv)) <= 1e-12:
         raise SingularPoint(f"form vanishes at {point}")
     w = np.array([-bv, av], dtype=complex)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .series import GR_ONE, GR_ZERO, GaussianRational, Scalar, gr, umul
+from .series import (GR_ONE, GR_ZERO, GaussianRational, Scalar, gr,
+                     substitution_root, umul)
 
 __all__ = [
     "Germ1",
@@ -104,57 +105,74 @@ class Germ1:
         )
         return f"Germ1[{body or '0'}; N={self.truncation_degree}]"
 
+    def evaluator(self):
+        """Binary64 Horner evaluation of the truncated polynomial, as a
+        function; the coefficients are rounded to binary64 once, here."""
+        coeffs = [self.coefficient(k).to_complex()
+                  for k in range(self.truncation_degree, 0, -1)]
+
+        def evaluate(z: complex) -> complex:
+            acc = 0j
+            for c in coeffs:
+                acc = acc * z + c
+            return acc * z
+
+        return evaluate
+
     def evaluate(self, z: complex) -> complex:
         """Binary64 Horner evaluation of the truncated polynomial."""
-        n = self.truncation_degree
-        acc = 0j
-        for k in range(n, 0, -1):
-            acc = acc * z + self.coefficient(k).to_complex()
-        return acc * z
+        return self.evaluator()(z)
+
+
+def _substitute(f: dict[int, GaussianRational],
+                powers: list[dict[int, GaussianRational]],
+                n: int) -> dict[int, GaussianRational]:
+    """sum_m f_m g^m to degree n, from powers = [g, g^2, ...]; the list is
+    extended by `umul` as far as f's top degree needs."""
+    while len(powers) < max(f):
+        powers.append(umul(powers[-1], powers[0], n))
+    acc: dict[int, GaussianRational] = {}
+    for m, c in f.items():
+        for d, pc in powers[m - 1].items():
+            acc[d] = acc.get(d, GR_ZERO) + c * pc
+    return {d: v for d, v in acc.items() if v}
 
 
 def compose(f: Germ1, g: Germ1) -> Germ1:
-    """Truncated series of f(g(z))."""
+    """Truncated series of f(g(z)), as sum_m f_m g^m."""
     n = min(f.truncation_degree, g.truncation_degree)
+    ft = {m: c for m, c in f.coeffs.items() if m <= n}
     gt = {k: c for k, c in g.coeffs.items() if k <= n}
-    # Horner in g: sum_m f_m g^m = g*(f_1 + g*(f_2 + ...))
-    acc: dict[int, GaussianRational] = {}
-    top = f.coefficient(n)
-    if top:
-        acc[0] = top
-    for m in range(n - 1, 0, -1):
-        acc = umul(acc, gt, n)
-        c = f.coefficient(m)
-        if c:
-            v = acc.get(0, GR_ZERO) + c
-            if v:
-                acc[0] = v
-            elif 0 in acc:
-                del acc[0]
-    acc = umul(acc, gt, n)
-    return Germ1(acc, n)
+    return Germ1(_substitute(ft, [gt], n), n)
 
 
 def invert(f: Germ1) -> Germ1:
-    """g with f(g(z)) = z to the shared truncation."""
+    """g with f(g(z)) = z to the shared truncation.
+
+    g_k is read off the degree-k coefficient of f(g(z)) - z, which is
+    lam g_k plus terms in g_1 ... g_(k-1) only.  `substitution_root`
+    keeps the powers [g^m]_d in a table that grows by one degree per
+    step, so no composition is recomputed.
+    """
     n = f.truncation_degree
-    coeffs: dict[int, GaussianRational] = {1: GR_ONE / f.multiplier}
-    for k in range(2, n + 1):
-        resid = compose(f, Germ1(coeffs, n))
-        c = resid.coefficient(k)
-        if c:
-            coeffs[k] = -c / f.multiplier
-    return Germ1(coeffs, n)
+    terms = [(0, m, c) for m, c in f.coeffs.items()] + [(1, 0, -GR_ONE)]
+    return Germ1(substitution_root(terms, 0, n), n)
 
 
 def power(f: Germ1, k: int) -> Germ1:
-    """k-fold composition f o ... o f (k >= 1)."""
+    """k-fold composition f o ... o f (k >= 1).
+
+    The powers f, f^2, ... of the inner germ are formed once by `umul`;
+    each further composition out o f is then the linear combination
+    sum_j out_j f^j.
+    """
     if k < 1:
         raise ValueError("power requires k >= 1")
-    out = f
+    n = f.truncation_degree
+    out, powers = f.coeffs, [f.coeffs]
     for _ in range(k - 1):
-        out = compose(out, f)
-    return out
+        out = _substitute(out, powers, n)
+    return Germ1(out, n)
 
 
 def multiplier_order(lam: GaussianRational) -> int | None:
@@ -213,10 +231,11 @@ def pseudo_orbit(
     z0 = complex(z0)
     if abs(z0) >= escape_radius:
         raise ValueError("starting point must lie inside the escape radius")
+    step = f.evaluator()
     iterates = [z0]
     z = z0
     for n in range(1, k_max + 1):
-        z = f.evaluate(z)
+        z = step(z)
         iterates.append(z)
         if abs(z) > escape_radius:
             return OrbitRecord(z0, "escaped", None, iterates,

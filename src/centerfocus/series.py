@@ -22,6 +22,7 @@ __all__ = [
     "gr",
     "mul",
     "umul",
+    "substitution_root",
     "lie_derivative",
     "homological_series",
     "linear_change",
@@ -529,6 +530,39 @@ def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
             elif k in out:
                 del out[k]
     return out
+
+
+def substitution_root(terms: list[tuple[int, int, GaussianRational]],
+                      shift: int, n: int) -> dict[int, GaussianRational]:
+    """The series s = s_(shift+1) z^(shift+1) + ... with
+    sum_(i, j, c) c z^i s(z)^j = 0 through degree n.
+
+    Degree by degree: the unknown s_k first appears at degree k + shift,
+    linearly, through the terms z^shift s, so s_k = -R / lead, where R is
+    that degree's coefficient with s_k = 0 and lead the coefficient of
+    z^shift s.  Callers keep every other term out of that degree (no
+    z^i s with i < shift, no z^i s^j with j >= 2 and i + j <= shift + 1).
+    A table holds [s^j]_d for every power j in the terms and is extended
+    by one degree per step, so the whole solve takes O(n^3) exact
+    operations in place of a full substitution per degree (Brent & Kung,
+    J. ACM 25, 1978).  Returns the nonzero s_k, k <= n - shift.
+    """
+    top = max(j for _, j, _ in terms)
+    s = [GR_ZERO] * (n + 1)
+    powers = [[GR_ONE] + [GR_ZERO] * n, s]
+    powers += [[GR_ZERO] * (n + 1) for _ in range(top - 1)]
+    lead = sum((c for i, j, c in terms if (i, j) == (shift, 1)), GR_ZERO)
+    for d in range(1, n + 1):
+        # [s^j]_d needs s_e for e < d - shift only, all solved by now
+        for j in range(2, top + 1):
+            lower = powers[j - 1]
+            powers[j][d] = sum((s[e] * lower[d - e] for e in range(1, d)
+                                if s[e] and lower[d - e]), GR_ZERO)
+        if d > 2 * shift:
+            residual = sum((c * powers[j][d - i] for i, j, c in terms
+                            if i <= d and powers[j][d - i]), GR_ZERO)
+            s[d - shift] = -residual / lead
+    return {k: c for k, c in enumerate(s) if c}
 
 
 def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:

@@ -263,6 +263,20 @@ class TestLyapunovQuantities:
         lyapunov_quantities(normalize_rotation(dense_quadratic(n)), n)
         assert len(calls) == 1
 
+    def test_guard_builds_each_radius_power_once(self, monkeypatch):
+        # the dense quadratic is a focus with eta_k != 0 at every even k:
+        # the guard needs (x^2+y^2)^j for j <= n/2, one product each, and
+        # the Lie derivative two more
+        n = 24
+        norm = normalize_rotation(dense_quadratic(n))
+        calls = []
+        mul = Poly2.__mul__
+        monkeypatch.setattr(Poly2, "__mul__", lambda a, b: (
+            calls.append(1) if isinstance(b, Poly2) else None) or mul(a, b))
+        rep = lyapunov_quantities(norm, n)
+        assert all(eta for _, eta in rep.obstructions)
+        assert len(calls) == n // 2 + 2
+
     def test_requires_enough_truncation(self):
         norm = normalize_rotation(rotation_field(6))
         with pytest.raises(ValueError):

@@ -389,3 +389,27 @@ class TestInternalError:
         assert captured.err.startswith("internal error: ")
         assert "Siegel obstruction decomposition failed" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("target, message", [
+        ("substitution_root", "branch residual"),
+        ("_solve_unit", "f * g * unit fails to reconstruct F"),
+    ])
+    def test_failed_factorization_exits_3(self, monkeypatch, capsys,
+                                          target, message):
+        # one coefficient of a branch (a_2) or of the unit (u_0) is off by 1
+        from centerfocus import foliation
+        solve = getattr(foliation, target)
+
+        def corrupted(*args):
+            out = solve(*args)
+            if target == "_solve_unit":
+                return out + 1
+            return {**out, 2: out.get(2, gr(0)) + 1}
+
+        monkeypatch.setattr(foliation, target, corrupted)
+        code = main(["slice", str(FIXTURES / "product_form_perturbed.json")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: ")
+        assert message in captured.err
+        assert captured.out == ""

@@ -3,10 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerfocus import foliation
 from centerfocus.center import lyapunov_quantities, normalize_rotation
 from centerfocus.foliation import (
+    BranchFailure,
     NotIsolated,
     SingularPoint,
     SliceGrid,
@@ -19,7 +22,7 @@ from centerfocus.foliation import (
     siegel_check,
     wedge_coefficient,
 )
-from centerfocus.series import OneForm2, Poly2, VectorField2
+from centerfocus.series import GaussianRational, OneForm2, Poly2, VectorField2
 
 from sympy_oracle import X, Y
 
@@ -32,6 +35,32 @@ def siegel_linear(n):
 
 def d_of(p: Poly2) -> OneForm2:
     return OneForm2(p.diff_x(), p.diff_y())
+
+
+def generic_target(m):
+    """xy + x^3 + y^4 + x^2 y^2, an exact polynomial known to degree m."""
+    x, y = Poly2.var_x(m), Poly2.var_y(m)
+    return (x * y + x ** 3 + y ** 4 + x ** 2 * y ** 2).promote_complex()
+
+
+def count_products(monkeypatch) -> list:
+    """Record every Poly2 * Poly2 (not scalings) while the test runs."""
+    calls = []
+    mul = Poly2.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Poly2):
+            calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly2, "__mul__", counted)
+    return calls
+
+
+nonzero_gaussian = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
 
 
 class TestComplexify:
@@ -286,9 +315,7 @@ class TestFactorFg:
 
     def test_generic_reconstruction(self):
         n = 8
-        m = n + 3
-        x, y = Poly2.var_x(m), Poly2.var_y(m)
-        target = (x * y + x ** 3 + y ** 4 + x ** 2 * y ** 2).promote_complex()
+        target = generic_target(n + 3)
         pair = factor_fg(target, n)
         recon = pair.f * pair.g * pair.unit
         assert recon.truncate(n) == target.truncate(n)
@@ -309,6 +336,52 @@ class TestFactorFg:
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
         with pytest.raises(ValueError):
             factor_fg((x * x + y * y).promote_complex(), n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 1), st.integers(2, 10), nonzero_gaussian)
+    def test_corrupted_branch_fails(self, which, k, delta):
+        # one coefficient a_k (or b_k) of one solved branch is off by delta
+        calls = []
+        solve = foliation.substitution_root
+
+        def corrupted(*args):
+            out = solve(*args)
+            if len(calls) == which:
+                out[k] = out.get(k, GaussianRational()) + delta
+            calls.append(1)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(foliation, "substitution_root", corrupted)
+            with pytest.raises(BranchFailure):
+                factor_fg(generic_target(11), 8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(0, d))), nonzero_gaussian)
+    def test_corrupted_unit_fails(self, term, delta):
+        # one unit coefficient of degree <= n - 2 is off by delta, so the
+        # reconstruction differs at degree <= n
+        d, r = term
+        solve = foliation._solve_unit
+
+        def corrupted(F, prod):
+            unit = solve(F, prod)
+            return unit + Poly2.monomial(d - r, r, delta,
+                                         unit.truncation_degree)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(foliation, "_solve_unit", corrupted)
+            with pytest.raises(BranchFailure):
+                factor_fg(generic_target(11), 8)
+
+    def test_two_products_at_n14(self, monkeypatch):
+        # f * g and the reconstruction; every degree of the branches and
+        # the unit is one new coefficient, not a new product
+        target = generic_target(17)
+        calls = count_products(monkeypatch)
+        factor_fg(target, 14)
+        assert len(calls) <= 2
 
 
 class TestRealSlice:
@@ -345,6 +418,19 @@ class TestRealSlice:
         with pytest.raises(ValueError):
             real_slice(pair)
 
+    def test_no_exact_evaluation(self, monkeypatch):
+        # every sample, contact order included, is evaluated in binary64
+        n = 10
+        x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
+        pair = factor_fg((x * y + x ** 3 * y ** 2).promote_complex(), n)
+        calls = []
+        evaluate = Poly2.evaluate
+        monkeypatch.setattr(Poly2, "evaluate",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        _, ver = real_slice(pair)
+        assert ver.n_samples >= 50
+        assert calls == []
+
 
 class TestContactOrder:
     def test_totally_real_slice_of_product_foliation(self):
@@ -370,6 +456,30 @@ class TestContactOrder:
                         Poly2.zero(n, real=False))
         basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
         assert contact_order(form, (0.3, 0.0), basis) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.complex_numbers(min_magnitude=0.01, max_magnitude=1),
+           nonzero_gaussian)
+    def test_hand_built_cases_at_random_points(self, x0, scale):
+        # the three cases above, anywhere off the origin and for any scaling
+        # of the form; the binary64 values give the same rank as exact ones
+        n = 6
+        slice_basis = (np.array([1.0, 0, 1.0, 0]), np.array([0, 1.0, 0, -1.0]))
+        line_basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
+        one = Poly2.constant(1, n).promote_complex()
+        zero = Poly2.zero(n, real=False)
+        cases = [
+            (siegel_linear(n), (x0, x0.conjugate()), slice_basis, 1),
+            (OneForm2(zero, one), (x0, 0j), line_basis, 2),
+            (OneForm2(one, zero), (x0, 0j), line_basis, 0),
+        ]
+        for form, point, basis, expected in cases:
+            form = form.scale(scale)
+            assert contact_order(form, point, basis) == expected
+            exact = foliation._contact_order(form.a.evaluate(point),
+                                             form.b.evaluate(point),
+                                             point, basis)
+            assert exact == expected
 
     def test_singular_point_detected(self):
         # d(x^2) vanishes along x = 0 away from the origin

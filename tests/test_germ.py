@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centerfocus import germ
 from centerfocus.germ import (
     Germ1,
     InconclusiveOrder,
@@ -12,7 +15,7 @@ from centerfocus.germ import (
     power,
     pseudo_orbit,
 )
-from centerfocus.series import GaussianRational, gr
+from centerfocus.series import GaussianRational, gr, umul
 
 
 def random_germ(rng: random.Random, n: int, multiplier=1) -> Germ1:
@@ -21,6 +24,37 @@ def random_germ(rng: random.Random, n: int, multiplier=1) -> Germ1:
         if rng.random() < 0.6:
             coeffs[k] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return Germ1(coeffs, n)
+
+
+def horner_compose(f: Germ1, g: Germ1) -> Germ1:
+    """Reference f(g(z)) = g*(f_1 + g*(f_2 + ...)), one product per degree."""
+    n = min(f.truncation_degree, g.truncation_degree)
+    acc = {}
+    for m in range(n, 0, -1):
+        c = f.coefficient(m)
+        if c:
+            acc[0] = acc.get(0, gr(0)) + c
+        acc = umul(acc, g.coeffs, n)
+    return Germ1(acc, n)
+
+
+@st.composite
+def qi_germs(draw, max_n=24):
+    """Germs over Q(i) with small random coefficients, N <= max_n."""
+    n = draw(st.integers(2, max_n))
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.builds(GaussianRational, parts, parts)
+    lam = draw(coeff.filter(bool))
+    degrees = draw(st.lists(st.integers(2, n), max_size=4, unique=True))
+    return Germ1({1: lam, **{k: draw(coeff) for k in degrees}}, n)
+
+
+def count_compose(monkeypatch) -> list:
+    calls = []
+    compose_ = germ.compose
+    monkeypatch.setattr(germ, "compose",
+                        lambda *args: calls.append(1) or compose_(*args))
+    return calls
 
 
 class TestGermBasics:
@@ -70,6 +104,11 @@ class TestCompose:
             h = random_germ(rng, 8)
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
+    @settings(max_examples=40, deadline=None)
+    @given(qi_germs(16), qi_germs(16))
+    def test_matches_horner_reference(self, f, g):
+        assert compose(f, g) == horner_compose(f, g)
+
 
 class TestInvert:
     def test_linear(self):
@@ -94,6 +133,29 @@ class TestInvert:
             g = invert(f)
             assert compose(f, g).is_identity()
             assert compose(g, f).is_identity()
+
+    @settings(max_examples=40, deadline=None)
+    @given(qi_germs())
+    def test_two_sided_over_gaussian_rationals(self, f):
+        g = invert(f)
+        assert compose(f, g).is_identity()
+        assert compose(g, f).is_identity()
+
+    def test_no_composition(self, monkeypatch):
+        # the degree-by-degree solve keeps a table of powers of the inverse
+        calls = count_compose(monkeypatch)
+        invert(random_germ(random.Random(5), 24))
+        assert calls == []
+
+
+class TestPower:
+    @settings(max_examples=40, deadline=None)
+    @given(qi_germs(16), st.integers(1, 5))
+    def test_equals_repeated_composition(self, f, k):
+        out = f
+        for _ in range(k - 1):
+            out = compose(out, f)
+        assert power(f, k) == out
 
 
 class TestFiniteOrder:
@@ -133,6 +195,17 @@ class TestFiniteOrder:
             g = random_germ(rng, n)
             conj = compose(invert(g), compose(rot, g))
             assert finite_order(conj, 8) == finite_order(rot, 8) == 4
+
+    def test_no_composition(self, monkeypatch):
+        # power reuses the inner germ's powers instead of composing
+        calls = count_compose(monkeypatch)
+        n = 24
+        g = random_germ(random.Random(7), n)
+        conj = compose(invert(g), compose(Germ1({1: gr(0, 1)}, n), g))
+        calls.clear()
+        assert finite_order(conj, 8) == 4
+        assert finite_order(Germ1({1: -1, 3: 1}, n), 8) is None
+        assert calls == []
 
 
 class TestPseudoOrbit:
@@ -175,3 +248,19 @@ class TestPseudoOrbit:
             rec = pseudo_orbit(f, z0, 20, return_tolerance=1e-6)
             assert rec.status == "periodic"
             assert 4 % rec.period == 0
+
+    def test_iterates_match_per_step_rounding(self):
+        # rounding the coefficients once gives the same binary64 iterates
+        # as rounding them at every step, in the same Horner order
+        f = Germ1({1: gr(Fraction(3, 5), Fraction(4, 5)), 2: gr(Fraction(1, 3)),
+                   5: gr(0, Fraction(-2, 7))}, 9)
+        rec = pseudo_orbit(f, 0.1 + 0.05j, 300)
+        z, iterates = 0.1 + 0.05j, [0.1 + 0.05j]
+        for _ in range(len(rec.iterates) - 1):
+            acc = 0j
+            for k in range(9, 0, -1):
+                acc = acc * z + f.coefficient(k).to_complex()
+            z = acc * z
+            iterates.append(z)
+        assert rec.iterates == iterates
+        assert len(iterates) > 100
