@@ -11,8 +11,6 @@ from .series import (  # noqa: F401
     VectorField2,
     gr,
     lie_derivative,
-    linear_change,
-    mul,
 )
 from .germ import Germ1, compose, finite_order, invert, pseudo_orbit  # noqa: F401
 from .center import (  # noqa: F401

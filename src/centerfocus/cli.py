@@ -85,8 +85,28 @@ _COMPLEX_RE = re.compile(
 )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: `bool` subclasses `int`, but true is no number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_shape(value, default, where: str, pair: bool = False) -> None:
+    """`value` has the shape of its `DEFAULT_ANALYSIS` default: an integer
+    for an int, a number for a float, a list of such for a list, and a
+    list of the default's length inside a list (a point)."""
+    if isinstance(default, list):
+        if not isinstance(value, list) or pair and len(value) != len(default):
+            raise ValidationError(f"{where}: expected a list like {default}")
+        for k, item in enumerate(value):
+            _check_shape(item, default[0], f"{where}[{k}]", pair=True)
+    elif not (_is_int(value) or (isinstance(value, float)
+                                 and isinstance(default, float))):
+        raise ValidationError(f"{where}: expected "
+                              f"{type(default).__name__}, got {value!r}")
+
+
 def parse_coefficient(text, where: str) -> GaussianRational:
-    if isinstance(text, int):
+    if _is_int(text):
         return gr(text)
     if not isinstance(text, str):
         raise ValidationError(f"{where}: coefficient must be a string, "
@@ -158,7 +178,7 @@ def _parse_term_list(raw, truncation, key, real_only) -> dict:
         if not (isinstance(row, list) and len(row) == 3):
             raise ValidationError(f"{where}: expected [i, j, coeff]")
         i, j, coeff = row
-        if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+        if not (_is_int(i) and _is_int(j) and i >= 0 and j >= 0):
             raise ValidationError(f"{where}: exponents must be nonnegative "
                                   "integers")
         if i + j > truncation:
@@ -195,7 +215,7 @@ def parse_spec(path) -> ProblemSpec:
             f"kind: expected one of {sorted(DEFAULT_ANALYSIS)}, got {kind!r}"
         )
     truncation = doc.get("truncation")
-    if not isinstance(truncation, int) or truncation < 1:
+    if not _is_int(truncation) or truncation < 1:
         raise ValidationError("truncation: expected a positive integer")
     analysis = doc.get("analysis", {})
     if not isinstance(analysis, dict):
@@ -204,6 +224,8 @@ def parse_spec(path) -> ProblemSpec:
     if unknown:
         raise ValidationError(f"analysis: unknown keys {sorted(unknown)} "
                               f"for kind {kind}")
+    for key, value in analysis.items():
+        _check_shape(value, DEFAULT_ANALYSIS[kind][key], f"analysis.{key}")
     dx_terms = dy_terms = germ_coeffs = None
     if kind in ("real_field", "complex_form"):
         for key in ("dx", "dy"):
@@ -222,7 +244,7 @@ def parse_spec(path) -> ProblemSpec:
             if not (isinstance(row, list) and len(row) == 2):
                 raise ValidationError(f"{where}: expected [degree, coeff]")
             k, coeff = row
-            if not isinstance(k, int) or k < 1:
+            if not _is_int(k) or k < 1:
                 raise ValidationError(f"{where}: degree must be a positive "
                                       "integer")
             if k > truncation:
@@ -234,7 +256,7 @@ def parse_spec(path) -> ProblemSpec:
         if "multiplier_root" in doc:
             root = doc["multiplier_root"]
             if not (isinstance(root, list) and len(root) == 2
-                    and all(isinstance(v, int) for v in root)):
+                    and all(_is_int(v) for v in root)):
                 raise ValidationError("multiplier_root: expected [p, q]")
             lam = _root_of_unity(root[0], root[1], "multiplier_root")
             if 1 in germ_coeffs and germ_coeffs[1] != lam:

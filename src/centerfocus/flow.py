@@ -50,15 +50,10 @@ class _NumericField:
     def __init__(self, fld: VectorField2):
         if not fld.real:
             raise ValueError("numeric integration expects a real field")
-        self.p_terms = [(i, j, c.real) for i, j, c in fld.p.as_float_terms()]
-        self.q_terms = [(i, j, c.real) for i, j, c in fld.q.as_float_terms()]
+        self.p, self.q = fld.p.binary64(), fld.q.binary64()
 
     def __call__(self, t, s):
-        x, y = s
-        return (
-            sum(c * x**i * y**j for i, j, c in self.p_terms),
-            sum(c * x**i * y**j for i, j, c in self.q_terms),
-        )
+        return self.p(*s), self.q(*s)
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,6 @@ class ReturnMapSample:
     r_in: float
     r_out: float
     crossings: int
-    converged: bool
     return_time: float
     tolerance_used: float
 
@@ -130,7 +124,6 @@ class PeriodicSequenceReport:
     samples: list[ReturnMapSample]
     residuals: list[float]
     relative_tolerance: float
-    integrator_tolerance: float
 
     @property
     def verdict(self) -> str:
@@ -235,9 +228,9 @@ def _return_sample(fld, seg, r, tol, t_max, want_half) -> ReturnMapSample:
         if c.param > 0:
             hits += 1
             if not want_half:
-                return ReturnMapSample(r, c.param, hits, True, c.time, tol)
+                return ReturnMapSample(r, c.param, hits, c.time, tol)
         elif want_half:
-            return ReturnMapSample(r, -c.param, hits, True, c.time, tol)
+            return ReturnMapSample(r, -c.param, hits, c.time, tol)
     raise NoReturn(
         f"no {'half' if want_half else 'full'} return from r={r} "
         f"within t={t_max}"
@@ -298,7 +291,7 @@ def detect_periodic_sequence(
         residuals.append(s.r_out - s.r_in)
     periodic = all(abs(res) <= rel_tol * r for res, r in zip(residuals, radii))
     return PeriodicSequenceReport(periodic, radii, samples, residuals,
-                                  rel_tol, tol)
+                                  rel_tol)
 
 
 def bounded_order_scan(
@@ -360,11 +353,7 @@ def level_set_conservation(
 ) -> float:
     """Max deviation of a putative first integral along one trajectory."""
     traj = integrate(fld, x0, t_max, tol, domain_radius)
-    terms = [(i, j, c.real) for i, j, c in first_integral.as_float_terms()]
-
-    def ev(x, y):
-        return sum(c * x**i * y**j for i, j, c in terms)
-
+    ev = first_integral.binary64()
     ref = ev(*map(float, x0))
     return max(abs(ev(x, y) - ref) for x, y in traj.states)
 

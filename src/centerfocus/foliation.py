@@ -15,6 +15,7 @@ import sympy as sp
 
 from .center import RotationNormalization
 from .series import (
+    GR_ONE,
     GR_ZERO,
     GaussianRational,
     InternalError,
@@ -25,8 +26,8 @@ from .series import (
     ensure,
     gr,
     homological_series,
+    substitute,
     substitution_root,
-    umul,
 )
 
 __all__ = [
@@ -415,23 +416,6 @@ def formal_first_integral_siegel(
 # branch factorization F = f g unit
 
 
-def _branch_substitute(F: Poly2, branch: dict[int, GaussianRational],
-                       n: int, solve_for_y: bool) -> dict[int, GaussianRational]:
-    """Coefficients of F(x, branch(x)) (or F(branch(y), y)) up to degree n."""
-    max_pow = max((j if solve_for_y else i) for i, j in F.terms)
-    powers: list[dict[int, GaussianRational]] = [{0: gr(1)}]
-    for _ in range(max_pow):
-        powers.append(umul(powers[-1], branch, n))
-    out: dict[int, GaussianRational] = {}
-    for (i, j), c in F.terms.items():
-        base, pw = (i, j) if solve_for_y else (j, i)
-        for d, bc in powers[pw].items():
-            k = base + d
-            if k <= n:
-                out[k] = out.get(k, GR_ZERO) + c * bc
-    return {k: v for k, v in out.items() if v}
-
-
 def _solve_branch(F: Poly2, solve_for_y: bool) -> dict[int, GaussianRational]:
     """The branch y = a(x) (or x = b(y)) of F = 0 through degree m - 1.
 
@@ -444,7 +428,7 @@ def _solve_branch(F: Poly2, solve_for_y: bool) -> dict[int, GaussianRational]:
     terms = [((i, j, c) if solve_for_y else (j, i, c))
              for (i, j), c in F.terms.items()]
     branch = substitution_root(terms, 1, m)
-    resid = _branch_substitute(F, branch, m, solve_for_y)
+    resid = substitute(terms, [{0: GR_ONE}, branch], m)
     if resid:
         raise BranchFailure(
             f"branch residual has unexpected low-order terms {sorted(resid)}"
@@ -513,22 +497,14 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
 
 
 class _CEval:
-    """Fast binary64 evaluation of a Poly2 and its partial derivatives."""
+    """Binary64 evaluation of a Poly2 and its partial derivatives."""
 
     def __init__(self, p: Poly2):
-        self.terms = p.as_float_terms()
-        self.dx = p.diff_x().as_float_terms()
-        self.dy = p.diff_y().as_float_terms()
-
-    @staticmethod
-    def _ev(terms, x, y):
-        return sum(c * x**i * y**j for i, j, c in terms)
-
-    def value(self, x, y):
-        return self._ev(self.terms, x, y)
+        self.value = p.binary64()
+        self._dx, self._dy = p.diff_x().binary64(), p.diff_y().binary64()
 
     def grad(self, x, y):
-        return self._ev(self.dx, x, y), self._ev(self.dy, x, y)
+        return self._dx(x, y), self._dy(x, y)
 
 
 def _slice_residual(h1: _CEval, h2: _CEval, u: np.ndarray) -> np.ndarray:
@@ -637,13 +613,13 @@ def contact_order(form: OneForm2, point, tangent_basis) -> int:
     The leaf tangent of a dx + b dy = 0 is the complex line (-b, a),
     viewed as a real 2-plane in R^4 with coordinates
     (Re x, Im x, Re y, Im y).  a and b are evaluated in binary64
-    (`_CEval`), as their values only feed a rank test with tolerance
-    1e-8.  Returns 0 (transverse), 1 (totally real non-invariant) or 2
-    (invariant direction).
+    (`Poly2.binary64`), as their values only feed a rank test with
+    tolerance 1e-8.  Returns 0 (transverse), 1 (totally real
+    non-invariant) or 2 (invariant direction).
     """
     x, y = complex(point[0]), complex(point[1])
-    return _contact_order(_CEval(form.a).value(x, y),
-                          _CEval(form.b).value(x, y), point, tangent_basis)
+    return _contact_order(form.a.binary64()(x, y), form.b.binary64()(x, y),
+                          point, tangent_basis)
 
 
 def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .series import (GR_ONE, GR_ZERO, GaussianRational, Scalar, gr,
-                     substitution_root, umul)
+                     substitute, substitution_root)
 
 __all__ = [
     "Germ1",
@@ -124,26 +124,12 @@ class Germ1:
         return self.evaluator()(z)
 
 
-def _substitute(f: dict[int, GaussianRational],
-                powers: list[dict[int, GaussianRational]],
-                n: int) -> dict[int, GaussianRational]:
-    """sum_m f_m g^m to degree n, from powers = [g, g^2, ...]; the list is
-    extended by `umul` as far as f's top degree needs."""
-    while len(powers) < max(f):
-        powers.append(umul(powers[-1], powers[0], n))
-    acc: dict[int, GaussianRational] = {}
-    for m, c in f.items():
-        for d, pc in powers[m - 1].items():
-            acc[d] = acc.get(d, GR_ZERO) + c * pc
-    return {d: v for d, v in acc.items() if v}
-
-
 def compose(f: Germ1, g: Germ1) -> Germ1:
     """Truncated series of f(g(z)), as sum_m f_m g^m."""
     n = min(f.truncation_degree, g.truncation_degree)
-    ft = {m: c for m, c in f.coeffs.items() if m <= n}
+    terms = [(0, m, c) for m, c in f.coeffs.items() if m <= n]
     gt = {k: c for k, c in g.coeffs.items() if k <= n}
-    return Germ1(_substitute(ft, [gt], n), n)
+    return Germ1(substitute(terms, [{0: GR_ONE}, gt], n), n)
 
 
 def invert(f: Germ1) -> Germ1:
@@ -162,16 +148,16 @@ def invert(f: Germ1) -> Germ1:
 def power(f: Germ1, k: int) -> Germ1:
     """k-fold composition f o ... o f (k >= 1).
 
-    The powers f, f^2, ... of the inner germ are formed once by `umul`;
-    each further composition out o f is then the linear combination
-    sum_j out_j f^j.
+    The powers f, f^2, ... of the inner germ are formed once, in one
+    table that `series.substitute` extends; each further composition
+    out o f is then the linear combination sum_j out_j f^j.
     """
     if k < 1:
         raise ValueError("power requires k >= 1")
     n = f.truncation_degree
-    out, powers = f.coeffs, [f.coeffs]
+    out, powers = f.coeffs, [{0: GR_ONE}, f.coeffs]
     for _ in range(k - 1):
-        out = _substitute(out, powers, n)
+        out = substitute([(0, m, c) for m, c in out.items()], powers, n)
     return Germ1(out, n)
 
 

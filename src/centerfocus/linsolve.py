@@ -39,13 +39,6 @@ def _echelonize(m: Matrix) -> tuple[Matrix, list[int]]:
     return rows, pivots
 
 
-def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    _, pivots = _echelonize(m)
-    return len(pivots)
-
-
 def solve(m: Matrix, b: Vector) -> Vector | None:
     """One exact solution of m x = b with free variables set to zero.
 

@@ -20,13 +20,11 @@ __all__ = [
     "InternalError",
     "ensure",
     "gr",
-    "mul",
     "umul",
+    "substitute",
     "substitution_root",
     "lie_derivative",
     "homological_series",
-    "linear_change",
-    "evaluate",
 ]
 
 
@@ -157,7 +155,6 @@ def gr(re: Scalar = 0, im: Scalar = 0) -> GaussianRational:
 
 GR_ZERO = gr(0)
 GR_ONE = gr(1)
-GR_I = gr(0, 1)
 
 
 class Poly2:
@@ -230,17 +227,6 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def poly_degree(self) -> int:
-        """Largest total degree among stored terms (0 if none)."""
-        return max((i + j for i, j in self.terms), default=0)
-
-    def min_degree(self) -> int | None:
-        return min((i + j for i, j in self.terms), default=None)
-
-    def homogeneous_part(self, k: int) -> "Poly2":
-        part = {e: c for e, c in self.terms.items() if e[0] + e[1] == k}
-        return Poly2(part, self.truncation_degree, self.real)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
@@ -387,9 +373,18 @@ class Poly2:
             acc = acc + c * xp[i] * yp[j]
         return acc.to_complex()
 
-    def as_float_terms(self) -> list[tuple[int, int, complex]]:
-        """Coefficients rounded to binary64, for fast numeric loops."""
-        return [(i, j, c.to_complex()) for (i, j), c in sorted(self.terms.items())]
+    def binary64(self):
+        """The truncated polynomial as a binary64 function of (x, y).  The
+        coefficients are rounded once, here: to float for a real series,
+        to complex otherwise; the function sums c x^i y^j over the sorted
+        terms."""
+        terms = [(i, j, float(c.re) if self.real else c.to_complex())
+                 for (i, j), c in sorted(self.terms.items())]
+
+        def evaluate(x, y):
+            return sum(c * x**i * y**j for i, j, c in terms)
+
+        return evaluate
 
     def substitute_linear(self, m: Sequence[Sequence[Scalar]]) -> "Poly2":
         """Compose with the linear substitution (x, y) -> m @ (x, y)."""
@@ -509,11 +504,6 @@ class OneForm2:
         return OneForm2(a_new * m00 + b_new * m10, a_new * m01 + b_new * m11)
 
 
-def mul(u: Poly2, v: Poly2) -> Poly2:
-    """Truncated Cauchy product; degree = min of the operands' degrees."""
-    return u * v
-
-
 def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
          n: int) -> dict[int, GaussianRational]:
     """Product of univariate series {degree: coefficient} to degree n,
@@ -530,6 +520,24 @@ def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
             elif k in out:
                 del out[k]
     return out
+
+
+def substitute(terms: list[tuple[int, int, GaussianRational]],
+               powers: list[dict[int, GaussianRational]],
+               n: int) -> dict[int, GaussianRational]:
+    """sum_(i, j, c) c z^i s(z)^j through degree n, without zero
+    coefficients, from the caller's list [s^0, s^1, ...] = [{0: 1}, s, ...]
+    of powers of s.  `umul` extends that list in place as far as the terms
+    need, so substituting into the same s again reuses the powers."""
+    top = max((j for _, j, _ in terms), default=0)
+    while len(powers) <= top:
+        powers.append(umul(powers[-1], powers[1], n))
+    out: dict[int, GaussianRational] = {}
+    for i, j, c in terms:
+        for d, pc in powers[j].items():
+            if i + d <= n:
+                out[i + d] = out.get(i + d, GR_ZERO) + c * pc
+    return {d: v for d, v in out.items() if v}
 
 
 def substitution_root(terms: list[tuple[int, int, GaussianRational]],
@@ -628,12 +636,3 @@ def homological_series(p: Poly2, q: Poly2, quadratic: Homogeneous, n: int,
             obstructions.append((k, eta))
         record(k, f)
     return terms, obstructions
-
-
-def linear_change(f: Poly2, m: Sequence[Sequence[Scalar]]) -> Poly2:
-    """f composed with (x, y) -> m @ (x, y); raises SingularMatrix."""
-    return f.substitute_linear(m)
-
-
-def evaluate(f: Poly2, point: Sequence[complex]) -> complex:
-    return f.evaluate(point)

@@ -10,6 +10,7 @@ import pytest
 from centerfocus.cli import (
     ParseError,
     ValidationError,
+    _STAGES,
     format_coefficient,
     main,
     parse_coefficient,
@@ -187,18 +188,27 @@ class TestDeterminismAndGolden:
         assert strip.sub('"timestamp": "-"', a) == \
             strip.sub('"timestamp": "-"', b)
 
-    def test_golden_linear_center(self):
-        spec = parse_spec(FIXTURES / "linear_center.json")
-        got = normalize(run_pipeline(spec))
-        golden = json.loads((GOLDEN / "linear_center.report.json").read_text())
-        assert got == golden
 
-    def test_golden_germ(self):
-        spec = parse_spec(FIXTURES / "germ_quarter_rotation.json")
-        got = normalize(run_pipeline(spec))
-        golden = json.loads(
-            (GOLDEN / "germ_quarter_rotation.report.json").read_text())
-        assert got == golden
+def _golden_cases():
+    """Every (fixture, command) pair that `cli._STAGES` accepts."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        kind = json.loads(path.read_text())["kind"]
+        for command, kinds in _STAGES.items():
+            if kind in kinds:
+                yield path.stem, command
+
+
+def _golden_path(fixture, command):
+    suffix = "" if command == "analyze" else f".{command}"
+    return GOLDEN / f"{fixture}{suffix}.report.json"
+
+
+@pytest.mark.parametrize("fixture,command", list(_golden_cases()))
+def test_golden(fixture, command):
+    """Exact strings compare exactly, floats to 9 significant digits."""
+    spec = parse_spec(FIXTURES / f"{fixture}.json")
+    got = normalize(run_pipeline(spec, command=command))
+    assert got == json.loads(_golden_path(fixture, command).read_text())
 
 
 class TestMainExitCodes:
@@ -270,6 +280,39 @@ def _write(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+REAL = {"kind": "real_field", "truncation": 2,
+        "dx": [[0, 1, "-1"]], "dy": [[1, 0, "1"]]}
+GERM = {"kind": "germ", "truncation": 4, "coeffs": [[1, "0+1 i"]]}
+
+
+# Values of the wrong shape, including booleans where JSON integers belong
+MALFORMED = {
+    "order-string": {**REAL, "analysis": {"order": "ten"}},
+    "order-bool": {**REAL, "analysis": {"order": True}},
+    "order-float": {**REAL, "analysis": {"order": 10.0}},
+    "radii-string": {**REAL, "analysis": {"radii": "0.1"}},
+    "radius-string": {**REAL, "analysis": {"radii": [0.1, "0.05"]}},
+    "rel_tol-bool": {**REAL, "analysis": {"rel_tol": False}},
+    "exponent-bool": {**REAL, "dx": [[0, True, "-1"]]},
+    "coefficient-bool": {**REAL, "dx": [[0, 1, True]]},
+    "point-single": {**GERM, "analysis": {"points": [[0.01]]}},
+    "points-flat": {**GERM, "analysis": {"points": [0.01, 0.02]}},
+    "point-null": {**GERM, "analysis": {"points": [[0.01, None]]}},
+    "k_max-bool": {**GERM, "analysis": {"k_max": True}},
+    "truncation-bool": {**GERM, "truncation": True,
+                        "coeffs": [[True, "0+1 i"]]},
+    "degree-bool": {**GERM, "coeffs": [[True, "0+1 i"]]},
+    "multiplier_root-bool": {**GERM, "multiplier_root": [True, 4]},
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_values_are_input_errors(tmp_path, capsys, doc):
+    assert main(["analyze", str(_write(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestIrrationalFrequency:

@@ -1,19 +1,28 @@
+import ast
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centerfocus import series
 from centerfocus.series import (
+    GR_ONE,
+    GaussianRational,
     OneForm2,
     Poly2,
     SingularMatrix,
     VectorField2,
-    evaluate,
     gr,
     lie_derivative,
-    linear_change,
-    mul,
+    substitute,
+    umul,
 )
 
 from sympy_oracle import X, Y, random_poly, to_sympy
@@ -70,20 +79,20 @@ class TestMul:
     def test_difference_of_squares(self):
         n = 4
         x, y = Poly2.var_x(n), Poly2.var_y(n)
-        assert mul(x + y, x - y) == x * x - y * y
+        assert (x + y) * (x - y) == x * x - y * y
 
     def test_geometric_series_inverse(self):
         n = 5
         one_plus = poly({(0, 0): 1, (1, 0): 1}, n)
         geo = poly({(k, 0): (-1) ** k for k in range(n + 1)}, n)
-        assert mul(one_plus, geo) == Poly2.constant(1, n)
+        assert one_plus * geo == Poly2.constant(1, n)
 
     def test_radius_squared_expansion(self):
         # hand expansion oracle: (x^2+y^2)^2 = x^4 + 2 x^2 y^2 + y^4
         n = 6
         r2 = poly({(2, 0): 1, (0, 2): 1}, n)
         expected = poly({(4, 0): 1, (2, 2): 2, (0, 4): 1}, n)
-        assert mul(r2, r2) == expected
+        assert r2 * r2 == expected
 
     def test_truncation_is_min_of_degrees(self):
         u = poly({(1, 0): 1}, 7)
@@ -137,24 +146,24 @@ class TestLinearChange:
     def test_identity(self):
         n = 5
         f = poly({(1, 1): 1}, n)
-        assert linear_change(f, ((1, 0), (0, 1))) == f
+        assert f.substitute_linear(((1, 0), (0, 1))) == f
 
     def test_swap(self):
         n = 5
         f = Poly2.var_x(n)
-        assert linear_change(f, ((0, 1), (1, 0))) == Poly2.var_y(n)
+        assert f.substitute_linear(((0, 1), (1, 0))) == Poly2.var_y(n)
 
     def test_radius_to_product_coordinates(self):
         # hand oracle: (x+y)^2 + (ix-iy)^2 = 4xy
         n = 5
         f = poly({(2, 0): 1, (0, 2): 1}, n)
         m = ((gr(1), gr(1)), (gr(0, 1), gr(0, -1)))
-        assert linear_change(f, m) == Poly2({(1, 1): gr(4)}, n, real=False)
+        assert f.substitute_linear(m) == Poly2({(1, 1): gr(4)}, n, real=False)
 
     def test_singular_matrix_rejected(self):
         f = Poly2.var_x(4)
         with pytest.raises(SingularMatrix):
-            linear_change(f, ((1, 1), (2, 2)))
+            f.substitute_linear(((1, 1), (2, 2)))
 
     def test_ring_morphism_on_random_inputs(self):
         rng = random.Random(7)
@@ -162,21 +171,22 @@ class TestLinearChange:
         for _ in range(20):
             f = random_poly(rng, 6)
             g = random_poly(rng, 6)
-            assert linear_change(f * g, m) == linear_change(f, m) * linear_change(g, m)
+            assert (f * g).substitute_linear(m) == \
+                f.substitute_linear(m) * g.substitute_linear(m)
 
 
 class TestEvaluate:
     def test_radius(self):
         f = Poly2({(2, 0): 1, (0, 2): 1}, 4)
-        assert evaluate(f, (3, 4)) == 25
+        assert f.evaluate((3, 4)) == 25
 
     def test_product_at_imaginary_pair(self):
         f = Poly2({(1, 1): 1}, 4)
-        assert evaluate(f, (1j, -1j)) == 1
+        assert f.evaluate((1j, -1j)) == 1
 
     def test_point_on_cusp_curve(self):
         f = Poly2({(2, 0): 1, (0, 3): -1}, 4)
-        assert evaluate(f, (1, 1)) == 0
+        assert f.evaluate((1, 1)) == 0
 
     def test_multiplicative_within_rounding(self):
         # degree <= 6 factors at N = 12 keep the full product below the
@@ -187,8 +197,8 @@ class TestEvaluate:
             v = random_poly(rng, 6).lift(12)
             p = (rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5),
                  rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5))
-            lhs = evaluate(mul(u, v), p)
-            rhs = evaluate(u, p) * evaluate(v, p)
+            lhs = (u * v).evaluate(p)
+            rhs = u.evaluate(p) * v.evaluate(p)
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
@@ -236,3 +246,112 @@ class TestFieldAndForm:
         field = VectorField2(-y + x * x, x + y * y)
         w = field.dual_form()
         assert (w.a * field.p + w.b * field.q).is_zero()
+
+
+def comprehension(p: Poly2, x, y, coefficient):
+    """The binary64 evaluation the program wrote out before
+    `Poly2.binary64`: coefficients rounded by `coefficient`, then
+    sum(c * x**i * y**j) over the sorted terms."""
+    terms = [(i, j, coefficient(c)) for (i, j), c in sorted(p.terms.items())]
+    return sum(c * x**i * y**j for i, j, c in terms)
+
+
+def bits(v):
+    """v's type, value and the sign of each zero: bit-for-bit identity."""
+    z = complex(v)
+    return (type(v), z.real, math.copysign(1, z.real),
+            z.imag, math.copysign(1, z.imag))
+
+
+@st.composite
+def series_(draw, real):
+    n = draw(st.integers(0, 8))
+    part = st.fractions(min_value=-50, max_value=50, max_denominator=97)
+    coeff = st.builds(GaussianRational, part, st.just(Fraction(0)) if real
+                      else part)
+    exponents = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+        lambda e: sum(e) <= n)
+    return Poly2(draw(st.dictionaries(exponents, coeff, max_size=10)), n)
+
+
+coordinates = st.floats(-2, 2) | st.sampled_from([0.0, -0.0])
+complex_points = st.complex_numbers(max_magnitude=2) | st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+class TestBinary64:
+    """`Poly2.binary64` equals the comprehensions it replaced exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_(real=True), coordinates, coordinates, st.booleans())
+    def test_real_series_at_real_points(self, p, x, y, numpy_scalars):
+        # the right-hand side of `flow`: float coefficients; solve_ivp
+        # hands in numpy scalars
+        if numpy_scalars:
+            x, y = np.float64(x), np.float64(y)
+        expected = comprehension(p, x, y, lambda c: c.to_complex().real)
+        assert bits(p.binary64()(x, y)) == bits(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_(real=True) | series_(real=False), complex_points,
+           complex_points)
+    def test_any_series_at_complex_points(self, p, x, y):
+        # the slice and contact evaluations of `foliation`: complex
+        # coefficients even for a real series
+        expected = comprehension(p, x, y, GaussianRational.to_complex)
+        assert bits(p.binary64()(x, y)) == bits(expected)
+
+    def test_value_type_follows_the_series(self):
+        x = Poly2.var_x(2)
+        assert type(x.binary64()(0.5, 0.0)) is float
+        assert type(x.promote_complex().binary64()(0.5, 0.0)) is complex
+
+
+def repeated_umul(terms, s, n):
+    """sum c z^i s^j with each term built by its own j products."""
+    out = {}
+    for i, j, c in terms:
+        term = {i: c} if i <= n else {}
+        for _ in range(j):
+            term = umul(term, s, n)
+        for d, v in term.items():
+            out[d] = out.get(d, gr(0)) + v
+    return {d: v for d, v in out.items() if v}
+
+
+@st.composite
+def univariate(draw, n):
+    """s = s_1 z + ... + s_n z^n with a few nonzero coefficients."""
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeff = st.builds(GaussianRational, part, part).filter(bool)
+    return draw(st.dictionaries(st.integers(1, n), coeff, max_size=5))
+
+
+class TestSubstitute:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), univariate(n),
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, 6),
+                           st.builds(GaussianRational, st.integers(-3, 3))),
+                 min_size=1, max_size=6))))
+    def test_equals_repeated_umul(self, case):
+        n, s, terms = case
+        powers = [{0: GR_ONE}, s]
+        assert substitute(terms, powers, n) == repeated_umul(terms, s, n)
+        # the table now holds s^0 .. s^top, and a second call reuses it
+        top = max(j for _, j, _ in terms)
+        assert len(powers) == max(top + 1, 2)
+        assert powers[top] == repeated_umul([(0, top, GR_ONE)], s, n)
+        assert substitute(terms, powers, n) == repeated_umul(terms, s, n)
+        assert len(powers) == max(top + 1, 2)
+
+
+def test_series_imports_only_the_standard_library():
+    """`series` stays importable without numpy, scipy or sympy."""
+    tree = ast.parse(Path(series.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert imported and all(name.split(".")[0] in sys.stdlib_module_names
+                            for name in imported)
