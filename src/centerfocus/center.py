@@ -65,7 +65,6 @@ class RotationNormalization:
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    truncation_degree: int
     first_integral: Poly2
     obstructions: list[tuple[int, GaussianRational]]  # (even degree, eta)
     first_nonzero: int | None  # index into obstructions
@@ -243,7 +242,7 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None
     )
-    return LyapunovReport(n, first_integral, obstructions, first_nonzero)
+    return LyapunovReport(first_integral, obstructions, first_nonzero)
 
 
 def morse_check(f: Poly2) -> MorseReport:
@@ -264,13 +263,14 @@ def certify_center(field: VectorField2, n: int = 10) -> CenterVerdict:
 
     The input is treated as an exact polynomial field and lifted to the
     requested order when its declared truncation is lower.  A failed
-    rotation hypothesis yields the NOT_APPLICABLE verdict.
+    rotation hypothesis, or a rotation whose frequency is not rational,
+    yields the NOT_APPLICABLE verdict.
     """
     if field.truncation_degree < n:
         field = field.lift(n)
     try:
         norm = normalize_rotation(field)
-    except NotARotation as exc:
+    except (NotARotation, IrrationalRotationFrequency) as exc:
         return CenterVerdict("NOT_APPLICABLE", n, message=str(exc))
     report = lyapunov_quantities(norm, n)
     morse = morse_check(report.first_integral)

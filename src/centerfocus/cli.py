@@ -42,8 +42,8 @@ from . import __version__
 from . import center as center_mod
 from . import flow as flow_mod
 from . import foliation as fol_mod
-from .germ import Germ1, InconclusiveOrder, finite_order, multiplier_order, \
-    pseudo_orbit
+from .germ import ROOTS_OF_UNITY, Germ1, InconclusiveOrder, finite_order, \
+    multiplier_order, pseudo_orbit
 from .series import GaussianRational, InternalError, OneForm2, Poly2, \
     VectorField2, gr
 
@@ -80,6 +80,11 @@ DEFAULT_ANALYSIS = {
     },
 }
 
+# Each of these analysis values, or every entry of such a list (which must
+# not be empty), exceeds its floor; a complex form's order is at least 2.
+_FLOORS = {"tol": 0, "rel_tol": 0, "escape_radius": 0, "radii": 0,
+           "slice_radii": 0, "slice_angles": 0, "k_max": 0}
+
 _COMPLEX_RE = re.compile(
     r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*i\s*$"
 )
@@ -103,6 +108,18 @@ def _check_shape(value, default, where: str, pair: bool = False) -> None:
                                  and isinstance(default, float))):
         raise ValidationError(f"{where}: expected "
                               f"{type(default).__name__}, got {value!r}")
+
+
+def _check_ranges(params: dict, kind: str) -> None:
+    floors = dict(_FLOORS, order=1) if kind == "complex_form" else _FLOORS
+    for key, floor in floors.items():
+        value = params.get(key)
+        many = isinstance(value, list)
+        values = value if many else [value]
+        if key in params and (not values or min(values) <= floor):
+            what = "a nonempty list of values" if many else "a value"
+            raise ValidationError(f"{key}: expected {what} above {floor}, "
+                                  f"got {value!r}")
 
 
 def parse_coefficient(text, where: str) -> GaussianRational:
@@ -131,11 +148,8 @@ def _root_of_unity(p: int, q: int, where: str) -> GaussianRational:
         raise ValidationError(f"{where}: root order must be positive")
     g = gcd(p, q)
     p, q = (p // g) % (q // g), q // g
-    table = {1: gr(1), 2: gr(-1)}
-    if q in table:
-        return table[q]
-    if q == 4:
-        return gr(0, 1) if p == 1 else gr(0, -1)
+    if (p, q) in ROOTS_OF_UNITY:
+        return ROOTS_OF_UNITY[p, q]
     raise ValidationError(
         f"{where}: exp(2 pi i {p}/{q}) is not a Gaussian rational; "
         "exactly representable multiplier orders are 1, 2 and 4"
@@ -151,7 +165,6 @@ class ProblemSpec:
     germ_coeffs: dict | None
     analysis: dict
     input_sha256: str
-    source: str
 
     def build_field(self, order: int) -> VectorField2:
         n = max(self.truncation, order)
@@ -268,7 +281,7 @@ def parse_spec(path) -> ProblemSpec:
             raise ValidationError("coeffs: nonzero degree-1 coefficient "
                                   "(or multiplier_root) is required")
     return ProblemSpec(kind, truncation, dx_terms, dy_terms, germ_coeffs,
-                       dict(analysis), sha, str(path))
+                       dict(analysis), sha)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +361,7 @@ def _return_maps(run):
     run.sections["return_maps"] = {
         "rows": [
             {"r_in": s.r_in, "r_out": s.r_out, "residual": res,
-             "crossings": s.crossings, "tol": s.tolerance_used}
+             "crossings": s.crossings, "tol": params["tol"]}
             for s, res in zip(seq.samples, seq.residuals)
         ],
         "relative_tolerance": seq.relative_tolerance,
@@ -479,7 +492,7 @@ def _real_slice(run):
     params = run.params
     grid = fol_mod.SliceGrid(tuple(params["slice_radii"]),
                              params["slice_angles"])
-    sl, ver = fol_mod.real_slice(run.pair, grid, tol=params["tol"])
+    sl, ver = fol_mod.real_slice(run.pair, grid)
     hist = dict(Counter(str(c) for c in ver.contact_orders))
     run.sections["real_slice"] = {
         "n_samples": ver.n_samples,
@@ -487,7 +500,7 @@ def _real_slice(run):
         "max_abs_im_fg": ver.max_abs_im_fg,
         "min_re_fg": ver.min_re_fg,
         "contact_order_histogram": hist,
-        "tol": sl.tol,
+        "tol": params["tol"],
         "residual_tol": ver.residual_tol,
         "samples": [
             {"x": [x.real, x.imag], "y": [y.real, y.imag],
@@ -538,7 +551,7 @@ def _pseudo_orbits(run):
             "status": rec.status,
             "period": rec.period,
             "iterations": len(rec.iterates) - 1,
-            "tol": rec.return_tolerance,
+            "tol": params["tol"],
         })
     statuses = sorted({r["status"] for r in rows})
     run.sections["pseudo_orbits"] = {
@@ -575,6 +588,7 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
     params.update(spec.analysis)
     if overrides:
         params.update({k: v for k, v in overrides.items() if v is not None})
+    _check_ranges(params, spec.kind)
     report = {
         "schema_version": 1,
         "kind": spec.kind,

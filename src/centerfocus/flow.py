@@ -1,17 +1,17 @@
 """Numerical dynamics: trajectories, Poincare return maps on transverse
 segments, periodic-sequence detection and bounded-order scans.
 
-Integration is delegated to scipy's adaptive embedded Runge-Kutta pairs
-with dense output; section crossings are located on the dense output by
-scipy's event root finding and then classified exactly once here, so the
-same crossing logic serves half returns, full returns and orbit-order
-counting.
+Integration is delegated to scipy's adaptive embedded Runge-Kutta pairs.
+Section crossings are located by scipy's event root finding on the
+interpolant of the step that holds them, and then classified exactly once
+here, so the same crossing logic serves half returns, full returns and
+orbit-order counting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 
+# Time budget of one return map.  The field is transverse to a segment
+# where |X . normal| >= _TRANSVERSAL * |X|; segments are checked at
+# _TRANSVERSAL_SAMPLES radii.
+_T_MAX = 50.0
+_TRANSVERSAL, _TRANSVERSAL_SAMPLES = 1e-6, 8
+
+
 class StepUnderflow(RuntimeError):
     """The adaptive step collapsed (near-singular passage)."""
 
@@ -58,12 +65,10 @@ class _NumericField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration steps plus the dense-output interpolant."""
+    """Accepted integration steps."""
 
     t: np.ndarray
     states: np.ndarray  # shape (n, 2)
-    dense: object
-    tolerance_used: float
     status: str  # "reached_t_max" | "left_domain"
 
     @property
@@ -92,17 +97,16 @@ class TransverseSegment:
     def normal(self) -> tuple[float, float]:
         return (-self.direction[1], self.direction[0])
 
-    def check_transversality(self, fld: VectorField2, n_samples: int = 8,
-                             bound: float = 1e-6) -> None:
+    def check_transversality(self, fld: VectorField2) -> None:
         """Sampled invariant: |X . normal| stays away from 0 off the origin."""
         rhs = _NumericField(fld)
         nx, ny = self.normal
-        for k in range(1, n_samples + 1):
-            r = self.length * k / n_samples
+        for k in range(1, _TRANSVERSAL_SAMPLES + 1):
+            r = self.length * k / _TRANSVERSAL_SAMPLES
             p = (r * self.direction[0], r * self.direction[1])
             vx, vy = rhs(0.0, p)
             speed = math.hypot(vx, vy)
-            if speed == 0 or abs(vx * nx + vy * ny) < bound * speed:
+            if speed == 0 or abs(vx * nx + vy * ny) < _TRANSVERSAL * speed:
                 raise ValueError(
                     f"field is not transverse to the segment at radius {r}"
                 )
@@ -114,7 +118,6 @@ class ReturnMapSample:
     r_out: float
     crossings: int
     return_time: float
-    tolerance_used: float
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,6 @@ class PointOrderScan:
     count: int
     within_bound: bool
     budget_exhausted: bool
-    crossing_params: list[float] = dc_field(repr=False, default_factory=list)
 
 
 def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
@@ -147,7 +149,7 @@ def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
     sol = solve_ivp(
         rhs, (0.0, t_max), np.asarray(x0, dtype=float),
         method="DOP853", rtol=tol, atol=tol,
-        dense_output=True, events=[domain_exit, *extra_events],
+        events=[domain_exit, *extra_events],
     )
     if sol.status == -1:
         raise StepUnderflow(sol.message)
@@ -161,7 +163,7 @@ def integrate(
     tol: float = 1e-10,
     domain_radius: float = 2.0,
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta run with dense output.
+    """Adaptive embedded Runge-Kutta run, recorded at its accepted steps.
 
     Stops at t_max or on leaving the disc of the given radius; raises
     StepUnderflow when the step size collapses.
@@ -170,7 +172,7 @@ def integrate(
         raise ValueError("tolerance must be positive")
     sol = _solve(_NumericField(fld), x0, t_max, tol, domain_radius)
     status = "left_domain" if sol.status == 1 else "reached_t_max"
-    return Trajectory(sol.t, sol.y.T, sol.sol, tol, status)
+    return Trajectory(sol.t, sol.y.T, status)
 
 
 def _require_normalized_rotation(fld: VectorField2) -> None:
@@ -200,27 +202,27 @@ def _section_crossings(rhs, seg: TransverseSegment, x0, t_max, tol,
     sol = _solve(rhs, x0, t_max, tol, domain_radius, extra_events=(section,))
     crossings = []
     dx, dy = seg.direction
-    for te in sol.t_events[1]:
+    for te, (px, py) in zip(sol.t_events[1], sol.y_events[1]):
         if te <= 1e-9:
             continue
-        px, py = sol.sol(te)
         vx, vy = rhs(te, (px, py))
         speed = math.hypot(vx, vy)
-        transversal = speed > 0 and abs(vx * nx + vy * ny) >= 1e-6 * speed
+        transversal = speed > 0 and \
+            abs(vx * nx + vy * ny) >= _TRANSVERSAL * speed
         crossings.append(_Crossing(float(te), float(px * dx + py * dy),
                                    transversal))
     status = "left_domain" if sol.status == 1 else "reached_t_max"
     return crossings, status
 
 
-def _return_sample(fld, seg, r, tol, t_max, want_half) -> ReturnMapSample:
+def _return_sample(fld, seg, r, tol, want_half) -> ReturnMapSample:
     _require_normalized_rotation(fld)
     if not 0 < r <= seg.length:
         raise ValueError("radius must lie inside the segment")
     seg.check_transversality(fld)
     rhs = _NumericField(fld)
     x0 = (r * seg.direction[0], r * seg.direction[1])
-    crossings, _ = _section_crossings(rhs, seg, x0, t_max, tol, 2.0)
+    crossings, _ = _section_crossings(rhs, seg, x0, _T_MAX, tol, 2.0)
     hits = 0
     for c in crossings:
         if not c.transversal:
@@ -228,41 +230,40 @@ def _return_sample(fld, seg, r, tol, t_max, want_half) -> ReturnMapSample:
         if c.param > 0:
             hits += 1
             if not want_half:
-                return ReturnMapSample(r, c.param, hits, c.time, tol)
+                return ReturnMapSample(r, c.param, hits, c.time)
         elif want_half:
-            return ReturnMapSample(r, -c.param, hits, c.time, tol)
+            return ReturnMapSample(r, -c.param, hits, c.time)
     raise NoReturn(
         f"no {'half' if want_half else 'full'} return from r={r} "
-        f"within t={t_max}"
+        f"within t={_T_MAX}"
     )
 
 
 def half_return_map(fld: VectorField2, seg: TransverseSegment, r: float,
-                    tol: float = 1e-12, t_max: float = 50.0) -> ReturnMapSample:
+                    tol: float = 1e-12) -> ReturnMapSample:
     """First crossing of the antipodal ray -Sigma, the numeric shadow of
     the Moebius-band holonomy (two half returns compose to the full one)."""
-    return _return_sample(fld, seg, r, tol, t_max, want_half=True)
+    return _return_sample(fld, seg, r, tol, want_half=True)
 
 
 def return_map(fld: VectorField2, seg: TransverseSegment, r: float,
-               tol: float = 1e-12, t_max: float = 50.0) -> ReturnMapSample:
+               tol: float = 1e-12) -> ReturnMapSample:
     """First return to Sigma itself (the Poincare map)."""
-    return _return_sample(fld, seg, r, tol, t_max, want_half=False)
+    return _return_sample(fld, seg, r, tol, want_half=False)
 
 
 def half_return_composition(
-    fld: VectorField2, seg: TransverseSegment, r: float,
-    tol: float = 1e-12, t_max: float = 50.0,
+    fld: VectorField2, seg: TransverseSegment, r: float, tol: float = 1e-12,
 ) -> tuple[ReturnMapSample, ReturnMapSample]:
     """Two half returns: Sigma -> -Sigma, then -Sigma -> Sigma.
 
     The second leg starts on the antipodal segment, so the composition
     retraces one full return; for a center the final parameter equals r.
     """
-    first = half_return_map(fld, seg, r, tol, t_max)
+    first = half_return_map(fld, seg, r, tol)
     anti = TransverseSegment((-seg.direction[0], -seg.direction[1]),
                              seg.length)
-    second = half_return_map(fld, anti, first.r_out, tol, t_max)
+    second = half_return_map(fld, anti, first.r_out, tol)
     return first, second
 
 
@@ -272,7 +273,6 @@ def detect_periodic_sequence(
     radii,
     rel_tol: float = 1e-8,
     tol: float = 1e-12,
-    t_max: float = 50.0,
 ) -> PeriodicSequenceReport:
     """Residuals |P(r) - r| over a shrinking radius schedule.
 
@@ -286,7 +286,7 @@ def detect_periodic_sequence(
     samples = []
     residuals = []
     for r in radii:
-        s = return_map(fld, seg, r, tol=tol, t_max=t_max)
+        s = return_map(fld, seg, r, tol=tol)
         samples.append(s)
         residuals.append(s.r_out - s.r_in)
     periodic = all(abs(res) <= rel_tol * r for res, r in zip(residuals, radii))
@@ -339,7 +339,7 @@ def bounded_order_scan(
             if all(abs(p - q) > 1e-7 * (1 + abs(p)) for q in distinct):
                 distinct.append(p)
         out.append(PointOrderScan(pt, len(distinct), len(distinct) <= k,
-                                  exhausted, distinct))
+                                  exhausted))
     return out
 
 

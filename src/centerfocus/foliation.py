@@ -75,7 +75,6 @@ class SiegelForm:
     form: OneForm2
     change_matrix: tuple[tuple[GaussianRational, GaussianRational],
                          tuple[GaussianRational, GaussianRational]]
-    scale_applied: GaussianRational
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,7 @@ class FactorPair:
     g: Poly2  # x - b(y)
     unit: Poly2
     verified_degree: int
+    product: Poly2  # f * g * unit, equal to F through verified_degree
 
     @property
     def general_position(self) -> bool:
@@ -128,7 +128,6 @@ class RealSlice:
     """Samples of V2 = (Re f = Re g) cap (Im f = -Im g)."""
 
     sample_points: list[tuple[complex, complex]]
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ class SliceVerification:
     min_re_fg: float
     contact_orders: list[int]
     residual_tol: float
-    step_tol: float
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ def complexify(norm: RotationNormalization) -> SiegelForm:
     ensure(c, "rotational linear part did not survive complexification")
     siegel = pulled.scale(1 / c)
     ensure(siegel_check(siegel), "complexified form is not in Siegel shape")
-    return SiegelForm(siegel, m, 1 / c)
+    return SiegelForm(siegel, m)
 
 
 def siegel_check(form: OneForm2) -> bool:
@@ -487,13 +485,19 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
               m - 1, real=False)
     prod = f * g
     unit = _solve_unit(F, prod)
-    if (prod * unit).truncate(n) != F.truncate(n).promote_complex():
+    product = prod * unit
+    if product.truncate(n) != F.truncate(n).promote_complex():
         raise BranchFailure("f * g * unit fails to reconstruct F")
-    return FactorPair(f, g, unit, verified_degree=n)
+    return FactorPair(f, g, unit, n, product)
 
 
 # ---------------------------------------------------------------------------
 # totally real slice sampling
+
+# Gauss-Newton on the slice stops at a residual norm of _RESIDUAL_TOL,
+# gives a seed up when a step falls below _STEP_TOL before that, or after
+# _MAX_ITER steps.
+_RESIDUAL_TOL, _STEP_TOL, _MAX_ITER = 1e-10, 1e-12, 60
 
 
 class _CEval:
@@ -525,11 +529,11 @@ def _slice_jacobian(h1: _CEval, h2: _CEval, u: np.ndarray) -> np.ndarray:
     ])
 
 
-def _refine(h1, h2, u0, residual_tol, step_tol, max_iter=60):
+def _refine(h1, h2, u0):
     u = np.asarray(u0, dtype=float)
     r = _slice_residual(h1, h2, u)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= residual_tol:
+    for _ in range(_MAX_ITER):
+        if np.linalg.norm(r) <= _RESIDUAL_TOL:
             return u
         jac = _slice_jacobian(h1, h2, u)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -543,18 +547,14 @@ def _refine(h1, h2, u0, residual_tol, step_tol, max_iter=60):
             lam /= 2
         else:
             return None
-        if np.linalg.norm(lam * step) < step_tol and \
-                np.linalg.norm(r) > residual_tol:
+        if np.linalg.norm(lam * step) < _STEP_TOL and \
+                np.linalg.norm(r) > _RESIDUAL_TOL:
             return None
-    return u if np.linalg.norm(r) <= residual_tol else None
+    return u if np.linalg.norm(r) <= _RESIDUAL_TOL else None
 
 
 def real_slice(
-    pair: FactorPair,
-    grid: SliceGrid = SliceGrid(),
-    tol: float = 1e-9,
-    residual_tol: float = 1e-10,
-    step_tol: float = 1e-12,
+    pair: FactorPair, grid: SliceGrid = SliceGrid(),
 ) -> tuple[RealSlice, SliceVerification]:
     """Sample the totally real surface Re f = Re g, Im f = -Im g.
 
@@ -562,15 +562,17 @@ def real_slice(
     first integral; damped Gauss-Newton refinement is run from a polar
     seed grid around the model slice y = conj(x).  Each converged sample
     is checked for a real, nonnegative product and for contact order one
-    of the level foliation with the slice.
+    of the level foliation with the slice, whose gradient is that of the
+    pair's checked product.
     """
     if not pair.general_position:
         raise ValueError("branches must be in general position")
     fa, gb = pair.absorbed()
     h1 = _CEval(fa - gb)
     h2 = _CEval(fa + gb)
-    fa_ev, gb_ev = _CEval(fa), _CEval(gb)
-    first_integral = _CEval(fa * gb)
+    fa_ev, gb_ev = fa.binary64(), gb.binary64()
+    dx_ev = pair.product.diff_x().binary64()
+    dy_ev = pair.product.diff_y().binary64()
     samples: list[tuple[complex, complex]] = []
     bases: list[np.ndarray] = []
     failed = 0
@@ -579,7 +581,7 @@ def real_slice(
             theta = 2 * np.pi * kk / grid.n_angles
             x0 = r * np.exp(1j * theta)
             u0 = [x0.real, x0.imag, x0.real, -x0.imag]  # y = conj(x)
-            u = _refine(h1, h2, u0, residual_tol, step_tol)
+            u = _refine(h1, h2, u0)
             if u is None:
                 failed += 1
                 continue
@@ -595,15 +597,15 @@ def real_slice(
     min_re = float("inf")
     contact = []
     for (x, y), basis in zip(samples, bases):
-        val = fa_ev.value(x, y) * gb_ev.value(x, y)
+        val = fa_ev(x, y) * gb_ev(x, y)
         max_im = max(max_im, abs(val.imag))
         min_re = min(min_re, val.real)
-        contact.append(_contact_order(*first_integral.grad(x, y), (x, y),
+        contact.append(_contact_order(dx_ev(x, y), dy_ev(x, y), (x, y),
                                       (basis[0], basis[1])))
     return (
-        RealSlice(samples, tol),
+        RealSlice(samples),
         SliceVerification(len(samples), failed, max_im, min_re, contact,
-                          residual_tol, step_tol),
+                          _RESIDUAL_TOL),
     )
 
 

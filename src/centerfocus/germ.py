@@ -8,7 +8,6 @@ iterated pseudo-orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .series import (GR_ONE, GR_ZERO, GaussianRational, Scalar, gr,
@@ -25,14 +24,11 @@ __all__ = [
     "pseudo_orbit",
 ]
 
-# Gaussian-rational roots of unity and their orders; nothing else in Q(i)
-# lies on the unit circle and has finite multiplicative order.
-_UNIT_ORDERS = {
-    gr(1): 1,
-    gr(-1): 2,
-    gr(0, 1): 4,
-    gr(0, -1): 4,
-}
+# The Gaussian-rational roots of unity exp(2 pi i p/q), keyed by (p, q) in
+# lowest terms with 0 <= p < q; nothing else in Q(i) lies on the unit
+# circle and has finite multiplicative order.
+ROOTS_OF_UNITY = {(0, 1): gr(1), (1, 2): gr(-1), (1, 4): gr(0, 1),
+                  (3, 4): gr(0, -1)}
 
 
 class InconclusiveOrder(Exception):
@@ -163,9 +159,8 @@ def power(f: Germ1, k: int) -> Germ1:
 
 def multiplier_order(lam: GaussianRational) -> int | None:
     """Multiplicative order of lam when it is a root of unity, else None."""
-    if lam.abs2() != Fraction(1):
-        return None
-    return _UNIT_ORDERS.get(lam)
+    return next((q for (_, q), root in ROOTS_OF_UNITY.items() if root == lam),
+                None)
 
 
 def finite_order(f: Germ1, k_max: int) -> int | None:
@@ -198,8 +193,6 @@ class OrbitRecord:
     status: str  # "periodic" | "escaped" | "undecided"
     period: int | None
     iterates: list[complex] = field(repr=False)
-    return_tolerance: float = 1e-9
-    escape_radius: float = 1.0
 
 
 def pseudo_orbit(
@@ -224,10 +217,7 @@ def pseudo_orbit(
         z = step(z)
         iterates.append(z)
         if abs(z) > escape_radius:
-            return OrbitRecord(z0, "escaped", None, iterates,
-                               return_tolerance, escape_radius)
+            return OrbitRecord(z0, "escaped", None, iterates)
         if abs(z - z0) <= return_tolerance:
-            return OrbitRecord(z0, "periodic", n, iterates,
-                               return_tolerance, escape_radius)
-    return OrbitRecord(z0, "undecided", None, iterates,
-                       return_tolerance, escape_radius)
+            return OrbitRecord(z0, "periodic", n, iterates)
+    return OrbitRecord(z0, "undecided", None, iterates)

@@ -319,3 +319,11 @@ class TestCertifyCenter:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         verdict = certify_center(VectorField2(y, x), 8)
         assert verdict.status == "NOT_APPLICABLE"
+
+    def test_irrational_frequency_not_applicable(self):
+        # x' = -2y, y' = x rotates at frequency sqrt(2)
+        n = 4
+        x, y = Poly2.var_x(n), Poly2.var_y(n)
+        verdict = certify_center(VectorField2(-2 * y, x), 8)
+        assert verdict.status == "NOT_APPLICABLE"
+        assert "not a rational square" in verdict.message

@@ -211,6 +211,20 @@ def test_golden(fixture, command):
     assert got == json.loads(_golden_path(fixture, command).read_text())
 
 
+@pytest.mark.parametrize("fixture", ["linear_center", "cubic_focus"])
+def test_golden_orbit_dumps(tmp_path, fixture):
+    """`--dump-orbits` writes the recorded CSVs byte for byte."""
+    dump = tmp_path / "orbits"
+    assert main(["analyze", str(FIXTURES / f"{fixture}.json"), "--out",
+                 str(tmp_path / "report.json"), "--dump-orbits",
+                 str(dump)]) == 0
+    golden = GOLDEN / "orbits" / fixture
+    assert sorted(p.name for p in dump.iterdir()) == \
+        sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (dump / path.name).read_bytes() == path.read_bytes()
+
+
 class TestMainExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["analyze", "/nonexistent/spec.json"]) == 1
@@ -285,6 +299,8 @@ def _write(tmp_path, doc):
 REAL = {"kind": "real_field", "truncation": 2,
         "dx": [[0, 1, "-1"]], "dy": [[1, 0, "1"]]}
 GERM = {"kind": "germ", "truncation": 4, "coeffs": [[1, "0+1 i"]]}
+FORM = {"kind": "complex_form", "truncation": 2,
+        "dx": [[0, 1, "1"]], "dy": [[1, 0, "1"]]}
 
 
 # Values of the wrong shape, including booleans where JSON integers belong
@@ -307,12 +323,40 @@ MALFORMED = {
     "multiplier_root-bool": {**GERM, "multiplier_root": [True, 4]},
 }
 
+# Values of the right shape out of range, with the key the error names
+OUT_OF_RANGE = {
+    "tol-zero": ("tol", {**REAL, "analysis": {"tol": 0.0}}),
+    "rel_tol-negative": ("rel_tol", {**REAL, "analysis": {"rel_tol": -1e-8}}),
+    "escape_radius-zero": ("escape_radius",
+                           {**GERM, "analysis": {"escape_radius": 0}}),
+    "radii-empty": ("radii", {**REAL, "analysis": {"radii": []}}),
+    "radii-zero": ("radii", {**REAL, "analysis": {"radii": [0.1, 0]}}),
+    "slice_radii-empty": ("slice_radii",
+                          {**FORM, "analysis": {"slice_radii": []}}),
+    "slice_radii-negative": ("slice_radii",
+                             {**FORM, "analysis": {"slice_radii": [-0.1]}}),
+    "slice_angles-zero": ("slice_angles",
+                          {**FORM, "analysis": {"slice_angles": 0}}),
+    "k_max-zero": ("k_max", {**GERM, "analysis": {"k_max": 0}}),
+    "order-complex-zero": ("order", {**FORM, "analysis": {"order": 0}}),
+    "order-complex-one": ("order", {**FORM, "analysis": {"order": 1}}),
+}
+MALFORMED.update({name: doc for name, (_, doc) in OUT_OF_RANGE.items()})
 
-@pytest.mark.parametrize("doc", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_values_are_input_errors(tmp_path, capsys, doc):
-    assert main(["analyze", str(_write(tmp_path, doc))]) == 1
+
+@pytest.mark.parametrize("name", list(MALFORMED), ids=list(MALFORMED))
+def test_malformed_values_are_input_errors(tmp_path, capsys, name):
+    assert main(["analyze", str(_write(tmp_path, MALFORMED[name]))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if name in OUT_OF_RANGE:
+        assert err.startswith(f"error: {OUT_OF_RANGE[name][0]}:")
+
+
+def test_out_of_range_override_is_input_error(capsys):
+    assert main(["returnmap", str(FIXTURES / "linear_center.json"),
+                 "--tol=-1e-9"]) == 1
+    assert capsys.readouterr().err.startswith("error: tol:")
 
 
 class TestIrrationalFrequency:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from centerfocus import flow
 from centerfocus.flow import (
     NoReturn,
     TransverseSegment,
@@ -134,6 +136,34 @@ class TestReturnMaps:
         fld = VectorField2(-y + 60 * x * r2, x + 60 * y * r2)
         with pytest.raises(NoReturn):
             return_map(fld, SEG, 0.2)
+
+    def test_crossing_read_from_event_location(self, monkeypatch):
+        # against a reference solve that builds scipy's global dense output,
+        # the return map evaluates the right-hand side less often and gives
+        # the reference's r_out bit for bit
+        fld, r = cubic_focus(), 0.1
+        calls = []
+        call = flow._NumericField.__call__
+        monkeypatch.setattr(flow._NumericField, "__call__",
+                            lambda self, t, s: calls.append(1)
+                            or call(self, t, s))
+        sample = return_map(fld, SEG, r, tol=1e-12)
+        ours = len(calls)
+        del calls[:]
+
+        def domain_exit(t, s):
+            return 4.0 - (s[0] ** 2 + s[1] ** 2)
+
+        domain_exit.terminal = True
+        ref = solve_ivp(flow._NumericField(fld), (0.0, 50.0), [r, 0.0],
+                        method="DOP853", rtol=1e-12, atol=1e-12,
+                        dense_output=True,
+                        events=[domain_exit, lambda t, s: s[1]])
+        te = next(t for t in ref.t_events[1]
+                  if t > 1e-9 and ref.sol(t)[0] > 0)
+        assert sample.return_time == te
+        assert sample.r_out == ref.sol(te)[0]
+        assert ours < len(calls)
 
     def test_tangency_on_segment_rejected(self):
         # q vanishes at radius 0.15, killing transversality there

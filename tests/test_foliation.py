@@ -375,6 +375,10 @@ class TestFactorFg:
             with pytest.raises(BranchFailure):
                 factor_fg(generic_target(11), 8)
 
+    def test_product_is_the_checked_reconstruction(self):
+        pair = factor_fg(generic_target(11), 8)
+        assert pair.product == pair.f * pair.g * pair.unit
+
     def test_two_products_at_n14(self, monkeypatch):
         # f * g and the reconstruction; every degree of the branches and
         # the unit is one new coefficient, not a new product
@@ -413,10 +417,18 @@ class TestRealSlice:
         n = 6
         y = Poly2.var_y(n).promote_complex()
         pair = FactorPair(y, y, Poly2.constant(1, n).promote_complex(),
-                          verified_degree=n)
+                          verified_degree=n, product=y * y)
         assert not pair.general_position
         with pytest.raises(ValueError):
             real_slice(pair)
+
+    def test_one_product(self, monkeypatch):
+        # f * unit; the first integral's gradient comes from the pair's
+        # product, which factor_fg has already formed and checked
+        pair = factor_fg(generic_target(13), 10)
+        calls = count_products(monkeypatch)
+        real_slice(pair, SliceGrid(radii=(0.05,), n_angles=4))
+        assert len(calls) == 1
 
     def test_no_exact_evaluation(self, monkeypatch):
         # every sample, contact order included, is evaluated in binary64
