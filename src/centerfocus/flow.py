@@ -1,7 +1,8 @@
 """Numerical dynamics: trajectories, Poincare return maps on transverse
 segments, periodic-sequence detection and bounded-order scans.
 
-Integration is delegated to scipy's adaptive embedded Runge-Kutta pairs.
+Integration is delegated to scipy's adaptive embedded Runge-Kutta pairs;
+scipy is imported on the first solve, so the exact layers never load it.
 Section crossings are located by scipy's event root finding on the
 interpolant of the step that holds them, and then classified exactly once
 here, so the same crossing logic serves half returns, full returns and
@@ -11,10 +12,8 @@ orbit-order counting.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .series import Poly2, VectorField2, gr
 
@@ -65,10 +64,10 @@ class _NumericField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration steps."""
+    """Accepted integration steps, in the arrays scipy returns."""
 
-    t: np.ndarray
-    states: np.ndarray  # shape (n, 2)
+    t: Sequence[float]
+    states: Sequence[Sequence[float]]  # shape (n, 2)
     status: str  # "reached_t_max" | "left_domain"
 
     @property
@@ -141,13 +140,19 @@ class PointOrderScan:
     budget_exhausted: bool
 
 
+def solve_ivp(*args, **kwargs):
+    """`scipy.integrate.solve_ivp`, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
     def domain_exit(t, s):
         return domain_radius**2 - (s[0] ** 2 + s[1] ** 2)
 
     domain_exit.terminal = True
     sol = solve_ivp(
-        rhs, (0.0, t_max), np.asarray(x0, dtype=float),
+        rhs, (0.0, t_max), [float(v) for v in x0],
         method="DOP853", rtol=tol, atol=tol,
         events=[domain_exit, *extra_events],
     )
@@ -176,10 +181,7 @@ def integrate(
 
 
 def _require_normalized_rotation(fld: VectorField2) -> None:
-    lin = fld.linear_part_matrix()
-    ok = (lin[0][0] == gr(0) and lin[0][1] == gr(-1)
-          and lin[1][0] == gr(1) and lin[1][1] == gr(0))
-    if not ok:
+    if fld.linear_part_matrix() != [[gr(0), gr(-1)], [gr(1), gr(0)]]:
         raise ValueError(
             "return maps expect a field normalized to -y d/dx + x d/dy"
         )

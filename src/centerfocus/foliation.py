@@ -3,15 +3,13 @@ formal first integrals, branch factorization and totally real slices.
 
 All symbolic work stays exact; numerics appear only where a value is
 inherently a sample (divisor singularities, slice points, contact ranks).
+numpy and sympy are imported only inside the functions that use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import sympy as sp
 
 from .center import RotationNormalization
 from .series import (
@@ -182,22 +180,20 @@ def siegel_check(form: OneForm2) -> bool:
 # ---------------------------------------------------------------------------
 # quadratic blow-up
 
-_SX, _SY = sp.symbols("x y")
-
-
 def _poly_to_sympy(p: Poly2):
+    """p as a sympy polynomial in x, y over Q(i)."""
+    import sympy as sp
+    sx, sy = sp.symbols("x y")
     expr = sp.Integer(0)
     for (i, j), c in p.terms.items():
-        expr += (sp.Rational(c.re) + sp.Rational(c.im) * sp.I) * _SX**i * _SY**j
-    return expr
+        expr += (sp.Rational(c.re) + sp.Rational(c.im) * sp.I) * sx**i * sy**j
+    return sp.Poly(expr, sx, sy, domain="QQ_I")
 
 
 def _check_isolated(form: OneForm2) -> None:
     if form.a.is_zero() or form.b.is_zero():
         raise NotIsolated("a vanishing component makes the singular set a curve")
-    pa = sp.Poly(_poly_to_sympy(form.a), _SX, _SY, domain="QQ_I")
-    pb = sp.Poly(_poly_to_sympy(form.b), _SX, _SY, domain="QQ_I")
-    g = pa.gcd(pb)
+    g = _poly_to_sympy(form.a).gcd(_poly_to_sympy(form.b))
     if g.total_degree() > 0:
         raise NotIsolated(
             f"components share the common factor {g.as_expr()} to truncation"
@@ -256,15 +252,14 @@ def _restrict_to_divisor(p: Poly2, chart: str) -> dict[int, GaussianRational]:
     return {i: c for (i, j), c in p.terms.items() if j == 0}
 
 
-def _uni_roots(coeffs: dict[int, GaussianRational]) -> np.ndarray:
-    if not coeffs:
-        return np.array([], dtype=complex)
+def _uni_roots(coeffs: dict[int, GaussianRational]):
+    """Numpy array of the roots of a nonzero univariate polynomial."""
+    import numpy as np
     deg = max(coeffs)
     arr = np.zeros(deg + 1, dtype=complex)
     for k, c in coeffs.items():
         arr[deg - k] = c.to_complex()
-    roots = np.roots(arr) if deg >= 1 else np.array([], dtype=complex)
-    return roots
+    return np.roots(arr)
 
 
 def _uni_eval(coeffs: dict[int, GaussianRational], z: complex) -> complex:
@@ -293,6 +288,7 @@ def _divisor_singularities(chart: str, comp_a: Poly2,
 
 
 def _linearize(chart, comp_a, comp_b, loc: complex) -> DivisorSingularity:
+    import numpy as np
     # dual field of A dx + B dt is (B, -A); its Jacobian at the point
     if chart == "t":
         point = (0.0, loc)
@@ -511,15 +507,15 @@ class _CEval:
         return self._dx(x, y), self._dy(x, y)
 
 
-def _slice_residual(h1: _CEval, h2: _CEval, u: np.ndarray) -> np.ndarray:
-    x = complex(u[0], u[1])
-    y = complex(u[2], u[3])
+def _slice_residual(h1: _CEval, h2: _CEval, u):
+    import numpy as np
+    x, y = complex(u[0], u[1]), complex(u[2], u[3])
     return np.array([h1.value(x, y).real, h2.value(x, y).imag])
 
 
-def _slice_jacobian(h1: _CEval, h2: _CEval, u: np.ndarray) -> np.ndarray:
-    x = complex(u[0], u[1])
-    y = complex(u[2], u[3])
+def _slice_jacobian(h1: _CEval, h2: _CEval, u):
+    import numpy as np
+    x, y = complex(u[0], u[1]), complex(u[2], u[3])
     d1x, d1y = h1.grad(x, y)
     d2x, d2y = h2.grad(x, y)
     # for analytic h: d/d(Re x) = h_x, d/d(Im x) = i h_x
@@ -530,6 +526,7 @@ def _slice_jacobian(h1: _CEval, h2: _CEval, u: np.ndarray) -> np.ndarray:
 
 
 def _refine(h1, h2, u0):
+    import numpy as np
     u = np.asarray(u0, dtype=float)
     r = _slice_residual(h1, h2, u)
     for _ in range(_MAX_ITER):
@@ -565,6 +562,7 @@ def real_slice(
     of the level foliation with the slice, whose gradient is that of the
     pair's checked product.
     """
+    import numpy as np
     if not pair.general_position:
         raise ValueError("branches must be in general position")
     fa, gb = pair.absorbed()
@@ -574,7 +572,7 @@ def real_slice(
     dx_ev = pair.product.diff_x().binary64()
     dy_ev = pair.product.diff_y().binary64()
     samples: list[tuple[complex, complex]] = []
-    bases: list[np.ndarray] = []
+    bases = []
     failed = 0
     for r in grid.radii:
         for kk in range(grid.n_angles):
@@ -585,9 +583,7 @@ def real_slice(
             if u is None:
                 failed += 1
                 continue
-            x = complex(u[0], u[1])
-            y = complex(u[2], u[3])
-            samples.append((x, y))
+            samples.append((complex(u[0], u[1]), complex(u[2], u[3])))
             jac = _slice_jacobian(h1, h2, u)
             _, _, vh = np.linalg.svd(jac)
             bases.append(vh[2:])  # nullspace rows span the tangent plane
@@ -626,6 +622,7 @@ def contact_order(form: OneForm2, point, tangent_basis) -> int:
 
 def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:
     """`contact_order` from the values a, b of the form at the point."""
+    import numpy as np
     x, y = complex(point[0]), complex(point[1])
     if x == 0 and y == 0:
         raise ValueError("contact order is defined away from the origin")

@@ -500,3 +500,42 @@ class TestInternalError:
         assert captured.err.startswith("internal error: ")
         assert message in captured.err
         assert captured.out == ""
+
+
+# Imports `centerfocus`, runs the command line given after the script
+# (if any) with its report sent to a file, and prints the exit code and
+# which of numpy, scipy and sympy the interpreter then holds.
+_LOADED_AFTER = """
+import json, sys
+import centerfocus
+code = None
+if len(sys.argv) > 2:
+    from centerfocus.cli import main
+    code = main(sys.argv[2:] + ["--out", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in ("numpy", "scipy", "sympy")
+                               if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["lyapunov", "linear_center.json"], []),
+    (["germ", "germ_parabolic.json"], []),
+    (["slice", "product_form.json"], ["numpy"]),
+    (["returnmap", "linear_center.json"], ["numpy", "scipy"]),
+    (["blowup", "product_form.json"], ["numpy", "sympy"]),
+], ids=["import", "lyapunov", "germ", "slice", "returnmap", "blowup"])
+def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded):
+    """The exact stages run on the standard library alone; numpy, scipy
+    and sympy are imported by the stages that use them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = argv[:1] + [str(FIXTURES / name) for name in argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, str(tmp_path / "r.json"),
+         *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == (0 if argv else None)
+    assert modules == loaded

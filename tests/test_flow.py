@@ -165,6 +165,18 @@ class TestReturnMaps:
         assert sample.r_out == ref.sol(te)[0]
         assert ours < len(calls)
 
+    def test_tracer_sees_every_solve(self, monkeypatch):
+        # an external tracer wraps the module-level name `flow.solve_ivp`;
+        # the one solve of a return map goes through that name, and the
+        # wrapped run gives the same sample
+        plain = return_map(rotation(), SEG, 0.1)
+        seen = []
+        solve = flow.solve_ivp
+        monkeypatch.setattr(flow, "solve_ivp", lambda *a, **k:
+                            seen.append(solve(*a, **k)) or seen[-1])
+        assert return_map(rotation(), SEG, 0.1) == plain
+        assert len(seen) == 1 and seen[0].nfev > 0
+
     def test_tangency_on_segment_rejected(self):
         # q vanishes at radius 0.15, killing transversality there
         from fractions import Fraction

@@ -355,3 +355,31 @@ def test_series_imports_only_the_standard_library():
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert imported and all(name.split(".")[0] in sys.stdlib_module_names
                             for name in imported)
+
+
+def _imports_at_load(tree):
+    """Modules a file imports when it is loaded: every import outside a
+    function body, including those under `if`, `try` or a class."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_scipy_or_sympy_at_load():
+    """numpy, scipy and sympy are imported inside the functions that use
+    them, so importing `centerfocus` loads none of them."""
+    heavy = {"numpy", "scipy", "sympy"}
+    package = Path(series.__file__).parent
+    found = {path.name: sorted(name for name in
+                               _imports_at_load(ast.parse(path.read_text()))
+                               if name.split(".")[0] in heavy)
+             for path in sorted(package.glob("*.py"))}
+    assert len(found) > 1
+    assert not any(found.values()), found
