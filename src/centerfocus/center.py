@@ -23,6 +23,7 @@ from .series import (
     GaussianRational,
     Poly2,
     VectorField2,
+    _poly_powers,
     ensure,
     gr,
     homological_series,
@@ -56,7 +57,6 @@ class IrrationalRotationFrequency(ValueError):
 class RotationNormalization:
     """Exact conjugation of a rotational field to (-y + ...) d/dx + (x + ...) d/dy."""
 
-    original: VectorField2
     change_matrix: tuple[tuple[GaussianRational, GaussianRational],
                          tuple[GaussianRational, GaussianRational]]
     time_rescale: GaussianRational
@@ -141,7 +141,7 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     lin = normalized.linear_part_matrix()
     ensure(lin == [[GR_ZERO, gr(-1)], [gr(1), GR_ZERO]],
            "normalization failed")
-    return RotationNormalization(field, t, scale, normalized)
+    return RotationNormalization(t, scale, normalized)
 
 
 def _radius_power_vector(k: int) -> list[GaussianRational]:
@@ -230,14 +230,12 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     # exact consistency guard: X(F) must equal the obstruction series
     check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),
                            first_integral.lift(n + 1))
-    r2 = Poly2({(2, 0): 1, (0, 2): 1}, n)
-    r2_powers = [Poly2.constant(1, n)]  # (x^2+y^2)^j, one product per j
+    nonzero = [(deg, eta) for deg, eta in obstructions if eta]
+    r2_powers = _poly_powers(Poly2({(2, 0): 1, (0, 2): 1}, n),
+                             max((deg // 2 for deg, _ in nonzero), default=0))
     expected = Poly2.zero(n)
-    for deg, eta in obstructions:
-        if eta:
-            while len(r2_powers) <= deg // 2:
-                r2_powers.append(r2_powers[-1] * r2)
-            expected = expected + r2_powers[deg // 2] * eta
+    for deg, eta in nonzero:
+        expected = expected + r2_powers[deg // 2] * eta
     ensure(check.truncate(n) == expected, "obstruction decomposition failed")
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None

@@ -68,8 +68,8 @@ DEFAULT_ANALYSIS = {
     },
     "complex_form": {
         "order": 10,
-        "slice_radii": [0.05, 0.08, 0.12, 0.16, 0.2],
-        "slice_angles": 12,
+        "slice_radii": list(fol_mod.SliceGrid.radii),
+        "slice_angles": fol_mod.SliceGrid.n_angles,
         "tol": 1e-9,
     },
     "germ": {
@@ -166,17 +166,16 @@ class ProblemSpec:
     analysis: dict
     input_sha256: str
 
-    def build_field(self, order: int) -> VectorField2:
+    def _components(self, order: int) -> tuple[Poly2, Poly2]:
         n = max(self.truncation, order)
-        p = Poly2(self.dx_terms, self.truncation).lift(n)
-        q = Poly2(self.dy_terms, self.truncation).lift(n)
-        return VectorField2(p, q)
+        return (Poly2(self.dx_terms, self.truncation).lift(n),
+                Poly2(self.dy_terms, self.truncation).lift(n))
+
+    def build_field(self, order: int) -> VectorField2:
+        return VectorField2(*self._components(order))
 
     def build_form(self, order: int) -> OneForm2:
-        n = max(self.truncation, order)
-        a = Poly2(self.dx_terms, self.truncation, real=False).lift(n)
-        b = Poly2(self.dy_terms, self.truncation, real=False).lift(n)
-        return OneForm2(a, b)
+        return OneForm2(*self._components(order))
 
     def build_germ(self) -> Germ1:
         return Germ1(self.germ_coeffs, self.truncation)
@@ -364,9 +363,9 @@ def _return_maps(run):
              "crossings": s.crossings, "tol": params["tol"]}
             for s, res in zip(seq.samples, seq.residuals)
         ],
-        "relative_tolerance": seq.relative_tolerance,
+        "relative_tolerance": params["rel_tol"],
         "verdict": seq.verdict,
-        "summary": f"{seq.verdict} over radii {list(seq.radii)}",
+        "summary": f"{seq.verdict} over radii {params['radii']}",
     }
 
 

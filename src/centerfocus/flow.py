@@ -122,10 +122,8 @@ class ReturnMapSample:
 @dataclass(frozen=True)
 class PeriodicSequenceReport:
     periodic: bool
-    radii: tuple[float, ...]
     samples: list[ReturnMapSample]
     residuals: list[float]
-    relative_tolerance: float
 
     @property
     def verdict(self) -> str:
@@ -134,7 +132,6 @@ class PeriodicSequenceReport:
 
 @dataclass(frozen=True)
 class PointOrderScan:
-    point: tuple[float, float]
     count: int
     within_bound: bool
     budget_exhausted: bool
@@ -292,8 +289,7 @@ def detect_periodic_sequence(
         samples.append(s)
         residuals.append(s.r_out - s.r_in)
     periodic = all(abs(res) <= rel_tol * r for res, r in zip(residuals, radii))
-    return PeriodicSequenceReport(periodic, radii, samples, residuals,
-                                  rel_tol)
+    return PeriodicSequenceReport(periodic, samples, residuals)
 
 
 def bounded_order_scan(
@@ -340,7 +336,7 @@ def bounded_order_scan(
         for p in sorted(params):
             if all(abs(p - q) > 1e-7 * (1 + abs(p)) for q in distinct):
                 distinct.append(p)
-        out.append(PointOrderScan(pt, len(distinct), len(distinct) <= k,
+        out.append(PointOrderScan(len(distinct), len(distinct) <= k,
                                   exhausted))
     return out
 

@@ -150,7 +150,7 @@ def complexify(norm: RotationNormalization) -> SiegelForm:
     u dv + v du, and the scalar is removed exactly.
     """
     fld = norm.normalized
-    w = OneForm2(fld.q.promote_complex(), -fld.p.promote_complex())
+    w = OneForm2(fld.q, -fld.p)
     half = Fraction(1, 2)
     m = (
         (gr(half), gr(half)),
@@ -193,8 +193,9 @@ def _poly_to_sympy(p: Poly2):
 def _check_isolated(form: OneForm2) -> None:
     if form.a.is_zero() or form.b.is_zero():
         raise NotIsolated("a vanishing component makes the singular set a curve")
+    # a common factor that does not vanish at the origin is a unit there
     g = _poly_to_sympy(form.a).gcd(_poly_to_sympy(form.b))
-    if g.total_degree() > 0:
+    if not g.coeff_monomial(1):
         raise NotIsolated(
             f"components share the common factor {g.as_expr()} to truncation"
         )
@@ -232,17 +233,12 @@ def _chart_components(form: OneForm2, chart: str) -> tuple[Poly2, Poly2, int]:
     shift = (lambda k: (k[0] - m, k[1])) if chart == "t" else \
         (lambda k: (k[0], k[1] - m))
     bound = n - m
-    comp_a = Poly2(
-        {shift(k): v for k, v in first.items()
-         if shift(k)[0] + shift(k)[1] <= bound},
-        bound, real=False,
-    )
-    comp_b = Poly2(
-        {shift(k): v for k, v in second.items()
-         if shift(k)[0] + shift(k)[1] <= bound},
-        bound, real=False,
-    )
-    return comp_a, comp_b, m
+
+    def divided(part):
+        return Poly2({shift(k): v for k, v in part.items()
+                      if sum(shift(k)) <= bound}, bound)
+
+    return divided(first), divided(second), m
 
 
 def _restrict_to_divisor(p: Poly2, chart: str) -> dict[int, GaussianRational]:
@@ -397,7 +393,7 @@ def formal_first_integral_siegel(
         )
     f_terms, obstructions = homological_series(
         form.b, -form.a, [GR_ZERO, gr(1), GR_ZERO], n, _siegel_inverse)
-    first_integral = Poly2(f_terms, n, real=False)
+    first_integral = Poly2(f_terms, n)
     # exact consistency guard: dF ^ form must equal the obstruction series
     check = wedge_coefficient(first_integral.lift(n + 1), form)
     expected = Poly2({(k // 2, k // 2): eta for k, eta in obstructions}, n)
@@ -451,7 +447,7 @@ def _solve_unit(F: Poly2, prod: Poly2) -> Poly2:
                                     "is not divisible by xy")
         units.append(resid[1:-1])
     return Poly2({(d - r, r): c for d, u in enumerate(units)
-                  for r, c in enumerate(u)}, m - 3, real=False)
+                  for r, c in enumerate(u)}, m - 3)
 
 
 def factor_fg(F: Poly2, n: int) -> FactorPair:
@@ -475,14 +471,12 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
                          f"to verify the factorization to degree {n}")
     a = _solve_branch(F, solve_for_y=True)
     b = _solve_branch(F, solve_for_y=False)
-    f = Poly2({(0, 1): gr(1), **{(k, 0): -c for k, c in a.items()}},
-              m - 1, real=False)
-    g = Poly2({(1, 0): gr(1), **{(0, k): -c for k, c in b.items()}},
-              m - 1, real=False)
+    f = Poly2({(0, 1): gr(1), **{(k, 0): -c for k, c in a.items()}}, m - 1)
+    g = Poly2({(1, 0): gr(1), **{(0, k): -c for k, c in b.items()}}, m - 1)
     prod = f * g
     unit = _solve_unit(F, prod)
     product = prod * unit
-    if product.truncate(n) != F.truncate(n).promote_complex():
+    if product.truncate(n) != F.truncate(n):
         raise BranchFailure("f * g * unit fails to reconstruct F")
     return FactorPair(f, g, unit, n, product)
 

@@ -189,7 +189,6 @@ def finite_order(f: Germ1, k_max: int) -> int | None:
 class OrbitRecord:
     """Numerically iterated pseudo-orbit of a point under a germ."""
 
-    z0: complex
     status: str  # "periodic" | "escaped" | "undecided"
     period: int | None
     iterates: list[complex] = field(repr=False)
@@ -217,7 +216,7 @@ def pseudo_orbit(
         z = step(z)
         iterates.append(z)
         if abs(z) > escape_radius:
-            return OrbitRecord(z0, "escaped", None, iterates)
+            return OrbitRecord("escaped", None, iterates)
         if abs(z - z0) <= return_tolerance:
-            return OrbitRecord(z0, "periodic", n, iterates)
-    return OrbitRecord(z0, "undecided", None, iterates)
+            return OrbitRecord("periodic", n, iterates)
+    return OrbitRecord("undecided", None, iterates)

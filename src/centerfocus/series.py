@@ -166,14 +166,10 @@ class Poly2:
     by convention (no method mutates self).
     """
 
-    __slots__ = ("terms", "truncation_degree", "real")
+    __slots__ = ("terms", "truncation_degree")
 
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int], Scalar],
-        truncation_degree: int,
-        real: bool | None = None,
-    ):
+    def __init__(self, terms: Mapping[tuple[int, int], Scalar],
+                 truncation_degree: int):
         if truncation_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         clean: dict[tuple[int, int], GaussianRational] = {}
@@ -187,13 +183,8 @@ class Poly2:
             c = GaussianRational.coerce(c)
             if c:
                 clean[(i, j)] = c
-        if real is None:
-            real = all(c.is_real for c in clean.values())
-        elif real and not all(c.is_real for c in clean.values()):
-            raise ValueError("real series cannot carry imaginary coefficients")
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "truncation_degree", truncation_degree)
-        object.__setattr__(self, "real", real)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
@@ -201,8 +192,8 @@ class Poly2:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation_degree: int, real: bool = True) -> "Poly2":
-        return cls({}, truncation_degree, real)
+    def zero(cls, truncation_degree: int) -> "Poly2":
+        return cls({}, truncation_degree)
 
     @classmethod
     def constant(cls, c: Scalar, truncation_degree: int) -> "Poly2":
@@ -227,6 +218,11 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def real(self) -> bool:
+        """Every coefficient is real."""
+        return all(c.is_real for c in self.terms.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
@@ -261,7 +257,7 @@ class Poly2:
         if degree >= self.truncation_degree:
             return self
         kept = {e: c for e, c in self.terms.items() if e[0] + e[1] <= degree}
-        return Poly2(kept, degree, self.real)
+        return Poly2(kept, degree)
 
     def lift(self, degree: int) -> "Poly2":
         """Reinterpret as an exact polynomial known to a higher degree.
@@ -271,7 +267,7 @@ class Poly2:
         """
         if degree < self.truncation_degree:
             raise ValueError("lift cannot lower the truncation degree")
-        return Poly2(self.terms, degree, self.real)
+        return Poly2(self.terms, degree)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -285,13 +281,13 @@ class Poly2:
         for e, c in other.terms.items():
             if e[0] + e[1] <= n:
                 acc[e] = acc.get(e, GR_ZERO) + c
-        return Poly2(acc, n, self.real and other.real)
+        return Poly2(acc, n)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly2({e: -c for e, c in self.terms.items()},
-                     self.truncation_degree, self.real)
+                     self.truncation_degree)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -305,9 +301,9 @@ class Poly2:
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.coerce(other)
             if not c:
-                return Poly2.zero(self.truncation_degree, self.real)
+                return Poly2.zero(self.truncation_degree)
             return Poly2({e: v * c for e, v in self.terms.items()},
-                         self.truncation_degree, self.real and c.is_real)
+                         self.truncation_degree)
         if not isinstance(other, Poly2):
             return NotImplemented
         n = min(self.truncation_degree, other.truncation_degree)
@@ -321,7 +317,7 @@ class Poly2:
                     continue
                 key = (i, j)
                 acc[key] = acc.get(key, GR_ZERO) + c1 * c2
-        return Poly2(acc, n, self.real and other.real)
+        return Poly2(acc, n)
 
     __rmul__ = __mul__
 
@@ -339,7 +335,7 @@ class Poly2:
         for (i, j), c in self.terms.items():
             if i >= 1 and (i - 1) + j <= n:
                 acc[(i - 1, j)] = c * i
-        return Poly2(acc, n, self.real)
+        return Poly2(acc, n)
 
     def diff_y(self) -> "Poly2":
         n = max(self.truncation_degree - 1, 0)
@@ -347,11 +343,7 @@ class Poly2:
         for (i, j), c in self.terms.items():
             if j >= 1 and i + (j - 1) <= n:
                 acc[(i, j - 1)] = c * j
-        return Poly2(acc, n, self.real)
-
-    def promote_complex(self) -> "Poly2":
-        """Same coefficients, reality flag dropped."""
-        return Poly2(self.terms, self.truncation_degree, real=False)
+        return Poly2(acc, n)
 
     # -- evaluation ----------------------------------------------------
 
@@ -375,9 +367,9 @@ class Poly2:
 
     def binary64(self):
         """The truncated polynomial as a binary64 function of (x, y).  The
-        coefficients are rounded once, here: to float for a real series,
-        to complex otherwise; the function sums c x^i y^j over the sorted
-        terms."""
+        coefficients are rounded once, here: to float when all of them
+        are real, to complex otherwise; the function sums c x^i y^j over
+        the sorted terms."""
         terms = [(i, j, float(c.re) if self.real else c.to_complex())
                  for (i, j), c in sorted(self.terms.items())]
 
@@ -400,8 +392,7 @@ class Poly2:
         ny = max((j for _, j in self.terms), default=0)
         p1 = _poly_powers(l1, nx)
         p2 = _poly_powers(l2, ny)
-        entries_real = all(c.is_real for c in (m00, m01, m10, m11))
-        out = Poly2.zero(n, real=self.real and entries_real)
+        out = Poly2.zero(n)
         for (i, j), c in self.terms.items():
             out = out + p1[i] * p2[j] * c
         return out
@@ -436,8 +427,6 @@ class VectorField2:
     def __post_init__(self):
         if self.p.truncation_degree != self.q.truncation_degree:
             raise ValueError("components must share a truncation degree")
-        if self.p.real != self.q.real:
-            raise ValueError("components must share the reality flag")
 
     @property
     def truncation_degree(self) -> int:
@@ -445,7 +434,7 @@ class VectorField2:
 
     @property
     def real(self) -> bool:
-        return self.p.real
+        return self.p.real and self.q.real
 
     @property
     def singular_at_origin(self) -> bool:
@@ -475,8 +464,6 @@ class OneForm2:
     def __post_init__(self):
         if self.a.truncation_degree != self.b.truncation_degree:
             raise ValueError("components must share a truncation degree")
-        if self.a.real != self.b.real:
-            raise ValueError("components must share the reality flag")
 
     @property
     def truncation_degree(self) -> int:
@@ -484,7 +471,7 @@ class OneForm2:
 
     @property
     def real(self) -> bool:
-        return self.a.real
+        return self.a.real and self.b.real
 
     def lift(self, degree: int) -> "OneForm2":
         return OneForm2(self.a.lift(degree), self.b.lift(degree))

@@ -198,7 +198,7 @@ def test_criterion_07_germ_suite():
 
 def test_criterion_08_blowup_suite():
     n = 8
-    x, y = Poly2.var_x(n).promote_complex(), Poly2.var_y(n).promote_complex()
+    x, y = Poly2.var_x(n), Poly2.var_y(n)
     res = blowup(OneForm2(y, x))
     charts = sorted(s.chart for s in res.singularities_on_E)
     ratios_ok = all(s.ratio is not None and abs(s.ratio - (-0.5)) < 1e-9
@@ -216,8 +216,8 @@ def test_criterion_08_blowup_suite():
 def test_criterion_09_complex_round_trip():
     n = 10
     internal = n + 3
-    x = Poly2.var_x(internal + 1).promote_complex()
-    y = Poly2.var_y(internal + 1).promote_complex()
+    x = Poly2.var_x(internal + 1)
+    y = Poly2.var_y(internal + 1)
     target = x * y + x ** 3 * y ** 2
     form = OneForm2(target.diff_x(), target.diff_y())
     f_int, obstructions = formal_first_integral_siegel(form, internal)

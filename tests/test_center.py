@@ -97,10 +97,11 @@ def hamiltonian_cubic(n):
 
 class TestNormalizeRotation:
     def test_standard_rotation_identity_change(self):
-        norm = normalize_rotation(rotation_field(6))
+        field = rotation_field(6)
+        norm = normalize_rotation(field)
         assert norm.change_matrix == ((gr(1), gr(0)), (gr(0), gr(1)))
         assert norm.time_rescale == gr(1)
-        assert norm.normalized == norm.original
+        assert norm.normalized == field
 
     def test_double_speed_rotation(self):
         n = 6

@@ -29,8 +29,7 @@ from sympy_oracle import X, Y
 
 def siegel_linear(n):
     """x dy + y dx at truncation n."""
-    return OneForm2(Poly2.var_y(n).promote_complex(),
-                    Poly2.var_x(n).promote_complex())
+    return OneForm2(Poly2.var_y(n), Poly2.var_x(n))
 
 
 def d_of(p: Poly2) -> OneForm2:
@@ -40,7 +39,7 @@ def d_of(p: Poly2) -> OneForm2:
 def generic_target(m):
     """xy + x^3 + y^4 + x^2 y^2, an exact polynomial known to degree m."""
     x, y = Poly2.var_x(m), Poly2.var_y(m)
-    return (x * y + x ** 3 + y ** 4 + x ** 2 * y ** 2).promote_complex()
+    return x * y + x ** 3 + y ** 4 + x ** 2 * y ** 2
 
 
 def count_products(monkeypatch) -> list:
@@ -69,8 +68,8 @@ class TestComplexify:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         norm = normalize_rotation(VectorField2(-y, x))
         sf = complexify(norm)
-        assert sf.form.a == Poly2.var_y(n).promote_complex()
-        assert sf.form.b == Poly2.var_x(n).promote_complex()
+        assert sf.form.a == Poly2.var_y(n)
+        assert sf.form.b == Poly2.var_x(n)
 
     def test_quadratic_perturbation_hand_oracle(self):
         # hand substitution oracle: for X = -y dx + (x + x^2) dy the dual
@@ -82,9 +81,9 @@ class TestComplexify:
         sf = complexify(norm)
         quarter = Fraction(1, 4)
         sq = Poly2({(2, 0): quarter, (1, 1): 2 * quarter, (0, 2): quarter},
-                   n, real=False)
-        assert sf.form.a == Poly2.var_y(n).promote_complex() + sq
-        assert sf.form.b == Poly2.var_x(n).promote_complex() + sq
+                   n)
+        assert sf.form.a == Poly2.var_y(n) + sq
+        assert sf.form.b == Poly2.var_x(n) + sq
         assert siegel_check(sf.form)
 
     def test_complexified_first_integral_annihilates_form(self):
@@ -95,7 +94,7 @@ class TestComplexify:
         norm = normalize_rotation(VectorField2(-y, x + x * x))
         rep = lyapunov_quantities(norm, n)
         sf = complexify(norm)
-        f_c = rep.first_integral.promote_complex().substitute_linear(
+        f_c = rep.first_integral.substitute_linear(
             sf.change_matrix)
         assert wedge_coefficient(f_c, sf.form).is_zero()
 
@@ -106,8 +105,7 @@ class TestSiegelCheck:
 
     def test_poincare_linear_rejected(self):
         n = 6
-        form = OneForm2(-Poly2.var_y(n).promote_complex(),
-                        Poly2.var_x(n).promote_complex())
+        form = OneForm2(-Poly2.var_y(n), Poly2.var_x(n))
         assert not siegel_check(form)
 
     def test_quadratic_remainder_allowed(self):
@@ -123,8 +121,8 @@ class TestBlowup:
         n = 8
         res = blowup(siegel_linear(n))
         assert res.divided_power_t == 1
-        assert res.chart_t.a == Poly2({(0, 1): 2}, n - 1, real=False)
-        assert res.chart_t.b == Poly2({(1, 0): 1}, n - 1, real=False)
+        assert res.chart_t.a == Poly2({(0, 1): 2}, n - 1)
+        assert res.chart_t.b == Poly2({(1, 0): 1}, n - 1)
         assert res.divisor_invariant
         assert len(res.singularities_on_E) == 2
         charts = {s.chart for s in res.singularities_on_E}
@@ -137,12 +135,12 @@ class TestBlowup:
         # hand computation: x(t dx + x dt) - tx dx = x^2 dt
         n = 8
         x, y = Poly2.var_x(n), Poly2.var_y(n)
-        form = OneForm2(-y.promote_complex(), x.promote_complex())
+        form = OneForm2(-y, x)
         res = blowup(form)
         assert not res.divisor_invariant
         assert res.divided_power_t == 2
         assert res.chart_t.a.is_zero()
-        assert res.chart_t.b == Poly2.constant(1, n - 2).promote_complex()
+        assert res.chart_t.b == Poly2.constant(1, n - 2)
 
     def test_exact_differential_of_radius(self):
         # symbolic oracle: chart t carries 2(1+t^2) dx + 2tx dt after
@@ -162,14 +160,23 @@ class TestBlowup:
     def test_common_factor_rejected(self):
         n = 6
         x, y = Poly2.var_x(n), Poly2.var_y(n)
-        form = OneForm2((x * y).promote_complex(), x.promote_complex())
+        form = OneForm2(x * y, x)
         with pytest.raises(NotIsolated):
             blowup(form)
 
+    def test_unit_common_factor_accepted(self):
+        # 1 + x does not vanish at the origin: a unit of the local ring,
+        # so the singular point stays isolated
+        n = 6
+        x, y = Poly2.var_x(n), Poly2.var_y(n)
+        unit = 1 + x
+        res = blowup(OneForm2(unit * y, unit * x))
+        assert res.divisor_invariant
+        assert len(res.singularities_on_E) == 2
+
     def test_nonvanishing_form_rejected(self):
         n = 6
-        form = OneForm2(Poly2.constant(1, n).promote_complex(),
-                        Poly2.var_x(n).promote_complex())
+        form = OneForm2(Poly2.constant(1, n), Poly2.var_x(n))
         with pytest.raises(ValueError):
             blowup(form)
 
@@ -179,15 +186,14 @@ class TestBlowup:
         n = 8
         w = siegel_linear(n)
         perturbations = [
-            (Poly2.zero(n, real=False), Poly2.monomial(2, 0, 1, n)),
+            (Poly2.zero(n), Poly2.monomial(2, 0, 1, n)),
             (Poly2.monomial(0, 2, Fraction(1, 3), n),
              Poly2.monomial(1, 1, -2, n)),
             (Poly2.monomial(1, 1, 1, n) + Poly2.monomial(3, 0, 1, n),
              Poly2.monomial(2, 1, Fraction(-1, 2), n)),
         ]
         for da, db in perturbations:
-            form = OneForm2(w.a + da.promote_complex(),
-                            w.b + db.promote_complex())
+            form = OneForm2(w.a + da, w.b + db)
             assert siegel_check(form)
             res = blowup(form)
             assert res.divisor_invariant
@@ -234,13 +240,13 @@ class TestFormalFirstIntegral:
     def test_exact_product_form(self):
         n = 8
         f, obstructions = formal_first_integral_siegel(siegel_linear(n), n)
-        assert f == Poly2({(1, 1): 1}, n, real=False)
+        assert f == Poly2({(1, 1): 1}, n)
         assert all(not eta for _, eta in obstructions)
 
     def test_recovers_perturbed_product(self):
         n = 10
         x, y = Poly2.var_x(n + 1), Poly2.var_y(n + 1)
-        target = (x * y + x ** 3 * y ** 2).promote_complex()
+        target = x * y + x ** 3 * y ** 2
         f, obstructions = formal_first_integral_siegel(d_of(target), n)
         assert f == target.truncate(n)
         assert all(not eta for _, eta in obstructions)
@@ -248,7 +254,7 @@ class TestFormalFirstIntegral:
     def test_obstructions_match_dense_oracle(self):
         n = 6
         w = siegel_linear(n)
-        form = OneForm2(w.a, w.b + Poly2.monomial(2, 0, 1, n).promote_complex())
+        form = OneForm2(w.a, w.b + Poly2.monomial(2, 0, 1, n))
         _, obstructions = formal_first_integral_siegel(form, n)
         oracle = oracle_obstructions(form, n)
         for deg, eta in obstructions:
@@ -283,10 +289,10 @@ class TestFactorFg:
     def test_plain_product(self):
         n = 10
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
-        pair = factor_fg((x * y).promote_complex(), n)
-        assert pair.f == Poly2.var_y(n + 2).promote_complex()
-        assert pair.g == Poly2.var_x(n + 2).promote_complex()
-        assert pair.unit == Poly2.constant(1, n).promote_complex()
+        pair = factor_fg(x * y, n)
+        assert pair.f == Poly2.var_y(n + 2)
+        assert pair.g == Poly2.var_x(n + 2)
+        assert pair.unit == Poly2.constant(1, n)
 
     def test_unit_absorbs_perturbation(self):
         # F = xy(1 + x^2 y): branches stay on the axes and the unit is
@@ -294,11 +300,11 @@ class TestFactorFg:
         n = 10
         m = n + 3
         x, y = Poly2.var_x(m), Poly2.var_y(m)
-        target = (x * y + x ** 3 * y ** 2).promote_complex()
+        target = x * y + x ** 3 * y ** 2
         pair = factor_fg(target, n)
-        assert pair.f == Poly2.var_y(m - 1).promote_complex()
-        assert pair.g == Poly2.var_x(m - 1).promote_complex()
-        assert pair.unit == Poly2({(0, 0): 1, (2, 1): 1}, m - 3, real=False)
+        assert pair.f == Poly2.var_y(m - 1)
+        assert pair.g == Poly2.var_x(m - 1)
+        assert pair.unit == Poly2({(0, 0): 1, (2, 1): 1}, m - 3)
         recon = pair.f * pair.g * pair.unit
         assert recon.truncate(n) == target.truncate(n)
 
@@ -308,10 +314,10 @@ class TestFactorFg:
         n = 8
         m = n + 3
         x, y = Poly2.var_x(m), Poly2.var_y(m)
-        pair = factor_fg((x * y + x ** 3).promote_complex(), n)
-        assert pair.f == (y + x * x).truncate(m - 1).promote_complex()
-        assert pair.g == Poly2.var_x(m - 1).promote_complex()
-        assert pair.unit == Poly2.constant(1, m - 3).promote_complex()
+        pair = factor_fg(x * y + x ** 3, n)
+        assert pair.f == (y + x * x).truncate(m - 1)
+        assert pair.g == Poly2.var_x(m - 1)
+        assert pair.unit == Poly2.constant(1, m - 3)
 
     def test_generic_reconstruction(self):
         n = 8
@@ -325,7 +331,7 @@ class TestFactorFg:
         n = 8
         m = n + 3
         x, y = Poly2.var_x(m), Poly2.var_y(m)
-        target = (x * y + x ** 3 * y ** 2).promote_complex()
+        target = x * y + x ** 3 * y ** 2
         pair = factor_fg(target, n)
         fa, gb = pair.absorbed()
         w = wedge_coefficient(fa * gb, d_of(target))
@@ -335,7 +341,7 @@ class TestFactorFg:
         n = 8
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
         with pytest.raises(ValueError):
-            factor_fg((x * x + y * y).promote_complex(), n)
+            factor_fg(x * x + y * y, n)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 1), st.integers(2, 10), nonzero_gaussian)
@@ -393,7 +399,7 @@ class TestRealSlice:
         # f = y, g = x: V2 is y = conj(x) and fg = |x|^2 >= 0
         n = 10
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
-        pair = factor_fg((x * y).promote_complex(), n)
+        pair = factor_fg(x * y, n)
         sl, ver = real_slice(pair, SliceGrid(radii=(0.05, 0.1), n_angles=8))
         assert ver.n_samples == 16
         for (xs, ys) in sl.sample_points:
@@ -405,7 +411,7 @@ class TestRealSlice:
     def test_perturbed_pair_slice_properties(self):
         n = 10
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
-        pair = factor_fg((x * y + x ** 3 * y ** 2).promote_complex(), n)
+        pair = factor_fg(x * y + x ** 3 * y ** 2, n)
         sl, ver = real_slice(pair)
         assert ver.n_samples >= 50
         assert ver.max_abs_im_fg <= 1e-9
@@ -415,8 +421,8 @@ class TestRealSlice:
     def test_degenerate_pair_rejected(self):
         from centerfocus.foliation import FactorPair
         n = 6
-        y = Poly2.var_y(n).promote_complex()
-        pair = FactorPair(y, y, Poly2.constant(1, n).promote_complex(),
+        y = Poly2.var_y(n)
+        pair = FactorPair(y, y, Poly2.constant(1, n),
                           verified_degree=n, product=y * y)
         assert not pair.general_position
         with pytest.raises(ValueError):
@@ -434,7 +440,7 @@ class TestRealSlice:
         # every sample, contact order included, is evaluated in binary64
         n = 10
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
-        pair = factor_fg((x * y + x ** 3 * y ** 2).promote_complex(), n)
+        pair = factor_fg(x * y + x ** 3 * y ** 2, n)
         calls = []
         evaluate = Poly2.evaluate
         monkeypatch.setattr(Poly2, "evaluate",
@@ -456,16 +462,14 @@ class TestContactOrder:
     def test_invariant_surface(self):
         # foliation dy = 0; the complex line y = 0 is a leaf
         n = 4
-        form = OneForm2(Poly2.zero(n, real=False),
-                        Poly2.constant(1, n).promote_complex())
+        form = OneForm2(Poly2.zero(n), Poly2.constant(1, n))
         basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
         assert contact_order(form, (0.3, 0.0), basis) == 2
 
     def test_transverse_surface(self):
         # foliation dx = 0 meets the complex line y = 0 transversely
         n = 4
-        form = OneForm2(Poly2.constant(1, n).promote_complex(),
-                        Poly2.zero(n, real=False))
+        form = OneForm2(Poly2.constant(1, n), Poly2.zero(n))
         basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
         assert contact_order(form, (0.3, 0.0), basis) == 0
 
@@ -478,8 +482,8 @@ class TestContactOrder:
         n = 6
         slice_basis = (np.array([1.0, 0, 1.0, 0]), np.array([0, 1.0, 0, -1.0]))
         line_basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
-        one = Poly2.constant(1, n).promote_complex()
-        zero = Poly2.zero(n, real=False)
+        one = Poly2.constant(1, n)
+        zero = Poly2.zero(n)
         cases = [
             (siegel_linear(n), (x0, x0.conjugate()), slice_basis, 1),
             (OneForm2(zero, one), (x0, 0j), line_basis, 2),
@@ -496,8 +500,7 @@ class TestContactOrder:
     def test_singular_point_detected(self):
         # d(x^2) vanishes along x = 0 away from the origin
         n = 6
-        form = OneForm2(Poly2.monomial(1, 0, 2, n).promote_complex(),
-                        Poly2.zero(n, real=False))
+        form = OneForm2(Poly2.monomial(1, 0, 2, n), Poly2.zero(n))
         with pytest.raises(SingularPoint):
             contact_order(form, (0.0, 0.3), ())
 
