@@ -19,8 +19,10 @@ from .series import (
     InternalError,
     OneForm2,
     Poly2,
-    _add_product,
     _homogeneous_parts,
+    _product_sum,
+    _scaled,
+    _unscaled,
     ensure,
     gr,
     homological_series,
@@ -434,20 +436,20 @@ def _solve_unit(F: Poly2, prod: Poly2) -> Poly2:
     to give u_d.
     """
     m = F.truncation_degree
-    fs, ps = _homogeneous_parts(F, m - 1), _homogeneous_parts(prod, m - 1)
-    units: list[list[GaussianRational]] = []
+    ps = _homogeneous_parts(prod, m - 1)
+    units: list = []  # u_0, u_1, ... scaled
     for d in range(m - 2):
-        known = [GR_ZERO] * (d + 3)
-        for e, u in enumerate(units):
-            _add_product(known, ps[d + 2 - e], u)
-        resid = [c - k for c, k in zip(fs[d + 2], known)]
+        known = _product_sum([(ps[d + 2 - e], u) for e, u in
+                              enumerate(units) if d + 2 - e in ps], d + 2)
+        resid = [F.coefficient(d + 2 - r, r) - known.get(r, GR_ZERO)
+                 for r in range(d + 3)]
         for r in (0, d + 2):
             if resid[r]:
                 raise BranchFailure(f"residual term x^{d + 2 - r} y^{r} "
                                     "is not divisible by xy")
-        units.append(resid[1:-1])
-    return Poly2({(d - r, r): c for d, u in enumerate(units)
-                  for r, c in enumerate(u)}, m - 3)
+        units.append(_scaled(enumerate(resid[1:-1])))
+    return Poly2({(d - r, r): _unscaled(den, x, y)
+                  for d, (den, u) in enumerate(units) for r, x, y in u}, m - 3)
 
 
 def factor_fg(F: Poly2, n: int) -> FactorPair:

@@ -3,10 +3,16 @@
 Everything downstream (Lyapunov obstructions, Siegel first integrals,
 blow-up charts) rides on this module: coefficients are exact, truncation
 degrees are data carried by every value, and all operations are pure.
+`GaussianRational` is the boundary type of parsing, storage, reports and
+every value a caller sees.  The inner loops of products, substitutions
+and homological residuals run on Gaussian integers over one shared
+denominator per operand, so each output coefficient costs one gcd, not
+one per `+` and `*` (Henrici; Knuth, TAOCP Vol. 2, 4.5.1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -307,17 +313,14 @@ class Poly2:
         if not isinstance(other, Poly2):
             return NotImplemented
         n = min(self.truncation_degree, other.truncation_degree)
-        acc: dict[tuple[int, int], GaussianRational] = {}
-        for (i1, j1), c1 in self.terms.items():
-            if i1 + j1 > n:
-                continue
-            for (i2, j2), c2 in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                key = (i, j)
-                acc[key] = acc.get(key, GR_ZERO) + c1 * c2
-        return Poly2(acc, n)
+        b = _homogeneous_parts(other, n)
+        pairs: dict[int, list] = {}  # degree k: the pairs of parts adding to k
+        for e, pa in _homogeneous_parts(self, n).items():
+            for f, pb in b.items():
+                if e + f <= n:
+                    pairs.setdefault(e + f, []).append((pa, pb))
+        return Poly2({(k - r, r): c for k, ps in pairs.items()
+                      for r, c in _product_sum(ps, k).items()}, n)
 
     __rmul__ = __mul__
 
@@ -491,22 +494,57 @@ class OneForm2:
         return OneForm2(a_new * m00 + b_new * m10, a_new * m01 + b_new * m11)
 
 
+Scaled = tuple[int, list[tuple[int, int, int]]]
+
+
+def _scaled(items) -> Scaled:
+    """The (key, c) pairs `items` over their least common denominator D:
+    (D, [(key, D re(c), D im(c)), ...]) for the nonzero c."""
+    items = list(items)
+    d = math.lcm(*(c.re.denominator for _, c in items),
+                 *(c.im.denominator for _, c in items))
+    out = [(k, c.re.numerator * (d // c.re.denominator),
+            c.im.numerator * (d // c.im.denominator)) for k, c in items]
+    return d, [t for t in out if t[1] or t[2]]
+
+
+def _unscaled(d: int, re: int, im: int) -> GaussianRational:
+    """(re + i im) / d in lowest terms: one gcd per part."""
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+
+def _product_sum(pairs: list[tuple[Scaled, Scaled]],
+                 n: int) -> dict[int, GaussianRational]:
+    """The nonzero coefficients 0..n of sum a b over the scaled series
+    pairs (a, b), keys adding and products beyond n dropped.  The sum is
+    accumulated on Gaussian integers over the least common denominator."""
+    den = math.lcm(*(da * db for (da, _), (db, _) in pairs))
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    for (da, a), (db, b) in pairs:
+        w = den // (da * db)
+        for r, ar, ai in a:
+            ar, ai = w * ar, w * ai
+            for s, br, bi in b:
+                if r + s <= n:
+                    re[r + s] += ar * br - ai * bi
+                    im[r + s] += ar * bi + ai * br
+    return {k: _unscaled(den, x, y)
+            for k, (x, y) in enumerate(zip(re, im)) if x or y}
+
+
+def _dot(a: Scaled, b: Scaled) -> GaussianRational:
+    """sum a_k b_k over the keys the scaled series a and b share."""
+    bk = {k: (x, y) for k, x, y in b[1]}
+    t = [(x, y, *bk[k]) for k, x, y in a[1] if k in bk]
+    return _unscaled(a[0] * b[0], sum(x * p - y * q for x, y, p, q in t),
+                     sum(x * q + y * p for x, y, p, q in t))
+
+
 def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
          n: int) -> dict[int, GaussianRational]:
     """Product of univariate series {degree: coefficient} to degree n,
     without zero coefficients."""
-    out: dict[int, GaussianRational] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            if k > n:
-                continue
-            v = out.get(k, GR_ZERO) + ca * cb
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
+    return _product_sum([(_scaled(a.items()), _scaled(b.items()))], n)
 
 
 def substitute(terms: list[tuple[int, int, GaussianRational]],
@@ -519,12 +557,9 @@ def substitute(terms: list[tuple[int, int, GaussianRational]],
     top = max((j for _, j, _ in terms), default=0)
     while len(powers) <= top:
         powers.append(umul(powers[-1], powers[1], n))
-    out: dict[int, GaussianRational] = {}
-    for i, j, c in terms:
-        for d, pc in powers[j].items():
-            if i + d <= n:
-                out[i + d] = out.get(i + d, GR_ZERO) + c * pc
-    return {d: v for d, v in out.items() if v}
+    return _product_sum([(_scaled((i, c) for i, k, c in terms if k == j),
+                          _scaled(powers[j].items()))
+                         for j in {j for _, j, _ in terms}], n)
 
 
 def substitution_root(terms: list[tuple[int, int, GaussianRational]],
@@ -540,22 +575,26 @@ def substitution_root(terms: list[tuple[int, int, GaussianRational]],
     A table holds [s^j]_d for every power j in the terms and is extended
     by one degree per step, so the whole solve takes O(n^3) exact
     operations in place of a full substitution per degree (Brent & Kung,
-    J. ACM 25, 1978).  Returns the nonzero s_k, k <= n - shift.
+    J. ACM 25, 1978).  Each table entry and residual is summed on Gaussian
+    integers over one shared denominator, with one gcd per coefficient;
+    s and the table hold GaussianRational.  Returns the nonzero s_k,
+    k <= n - shift.
     """
     top = max(j for _, j, _ in terms)
     s = [GR_ZERO] * (n + 1)
     powers = [[GR_ONE] + [GR_ZERO] * n, s]
     powers += [[GR_ZERO] * (n + 1) for _ in range(top - 1)]
     lead = sum((c for i, j, c in terms if (i, j) == (shift, 1)), GR_ZERO)
+    cs = _scaled(enumerate(c for _, _, c in terms))
     for d in range(1, n + 1):
         # [s^j]_d needs s_e for e < d - shift only, all solved by now
+        sd = _scaled(enumerate(s[:d]))
         for j in range(2, top + 1):
-            lower = powers[j - 1]
-            powers[j][d] = sum((s[e] * lower[d - e] for e in range(1, d)
-                                if s[e] and lower[d - e]), GR_ZERO)
+            powers[j][d] = _dot(sd, _scaled(
+                (d - e, c) for e, c in enumerate(powers[j - 1][:d])))
         if d > 2 * shift:
-            residual = sum((c * powers[j][d - i] for i, j, c in terms
-                            if i <= d and powers[j][d - i]), GR_ZERO)
+            residual = _dot(cs, _scaled((t, powers[j][d - i]) for t, (i, j, _)
+                                        in enumerate(terms) if i <= d))
             s[d - shift] = -residual / lead
     return {k: c for k, c in enumerate(s) if c}
 
@@ -568,20 +607,13 @@ def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:
 Homogeneous = list[GaussianRational]  # degree d: coefficients of x^(d-r) y^r
 
 
-def _homogeneous_parts(f: Poly2, n: int) -> list[Homogeneous]:
-    parts = [[GR_ZERO] * (d + 1) for d in range(n + 1)]
+def _homogeneous_parts(f: Poly2, n: int) -> dict[int, Scaled]:
+    """f's nonzero parts of degree <= n, scaled, x^(d-r) y^r keyed by r."""
+    parts: dict[int, list] = {}
     for (i, j), c in f.terms.items():
         if i + j <= n:
-            parts[i + j][j] = c
-    return parts
-
-
-def _add_product(out: Homogeneous, a: Homogeneous, b: Homogeneous) -> None:
-    for r, ca in enumerate(a):
-        if ca:
-            for s, cb in enumerate(b):
-                if cb:
-                    out[r + s] = out[r + s] + ca * cb
+            parts.setdefault(i + j, []).append((j, c))
+    return {d: _scaled(h) for d, h in parts.items()}
 
 
 def homological_series(p: Poly2, q: Poly2, quadratic: Homogeneous, n: int,
@@ -596,29 +628,33 @@ def homological_series(p: Poly2, q: Poly2, quadratic: Homogeneous, n: int,
         R_k = sum_{m=2}^{k-1} (p_{k+1-m} dF_m/dx + q_{k+1-m} dF_m/dy),
 
     from the field's homogeneous parts and the cached partials of the
-    solved F_m.  `invert(k, rhs)` is L's structured inverse on degree k:
-    it returns F_k and eta_k with L F_k - eta_k s_k = rhs = -R_k, where
-    s_k spans L's cokernel (eta_k is None at odd k).  Returns F's
-    coefficients and the obstructions (k, eta_k) at even k >= 4.
+    solved F_m.  Each part is scaled to Gaussian integers over one shared
+    denominator once, when it is formed, so each R_k is one integer
+    multiply-accumulate with one gcd per coefficient; F and the
+    obstructions come back as GaussianRational.  `invert(k, rhs)` is L's
+    structured inverse on degree k: it returns F_k and eta_k with
+    L F_k - eta_k s_k = rhs = -R_k, where s_k spans L's cokernel (eta_k
+    is None at odd k).  Returns F's coefficients and the obstructions
+    (k, eta_k) at even k >= 4.
     """
     ps, qs = _homogeneous_parts(p, n), _homogeneous_parts(q, n)
-    dx: dict[int, Homogeneous] = {}
-    dy: dict[int, Homogeneous] = {}
+    dx: dict[int, Scaled] = {}
+    dy: dict[int, Scaled] = {}
     terms: dict[tuple[int, int], GaussianRational] = {}
     obstructions: list[tuple[int, GaussianRational]] = []
 
     def record(m: int, f: Homogeneous) -> None:
-        dx[m] = [(m - r) * f[r] for r in range(m)]
-        dy[m] = [(r + 1) * f[r + 1] for r in range(m)]
+        d, fs = _scaled(enumerate(f))
+        dx[m] = d, [(r, (m - r) * x, (m - r) * y) for r, x, y in fs if r < m]
+        dy[m] = d, [(r - 1, r * x, r * y) for r, x, y in fs if r]
         terms.update(((m - r, r), c) for r, c in enumerate(f) if c)
 
     record(2, quadratic)
     for k in range(3, n + 1):
-        residual = [GR_ZERO] * (k + 1)
-        for m in range(2, k):
-            _add_product(residual, ps[k + 1 - m], dx[m])
-            _add_product(residual, qs[k + 1 - m], dy[m])
-        f, eta = invert(k, [-c for c in residual])
+        residual = _product_sum(
+            [(part[k + 1 - m], d[m]) for m in range(2, k)
+             for part, d in ((ps, dx), (qs, dy)) if k + 1 - m in part], k)
+        f, eta = invert(k, [-residual.get(r, GR_ZERO) for r in range(k + 1)])
         if k % 2 == 0:
             obstructions.append((k, eta))
         record(k, f)

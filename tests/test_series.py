@@ -346,6 +346,205 @@ class TestSubstitute:
         assert len(powers) == max(top + 1, 2)
 
 
+# -- the integer kernels against naive GaussianRational references ----------
+#
+# Each reference is the loop the kernel replaced: one GaussianRational
+# `+` and `*` per term pair.  Results must be equal, not close.
+
+ZERO = GaussianRational()
+
+
+def naive_poly_mul(a, b):
+    n = min(a.truncation_degree, b.truncation_degree)
+    acc = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            if i1 + j1 + i2 + j2 <= n:
+                key = (i1 + i2, j1 + j2)
+                acc[key] = acc.get(key, ZERO) + c1 * c2
+    return Poly2(acc, n)
+
+
+def naive_umul(a, b, n):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if ka + kb <= n:
+                out[ka + kb] = out.get(ka + kb, ZERO) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_product_sum(pairs, n):
+    out = {}
+    for a, b in pairs:
+        for r, ca in enumerate(a):
+            for s, cb in enumerate(b):
+                if r + s <= n:
+                    out[r + s] = out.get(r + s, ZERO) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_substitute(terms, s, n):
+    out = {}
+    for i, j, c in terms:
+        term = {i: c} if i <= n else {}
+        for _ in range(j):
+            term = naive_umul(term, s, n)
+        for d, v in term.items():
+            out[d] = out.get(d, ZERO) + v
+    return {d: v for d, v in out.items() if v}
+
+
+def naive_substitution_root(terms, shift, n):
+    top = max(j for _, j, _ in terms)
+    s = [ZERO] * (n + 1)
+    powers = [[GR_ONE] + [ZERO] * n, s]
+    powers += [[ZERO] * (n + 1) for _ in range(top - 1)]
+    lead = sum((c for i, j, c in terms if (i, j) == (shift, 1)), ZERO)
+    for d in range(1, n + 1):
+        for j in range(2, top + 1):
+            powers[j][d] = sum((s[e] * powers[j - 1][d - e]
+                                for e in range(1, d)), ZERO)
+        if d > 2 * shift:
+            residual = sum((c * powers[j][d - i] for i, j, c in terms
+                            if i <= d), ZERO)
+            s[d - shift] = -residual / lead
+    return {k: c for k, c in enumerate(s) if c}
+
+
+def in_lowest_terms(c):
+    return all(math.gcd(f.numerator, f.denominator) == 1 and f.denominator > 0
+               for f in (c.re, c.im))
+
+
+# zero, real, purely imaginary and mixed coefficients, over denominators
+# that are pairwise coprime (the primes) or share factors (4, 6, 9, 35)
+part = st.builds(Fraction, st.integers(-9, 9),
+                 st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 35]))
+gaussian = st.one_of(
+    st.just(ZERO),
+    st.builds(GaussianRational, part),
+    st.builds(GaussianRational, st.just(Fraction(0)), part),
+    st.builds(GaussianRational, part, part))
+
+
+@st.composite
+def poly2s(draw, n_max=7):
+    """Possibly empty series, truncated anywhere in 0..n_max, so that a
+    product with a lower truncation drops this one's higher terms."""
+    n = draw(st.integers(0, n_max))
+    exponents = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+        lambda e: sum(e) <= n)
+    return Poly2(draw(st.dictionaries(exponents, gaussian, max_size=12)), n)
+
+
+def useries(top):
+    """{degree: coefficient} with zero coefficients allowed."""
+    return st.dictionaries(st.integers(0, top), gaussian, max_size=8)
+
+
+@st.composite
+def root_problems(draw):
+    """(terms, shift, n, s): sum c z^i s^j = 0 through degree n holds for
+    the drawn s, whose first degree is shift + 1; the j = 0 terms are
+    computed from s, the others drawn within `substitution_root`'s
+    precondition (z^shift s is the only term linear in s at its degree)."""
+    shift = draw(st.integers(0, 1))
+    n = draw(st.integers(shift + 1, 9))
+    s = draw(st.dictionaries(st.integers(shift + 1, n), gaussian, max_size=5))
+    s = {k: c for k, c in s.items() if c}
+    lead = draw(gaussian.filter(bool))
+    others = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4),
+                                     gaussian), max_size=5))
+    terms = [(shift, 1, lead)] + [(i, j, c) for i, j, c in others
+                                  if i + (j - 1) * (shift + 1) > shift]
+    rest = naive_substitute(terms, s, n)
+    terms += [(i, 0, -c) for i, c in rest.items()]
+    return terms, shift, n, {k: c for k, c in s.items() if k <= n - shift}
+
+
+class TestIntegerKernels:
+    """Each kernel that multiply-accumulates Gaussian integers over a
+    shared denominator equals the GaussianRational loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s(), poly2s())
+    def test_poly_product(self, a, b):
+        out = a * b
+        assert out == naive_poly_mul(a, b)
+        assert all(c and in_lowest_terms(c) for c in out.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(useries(12), useries(12), st.integers(0, 10))
+    def test_umul(self, a, b, n):
+        out = umul(a, b, n)
+        assert out == naive_umul(a, b, n)
+        assert all(c and in_lowest_terms(c) for c in out.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.lists(gaussian, max_size=6),
+                              st.lists(gaussian, max_size=6)), max_size=4),
+           st.integers(0, 10))
+    def test_product_sum(self, pairs, n):
+        scaled = [(series._scaled(enumerate(a)), series._scaled(enumerate(b)))
+                  for a, b in pairs]
+        out = series._product_sum(scaled, n)
+        assert out == naive_product_sum(pairs, n)
+        assert all(c and in_lowest_terms(c) for c in out.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.just(n), useries(n + 2),
+        st.lists(st.tuples(st.integers(0, n + 2), st.integers(0, 5), gaussian),
+                 max_size=6))))
+    def test_substitute(self, case):
+        n, s, terms = case
+        powers = [{0: GR_ONE}, s]
+        out = substitute(terms, powers, n)
+        assert out == naive_substitute(terms, s, n)
+        assert all(c and in_lowest_terms(c) for c in out.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(root_problems())
+    def test_substitution_root(self, problem):
+        terms, shift, n, s = problem
+        out = series.substitution_root(terms, shift, n)
+        assert out == naive_substitution_root(terms, shift, n) == s
+        assert all(c and in_lowest_terms(c) for c in out.values())
+
+    def test_cancellation_leaves_no_zero_coefficient(self):
+        # (1/6 + i/10)(3 + 5i) = 17i/15: the real parts cancel over the
+        # shared denominator 30, and 34/30 comes back as 17/15
+        a, b = gr(Fraction(1, 6), Fraction(1, 10)), gr(3, 5)
+        assert umul({0: a}, {0: b}, 0) == {0: gr(0, Fraction(17, 15))}
+        # (z + z^2)(z - z^2) = z^2 - z^4: degree 3 sums to exactly 0
+        assert umul({1: a, 2: a}, {1: a, 2: -a}, 6) == {2: a * a, 4: -a * a}
+        x, y = Poly2.var_x(4), Poly2.var_y(4)
+        prod = (x * a + y) * (x * a - y)
+        assert prod.terms == {(2, 0): a * a, (0, 2): gr(-1)}
+        assert substitute([(1, 1, a), (1, 1, -a), (0, 0, b)],
+                          [{0: GR_ONE}, {1: b}], 3) == {0: b}
+        assert substitute([(0, 1, a), (0, 0, -a * b)],
+                          [{0: GR_ONE}, {0: b}], 3) == {}
+        parts = [[gr(1), gr(0, 1)], [gr(Fraction(1, 4)), gr(0, Fraction(1, 6))]]
+        scaled = [series._scaled(enumerate(h)) for h in parts]
+        out = series._product_sum([(scaled[0], scaled[0]),
+                                   (scaled[1], scaled[1])], 2)
+        # (1 + i y)^2 + (1/4 + i y/6)^2: the y^2 terms -1 and -1/36 stay,
+        # the y terms 2i and i/12 add, the constants 1 and 1/16 add
+        assert out == {0: gr(Fraction(17, 16)), 1: gr(0, Fraction(25, 12)),
+                       2: gr(Fraction(-37, 36))}
+
+    def test_scaled_round_trip(self):
+        coeffs = [gr(Fraction(1, 6), Fraction(-1, 10)), ZERO, gr(0, 2),
+                  gr(Fraction(3, 7))]
+        d, items = series._scaled(enumerate(coeffs))
+        assert d == 210 and [k for k, _, _ in items] == [0, 2, 3]
+        assert [series._unscaled(d, x, y) for _, x, y in items] == \
+            [c for c in coeffs if c]
+        assert series._scaled([]) == (1, [])
+
+
 def test_series_imports_only_the_standard_library():
     """`series` stays importable without numpy, scipy or sympy."""
     tree = ast.parse(Path(series.__file__).read_text())
