@@ -9,7 +9,11 @@ one certifies a focus together with its sign.
 Degree k of F solves L F_k = eta_k (x^2+y^2)^(k/2) - R_k, where R_k is the
 degree-k part of X(F_2 + ... + F_(k-1)) and L = -y d/dx + x d/dy.  L is
 tridiagonal with zero diagonal on the monomials of degree k, so a two-term
-recurrence inverts it in O(k) exact operations (`_rotation_inverse`).
+recurrence inverts it in O(k) operations (`_rotation_inverse`).  The
+recurrences run on Gaussian integers over one denominator per degree,
+D M_k: D clears the right-hand side's denominators and M_k every divisor
+the two sweeps meet, so each integer division is exact and each
+coefficient of F_k is reduced to lowest terms once.
 """
 
 from __future__ import annotations
@@ -17,13 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .series import (
+    GR_ONE,
     GR_ZERO,
     GaussianRational,
     Poly2,
     VectorField2,
     _poly_powers,
+    _scaled,
+    _unscaled,
     ensure,
     gr,
     homological_series,
@@ -144,22 +152,31 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     return RotationNormalization(t, scale, normalized)
 
 
-def _radius_power_vector(k: int) -> list[GaussianRational]:
-    """Coefficients of (x^2 + y^2)^(k/2) on monomials x^(k-j) y^j."""
-    half = k // 2
-    s = [GR_ZERO] * (k + 1)
-    for a in range(half + 1):
-        s[k - 2 * a] = gr(math.comb(half, a))
-    return s
+@cache
+def _degree_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...],
+                                        int, int]:
+    """What the degree-k solve needs of k alone (see `_rotation_inverse`):
+    M_k and, at even k, the integer s = (x^2+y^2)^(k/2) on x^(k-r) y^r,
+    V = M_k times s swept over the even rows, Q = M_k s[k] + V[-1] and
+    ||s||^2."""
+    odd_divisors = math.prod(range(1, k + 1, 2))
+    if k % 2 == 1:
+        return odd_divisors, (), (), 0, 0
+    m = math.lcm(odd_divisors, math.prod(range(2, k + 1, 2)))
+    s = [0] * (k + 1)
+    for a in range(k // 2 + 1):
+        s[k - 2 * a] = math.comb(k // 2, a)
+    v = _sweep_forward([m * c for c in s], 0, k)
+    return m, tuple(s), tuple(v), m * s[k] + v[-1], sum(c * c for c in s)
 
 
-def _sweep_up(b: list[GaussianRational], first: int,
-              k: int) -> list[GaussianRational]:
-    """Rows r = first, first + 2, ... below k of L f = b, each solved in
-    turn for f[r + 1], starting from f[first - 1] = 0."""
-    out, prev = [], GR_ZERO
+def _sweep_forward(b: list[int], first: int, k: int) -> list[int]:
+    """Rows r = first, first + 2, ... below k of L f = b on integers, each
+    solved in turn for f[r + 1] = (b[r] + (k - r + 1) f[r - 1]) // (r + 1),
+    starting from f[first - 1] = 0; exact when b is M_k times integers."""
+    out, prev = [], 0
     for r in range(first, k, 2):
-        prev = (b[r] + (k - r + 1) * prev) / (r + 1)
+        prev = (b[r] + (k - r + 1) * prev) // (r + 1)
         out.append(prev)
     return out
 
@@ -172,33 +189,58 @@ def _rotation_inverse(
     On the coefficients f[r] of x^(k-r) y^r, row r of L f is
     (r+1) f[r+1] - (k-r+1) f[r-1].  A row couples coefficients of one
     parity only, so the system splits into two bidiagonal ones, each
-    solved by a sweep in O(k) exact operations.  At odd k, L is
-    invertible: the even rows sweep forward from f[-1] = 0 and the odd
-    rows backward from f[k+1] = 0.  At even k, L has kernel and cokernel
-    along s = (x^2+y^2)^(k/2): the odd rows sweep forward from f[0] = 0,
-    the even rows forward with eta s added, eta is fixed by the one
-    surplus even row r = k, and f is projected (Euclidean) off s.
+    solved by a sweep in O(k) operations.  At odd k, L is invertible: the
+    even rows sweep forward from f[-1] = 0 and the odd rows backward from
+    f[k+1] = 0.  At even k, L has kernel and cokernel along
+    s = (x^2+y^2)^(k/2): the odd rows sweep forward from f[0] = 0, the
+    even rows forward with eta s added, eta is fixed by the one surplus
+    even row r = k, and f is projected (Euclidean) off s.
+
+    The sweeps run on Python ints, real and imaginary parts apart (L is
+    real), over one denominator per call.  `series._scaled` writes rhs
+    as b / D with b Gaussian-integral; the sweeps solve for T f with
+    T = D M_k, from T rhs = M_k b.  A sweep divides by its divisors
+    (r+1, or k-r+1 backward) one after another, so each value it yields
+    is an integer combination of the b[r] over a product of some of its
+    divisors.  M_k, the lcm of the two sweeps' full products, is a
+    multiple of every such product, so every `//` is exact.  At even k,
+    with U = T u and V = M_k v the forward sweeps of M_k b and M_k s
+    over the even rows, eta = E / (D Q), E = -(M_k b[k] + U[-1]) and
+    Q = M_k s[k] + V[-1].  Over T Q, f's numerators are Q U + E V at odd
+    r and Q (T f[r]) at even r, and the projection puts them over
+    T Q ||s||^2.  Each coefficient is reduced once, by `series._unscaled`.
     """
-    f = [GR_ZERO] * (k + 1)
+    m, s, v, q, norm2 = _degree_constants(k)
+    d, nonzero = _scaled(enumerate(rhs))
+    br, bi = [0] * (k + 1), [0] * (k + 1)
+    for r, x, y in nonzero:
+        br[r], bi[r] = m * x, m * y
     if k % 2 == 1:
-        f[1::2] = _sweep_up(rhs, 0, k)
-        nxt = GR_ZERO  # f[k + 1]
-        for r in range(k, 0, -2):
-            nxt = f[r - 1] = ((r + 1) * nxt - rhs[r]) / (k - r + 1)
-        return f, None
-    s = _radius_power_vector(k)
-    f[2::2] = _sweep_up(rhs, 1, k)
-    # odd coefficients u + eta v; row k reads -f[k-1] = rhs[k] + eta s[k]
-    u, v = _sweep_up(rhs, 0, k), _sweep_up(s, 0, k)
-    denominator = s[k] + v[-1]
-    ensure(denominator, "even-degree homological solve failed")
-    eta = -(rhs[k] + u[-1]) / denominator
-    f[1::2] = [a + eta * b for a, b in zip(u, v)]
-    # remove the kernel component along (x^2+y^2)^(k/2)
-    dot = sum((c * sv for c, sv in zip(f, s)), GR_ZERO)
-    norm2 = sum((sv * sv for sv in s), GR_ZERO)
-    tpar = dot / norm2
-    return [c - tpar * sv for c, sv in zip(f, s)], eta
+        fr, fi = [0] * (k + 1), [0] * (k + 1)
+        for f, b in ((fr, br), (fi, bi)):
+            f[1::2] = _sweep_forward(b, 0, k)
+            nxt = 0  # f[k + 1]
+            for r in range(k, 0, -2):
+                nxt = f[r - 1] = ((r + 1) * nxt - b[r]) // (k - r + 1)
+        den = d * m
+        return [_unscaled(den, x, y) for x, y in zip(fr, fi)], None
+    ensure(q, "even-degree homological solve failed")
+    parts = []
+    for b in (br, bi):
+        # row k reads -f[k-1] = rhs[k] + eta s[k]; f over T Q
+        u = _sweep_forward(b, 0, k)
+        e = -(b[k] + u[-1])
+        f = [0] * (k + 1)
+        f[2::2] = [q * c for c in _sweep_forward(b, 1, k)]
+        f[1::2] = [q * a + e * c for a, c in zip(u, v)]
+        # remove the kernel component along (x^2+y^2)^(k/2): f over
+        # T Q ||s||^2
+        dot = sum(c * sv for c, sv in zip(f[::2], s[::2]))
+        parts.append(([norm2 * c - dot * sv for c, sv in zip(f, s)], e))
+    (fr, er), (fi, ei) = parts
+    den = d * m * q * norm2
+    return ([_unscaled(den, x, y) for x, y in zip(fr, fi)],
+            _unscaled(d * q, er, ei))
 
 
 def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
@@ -209,12 +251,13 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     homogeneous parts and the partials of the solved F_m, and solves
     L F_k - eta_k (x^2+y^2)^(k/2) = -R_k for the rotation L by the
     two-term recurrence (r+1) f[r+1] - (k-r+1) f[r-1] = rhs[r] (+ eta
-    s[r]) in O(k) exact operations (`_rotation_inverse`).  At even
-    degrees the cokernel direction (x^2+y^2)^(k/2) carries the
+    s[r]) in O(k) operations (`_rotation_inverse`).  The recurrence runs
+    on Gaussian integers over one denominator per degree, chosen so that
+    each of its divisions is exact; each coefficient is reduced once.  At
+    even degrees the cokernel direction (x^2+y^2)^(k/2) carries the
     obstruction eta, and F_k is normalized to have zero component along
-    it.  A full Lie derivative of F at the end checks the result
-    exactly.  Requires the normalized field to be known to degree n at
-    least.
+    it.  A full Lie derivative of F at the end checks the result exactly.
+    Requires the normalized field to be known to degree n at least.
     """
     if n < 4:
         raise ValueError("truncation order must be at least 4")
@@ -225,7 +268,7 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
             f"lift it to at least {n} before requesting order {n}"
         )
     f_terms, obstructions = homological_series(
-        field.p, field.q, _radius_power_vector(2), n, _rotation_inverse)
+        field.p, field.q, [GR_ONE, GR_ZERO, GR_ONE], n, _rotation_inverse)
     first_integral = Poly2(f_terms, n)
     # exact consistency guard: X(F) must equal the obstruction series
     check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),

@@ -367,7 +367,8 @@ def _siegel_inverse(
         if 2 * r == k:
             eta = -c
         elif c:
-            f[r] = c / (k - 2 * r)
+            w = k - 2 * r
+            f[r] = GaussianRational(c.re / w, c.im / w)
     return f, eta
 
 

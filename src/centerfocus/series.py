@@ -337,7 +337,7 @@ class Poly2:
         acc = {}
         for (i, j), c in self.terms.items():
             if i >= 1 and (i - 1) + j <= n:
-                acc[(i - 1, j)] = c * i
+                acc[(i - 1, j)] = GaussianRational(c.re * i, c.im * i)
         return Poly2(acc, n)
 
     def diff_y(self) -> "Poly2":
@@ -345,7 +345,7 @@ class Poly2:
         acc = {}
         for (i, j), c in self.terms.items():
             if j >= 1 and i + (j - 1) <= n:
-                acc[(i, j - 1)] = c * j
+                acc[(i, j - 1)] = GaussianRational(c.re * j, c.im * j)
         return Poly2(acc, n)
 
     # -- evaluation ----------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,10 @@ from centerfocus.center import (
     lyapunov_quantities,
     morse_check,
     normalize_rotation,
-    _radius_power_vector,
     _rotation_inverse,
 )
 from centerfocus.series import (
+    GR_ZERO,
     GaussianRational,
     Poly2,
     VectorField2,
@@ -45,6 +46,43 @@ def dense_quadratic(n):
                         x + x * x - 5 * x * y + 2 * y * y)
 
 
+def radius_power_vector(k):
+    """Coefficients of (x^2 + y^2)^(k/2) on monomials x^(k-j) y^j."""
+    s = [GR_ZERO] * (k + 1)
+    for a in range(k // 2 + 1):
+        s[k - 2 * a] = gr(math.comb(k // 2, a))
+    return s
+
+
+# The GaussianRational sweeps the integer inverse replaced: one `*` and
+# `/` per coefficient.  Results must be equal, not close.
+
+def naive_sweep_up(b, first, k):
+    out, prev = [], GR_ZERO
+    for r in range(first, k, 2):
+        prev = (b[r] + (k - r + 1) * prev) / (r + 1)
+        out.append(prev)
+    return out
+
+
+def naive_rotation_inverse(k, rhs):
+    f = [GR_ZERO] * (k + 1)
+    if k % 2 == 1:
+        f[1::2] = naive_sweep_up(rhs, 0, k)
+        nxt = GR_ZERO
+        for r in range(k, 0, -2):
+            nxt = f[r - 1] = ((r + 1) * nxt - rhs[r]) / (k - r + 1)
+        return f, None
+    s = radius_power_vector(k)
+    f[2::2] = naive_sweep_up(rhs, 1, k)
+    u, v = naive_sweep_up(rhs, 0, k), naive_sweep_up(s, 0, k)
+    eta = -(rhs[k] + u[-1]) / (s[k] + v[-1])
+    f[1::2] = [a + eta * b for a, b in zip(u, v)]
+    dot = sum((c * sv for c, sv in zip(f, s)), GR_ZERO)
+    norm2 = sum((sv * sv for sv in s), GR_ZERO)
+    return [c - dot / norm2 * sv for c, sv in zip(f, s)], eta
+
+
 def rotate(k, f):
     """-y df/dx + x df/dy on the degree-k coefficients f, through the
     series kernel rather than the solver."""
@@ -67,7 +105,7 @@ def oracle_lyapunov(field: VectorField2, n: int):
             unknowns[(k - j, j)] = sym
             f_expr += sym * X**(k - j) * Y**j
         if k % 2 == 0:
-            s = _radius_power_vector(k)
+            s = radius_power_vector(k)
             side.append(sum(unknowns[(k - j, j)] * sp.Rational(s[j].re)
                             for j in range(k + 1)))
     etas = {k: sp.Symbol(f"eta_{k}") for k in range(4, n + 1, 2)}
@@ -87,6 +125,32 @@ def oracle_lyapunov(field: VectorField2, n: int):
 def exact_gaussian():
     fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
     return st.builds(GaussianRational, fractions, fractions)
+
+
+# heights up to 2^64, zero and nonzero imaginary parts
+big_part = st.builds(Fraction, st.integers(-2**64, 2**64),
+                     st.integers(1, 2**64))
+big_gaussian = st.one_of(
+    st.builds(GaussianRational, big_part),
+    st.builds(GaussianRational, big_part, big_part))
+
+
+@st.composite
+def inverse_cases(draw):
+    """(k, rhs) for k = 3..30: a dense, a sparse or an all-zero rhs."""
+    k = draw(st.integers(3, 30))
+    rhs = [GR_ZERO] * (k + 1)
+    kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    if kind == "dense":
+        rhs = draw(st.lists(big_gaussian, min_size=k + 1, max_size=k + 1))
+    elif kind == "sparse":
+        for r in draw(st.sets(st.integers(0, k), min_size=1, max_size=3)):
+            rhs[r] = draw(big_gaussian.filter(bool))
+    return k, rhs
+
+
+def euclidean_dot(f, s):
+    return sum((c * sv for c, sv in zip(f, s)), GR_ZERO)
 
 
 def hamiltonian_cubic(n):
@@ -221,13 +285,36 @@ class TestLyapunovQuantities:
     def test_structured_inverse_solves_exactly(self, case):
         k, rhs = case
         f, eta = _rotation_inverse(k, rhs)
-        s = _radius_power_vector(k)
+        s = radius_power_vector(k)
         lf = rotate(k, f)
         if k % 2 == 1:
             assert eta is None
             assert lf == rhs
         else:
             assert [a - eta * b for a, b in zip(lf, s)] == rhs
+
+    @settings(max_examples=200, deadline=None)
+    @given(inverse_cases())
+    def test_integer_inverse_equals_the_gaussian_rational_sweeps(self, case):
+        k, rhs = case
+        f, eta = _rotation_inverse(k, rhs)
+        assert (f, eta) == naive_rotation_inverse(k, rhs)
+        if k % 2 == 0:
+            assert not euclidean_dot(f, radius_power_vector(k))
+
+    def test_integer_inverse_at_every_degree_to_30(self):
+        rng = random.Random(11)
+        for k in range(3, 31):
+            for rhs in ([GR_ZERO] * (k + 1), [
+                    gr(Fraction(rng.randint(-2**64, 2**64),
+                                rng.randint(1, 2**64)),
+                       Fraction(rng.randint(-2**64, 2**64),
+                                rng.randint(1, 2**64)))
+                    for _ in range(k + 1)]):
+                f, eta = _rotation_inverse(k, rhs)
+                assert (f, eta) == naive_rotation_inverse(k, rhs)
+                if k % 2 == 0:
+                    assert not euclidean_dot(f, radius_power_vector(k))
 
     def test_odd_degree_operator_injective(self):
         for k in range(3, 17, 2):
@@ -237,7 +324,7 @@ class TestLyapunovQuantities:
     def test_even_degree_operator_rank_deficit_one(self):
         # kernel and cokernel both along s = (x^2+y^2)^(k/2)
         for k in range(4, 17, 2):
-            s = _radius_power_vector(k)
+            s = radius_power_vector(k)
             assert rotate(k, s) == [gr(0)] * (k + 1)
             _, eta = _rotation_inverse(k, s)
             assert eta
@@ -277,6 +364,34 @@ class TestLyapunovQuantities:
         rep = lyapunov_quantities(norm, n)
         assert all(eta for _, eta in rep.obstructions)
         assert len(calls) == n // 2 + 2
+
+    def test_inverse_forms_no_gaussian_rational_product(self, monkeypatch):
+        # the sweeps run on ints; GaussianRational is built only to hand
+        # back each reduced coefficient
+        inside, degrees, calls = [False], [], []
+        inverse = center._rotation_inverse
+
+        def traced(k, rhs):
+            degrees.append(k)
+            inside[0] = True
+            try:
+                return inverse(k, rhs)
+            finally:
+                inside[0] = False
+
+        def counted(name):
+            op = getattr(GaussianRational, name)
+            return lambda a, b: (calls.append(name) if inside[0]
+                                 else None) or op(a, b)
+
+        monkeypatch.setattr(center, "_rotation_inverse", traced)
+        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(GaussianRational, name, counted(name))
+        n = 24
+        rep = lyapunov_quantities(normalize_rotation(dense_quadratic(n)), n)
+        assert degrees == list(range(3, n + 1))
+        assert all(eta for _, eta in rep.obstructions)
+        assert calls == []
 
     def test_requires_enough_truncation(self):
         norm = normalize_rotation(rotation_field(6))

@@ -268,6 +268,20 @@ class TestFormalFirstIntegral:
         with pytest.raises(ValueError):
             formal_first_integral_siegel(d_of(x * x + y * y), n)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 20).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.builds(
+            GaussianRational,
+            st.fractions(min_value=-9, max_value=9, max_denominator=50),
+            st.fractions(min_value=-9, max_value=9, max_denominator=50)),
+            min_size=k + 1, max_size=k + 1))))
+    def test_siegel_inverse_equals_gaussian_rational_division(self, case):
+        k, rhs = case
+        f, eta = foliation._siegel_inverse(k, rhs)
+        assert f == [GaussianRational() if 2 * r == k else c / (k - 2 * r)
+                     for r, c in enumerate(rhs)]
+        assert eta == (-rhs[k // 2] if k % 2 == 0 else None)
+
     def test_one_wedge_per_run(self, monkeypatch):
         # residuals come from homogeneous parts; the only full wedge is
         # the final exact check

@@ -512,6 +512,17 @@ class TestIntegerKernels:
         assert out == naive_substitution_root(terms, shift, n) == s
         assert all(c and in_lowest_terms(c) for c in out.values())
 
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s())
+    def test_partials_scale_each_part_by_the_exponent(self, p):
+        # the GaussianRational product by the int exponent, as before
+        n = max(p.truncation_degree - 1, 0)
+        kept = [(i, j, c) for (i, j), c in p.terms.items() if i + j - 1 <= n]
+        assert p.diff_x() == Poly2(
+            {(i - 1, j): c * i for i, j, c in kept if i}, n)
+        assert p.diff_y() == Poly2(
+            {(i, j - 1): c * j for i, j, c in kept if j}, n)
+
     def test_cancellation_leaves_no_zero_coefficient(self):
         # (1/6 + i/10)(3 + 5i) = 17i/15: the real parts cancel over the
         # shared denominator 30, and 34/30 comes back as 17/15
