@@ -29,7 +29,6 @@ from .series import (
     GaussianRational,
     Poly2,
     VectorField2,
-    _poly_powers,
     _scaled,
     _unscaled,
     ensure,
@@ -110,7 +109,11 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     """Conjugate a rotational linear part exactly to -y d/dx + x d/dy.
 
     Checks trace = 0 and det > 0 over the rationals, rescales time by
-    1/omega (omega^2 = det) and applies a rational linear change.  Raises
+    1/omega (omega^2 = det) and applies a rational linear change T.  The
+    conjugation runs through the dual form: T^*(q dx - p dy) is det T
+    times the dual form q' du - p' dv of the conjugate field (p', q') =
+    T^-1 X(T u) (`OneForm2.pullback_linear`), so dividing by omega det T
+    gives the normalized field and no inverse of T is formed.  Raises
     NotARotation when the hypothesis fails, IrrationalRotationFrequency
     when det is not the square of a rational.
     """
@@ -135,21 +138,13 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     # A t1 = omega t2 and A t2 = -omega t1 with t1 = (1, 0); det > 0 with
     # trace 0 forces a21 != 0, so T is invertible.
     t = ((gr(1), gr(a11.re / omega)), (gr(0), gr(a21.re / omega)))
-    det_t = t[0][0] * t[1][1] - t[0][1] * t[1][0]
-    tinv = (
-        (t[1][1] / det_t, -t[0][1] / det_t),
-        (-t[1][0] / det_t, t[0][0] / det_t),
-    )
-    p_sub = field.p.substitute_linear(t)
-    q_sub = field.q.substitute_linear(t)
-    scale = gr(1 / omega)
-    new_p = (tinv[0][0] * p_sub + tinv[0][1] * q_sub) * scale
-    new_q = (tinv[1][0] * p_sub + tinv[1][1] * q_sub) * scale
-    normalized = VectorField2(new_p, new_q)
+    pulled = field.dual_form().pullback_linear(t)
+    c = 1 / a21.re  # 1 / (omega det T)
+    normalized = VectorField2(pulled.b * -c, pulled.a * c)
     lin = normalized.linear_part_matrix()
     ensure(lin == [[GR_ZERO, gr(-1)], [gr(1), GR_ZERO]],
            "normalization failed")
-    return RotationNormalization(t, scale, normalized)
+    return RotationNormalization(t, gr(1 / omega), normalized)
 
 
 @cache
@@ -273,12 +268,11 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     # exact consistency guard: X(F) must equal the obstruction series
     check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),
                            first_integral.lift(n + 1))
-    nonzero = [(deg, eta) for deg, eta in obstructions if eta]
-    r2_powers = _poly_powers(Poly2({(2, 0): 1, (0, 2): 1}, n),
-                             max((deg // 2 for deg, _ in nonzero), default=0))
-    expected = Poly2.zero(n)
-    for deg, eta in nonzero:
-        expected = expected + r2_powers[deg // 2] * eta
+    # eta_k times the binomial coefficients s of (x^2+y^2)^(k/2), which
+    # the solve has cached; the powers have distinct degrees
+    expected = Poly2({(k - r, r): GaussianRational(eta.re * c, eta.im * c)
+                      for k, eta in obstructions if eta
+                      for r, c in enumerate(_degree_constants(k)[1]) if c}, n)
     ensure(check.truncate(n) == expected, "obstruction decomposition failed")
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None

@@ -516,16 +516,19 @@ def _real_slice(run):
 
 def _finite_order(run):
     g = run.spec.build_germ()
+    m, k_max = multiplier_order(g.multiplier), run.params["k_max"]
     section = {
         "multiplier": format_coefficient(g.multiplier),
-        "multiplier_order": multiplier_order(g.multiplier),
-        "k_max": run.params["k_max"],
+        "multiplier_order": m,
+        "k_max": k_max,
     }
     try:
-        order = finite_order(g, run.params["k_max"])
+        order = finite_order(g, k_max)
         section["order"] = order
         section["summary"] = (
             f"finite order {order}" if order is not None else
+            f"no finite order up to k_max = {k_max}; the multiplier is a "
+            f"root of unity of order {m}" if m and m > k_max else
             "no finite order (multiplier not a root of unity, or a nonzero "
             "term survives in the iterate)"
         )

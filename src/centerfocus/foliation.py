@@ -19,6 +19,7 @@ from .series import (
     InternalError,
     OneForm2,
     Poly2,
+    VectorField2,
     _homogeneous_parts,
     _product_sum,
     _scaled,
@@ -26,6 +27,7 @@ from .series import (
     ensure,
     gr,
     homological_series,
+    lie_derivative,
     substitute,
     substitution_root,
 )
@@ -348,8 +350,9 @@ def _divisor_singularities_chart_s(as_: Poly2, bs: Poly2) -> list[DivisorSingula
 
 
 def wedge_coefficient(f: Poly2, form: OneForm2) -> Poly2:
-    """Coefficient of dx^dy in df ^ form, i.e. f_x b - f_y a."""
-    return f.diff_x() * form.b - f.diff_y() * form.a
+    """Coefficient of dx^dy in df ^ form, i.e. f_x b - f_y a: the Lie
+    derivative of f along the dual field (b, -a)."""
+    return lie_derivative(VectorField2(form.b, -form.a), f)
 
 
 def _siegel_inverse(

@@ -4,10 +4,13 @@ Everything downstream (Lyapunov obstructions, Siegel first integrals,
 blow-up charts) rides on this module: coefficients are exact, truncation
 degrees are data carried by every value, and all operations are pure.
 `GaussianRational` is the boundary type of parsing, storage, reports and
-every value a caller sees.  The inner loops of products, substitutions
-and homological residuals run on Gaussian integers over one shared
-denominator per operand, so each output coefficient costs one gcd, not
-one per `+` and `*` (Henrici; Knuth, TAOCP Vol. 2, 4.5.1).
+every value a caller sees.  The inner loops of products, the Lie
+derivative X(F), the wedge dF ^ w (the Lie derivative along the dual
+field), linear and univariate substitutions and the homological
+residuals run on Gaussian integers over one shared denominator per
+operand, so each output coefficient costs one gcd, not one per `+` and
+`*` (Henrici; Knuth, TAOCP Vol. 2, 4.5.1).  Every sum of bivariate
+series products is one `_bilinear` call.
 """
 
 from __future__ import annotations
@@ -312,25 +315,15 @@ class Poly2:
                          self.truncation_degree)
         if not isinstance(other, Poly2):
             return NotImplemented
-        n = min(self.truncation_degree, other.truncation_degree)
-        b = _homogeneous_parts(other, n)
-        pairs: dict[int, list] = {}  # degree k: the pairs of parts adding to k
-        for e, pa in _homogeneous_parts(self, n).items():
-            for f, pb in b.items():
-                if e + f <= n:
-                    pairs.setdefault(e + f, []).append((pa, pb))
-        return Poly2({(k - r, r): c for k, ps in pairs.items()
-                      for r, c in _product_sum(ps, k).items()}, n)
+        return _bilinear([(self, other)],
+                         min(self.truncation_degree, other.truncation_degree))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly2":
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Poly2.constant(1, self.truncation_degree)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _powers(Poly2.constant(1, self.truncation_degree), self, k)[k]
 
     def diff_x(self) -> "Poly2":
         n = max(self.truncation_degree - 1, 0)
@@ -361,12 +354,11 @@ class Poly2:
         yg = _exactify(point[1])
         nx = max((i for i, _ in self.terms), default=0)
         ny = max((j for _, j in self.terms), default=0)
-        xp = _powers(xg, nx)
-        yp = _powers(yg, ny)
-        acc = GR_ZERO
-        for (i, j), c in self.terms.items():
-            acc = acc + c * xp[i] * yp[j]
-        return acc.to_complex()
+        xp = _powers(GR_ONE, xg, nx)
+        yp = _powers(GR_ONE, yg, ny)
+        return _dot(_scaled(self.terms.items()),
+                    _scaled((e, xp[e[0]] * yp[e[1]]) for e in self.terms)
+                    ).to_complex()
 
     def binary64(self):
         """The truncated polynomial as a binary64 function of (x, y).  The
@@ -393,12 +385,10 @@ class Poly2:
         l2 = Poly2({(1, 0): m10, (0, 1): m11}, n)
         nx = max((i for i, _ in self.terms), default=0)
         ny = max((j for _, j in self.terms), default=0)
-        p1 = _poly_powers(l1, nx)
-        p2 = _poly_powers(l2, ny)
-        out = Poly2.zero(n)
-        for (i, j), c in self.terms.items():
-            out = out + p1[i] * p2[j] * c
-        return out
+        one = Poly2.constant(1, n)
+        p1, p2 = _powers(one, l1, nx), _powers(one, l2, ny)
+        return _bilinear([(p1[i] * c, p2[j])
+                          for (i, j), c in self.terms.items()], n)
 
 
 def _exactify(z) -> GaussianRational:
@@ -406,15 +396,9 @@ def _exactify(z) -> GaussianRational:
     return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
-def _powers(base: GaussianRational, n: int) -> list[GaussianRational]:
-    out = [GR_ONE]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
-
-
-def _poly_powers(base: Poly2, n: int) -> list[Poly2]:
-    out = [Poly2.constant(1, base.truncation_degree)]
+def _powers(one, base, n: int) -> list:
+    """[one, base, base^2, ..., base^n]."""
+    out = [one]
     for _ in range(n):
         out.append(out[-1] * base)
     return out
@@ -486,10 +470,7 @@ class OneForm2:
         """Pull back under the substitution (x, y) = m @ (u, v)."""
         a_new = self.a.substitute_linear(m)
         b_new = self.b.substitute_linear(m)
-        m00 = GaussianRational.coerce(m[0][0])
-        m01 = GaussianRational.coerce(m[0][1])
-        m10 = GaussianRational.coerce(m[1][0])
-        m11 = GaussianRational.coerce(m[1][1])
+        (m00, m01), (m10, m11) = m
         # d(x) = m00 du + m01 dv, d(y) = m10 du + m11 dv
         return OneForm2(a_new * m00 + b_new * m10, a_new * m01 + b_new * m11)
 
@@ -601,7 +582,9 @@ def substitution_root(terms: list[tuple[int, int, GaussianRational]],
 
 def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:
     """p df/dx + q df/dy, truncated one degree below f."""
-    return field.p * f.diff_x() + field.q * f.diff_y()
+    fx, fy = f.diff_x(), f.diff_y()
+    return _bilinear([(field.p, fx), (field.q, fy)],
+                     min(field.truncation_degree, fx.truncation_degree))
 
 
 Homogeneous = list[GaussianRational]  # degree d: coefficients of x^(d-r) y^r
@@ -614,6 +597,21 @@ def _homogeneous_parts(f: Poly2, n: int) -> dict[int, Scaled]:
         if i + j <= n:
             parts.setdefault(i + j, []).append((j, c))
     return {d: _scaled(h) for d, h in parts.items()}
+
+
+def _bilinear(pairs: list[tuple[Poly2, Poly2]], n: int) -> Poly2:
+    """sum a b over the pairs (a, b) of series, through degree n: one
+    `_product_sum` per output degree k, over the pairs of the operands'
+    scaled homogeneous parts whose degrees add to k."""
+    by_degree: dict[int, list] = {}
+    for a, b in pairs:
+        bs = _homogeneous_parts(b, n)
+        for e, pa in _homogeneous_parts(a, n).items():
+            for f, pb in bs.items():
+                if e + f <= n:
+                    by_degree.setdefault(e + f, []).append((pa, pb))
+    return Poly2({(k - r, r): c for k, ps in by_degree.items()
+                  for r, c in _product_sum(ps, k).items()}, n)
 
 
 def homological_series(p: Poly2, q: Poly2, quadratic: Homogeneous, n: int,

@@ -153,6 +153,58 @@ def euclidean_dot(f, s):
     return sum((c * sv for c, sv in zip(f, s)), GR_ZERO)
 
 
+# The explicit-inverse normalization and the guard's repeated products
+# that `normalize_rotation` and `lyapunov_quantities` replaced.
+
+def naive_normalize(field):
+    """p and q carried through T one by one, then T^-1 applied by hand
+    and time rescaled by 1/omega."""
+    (a11, a12), (a21, a22) = field.linear_part_matrix()
+    omega = center._rational_sqrt(a11.re * a22.re - a12.re * a21.re)
+    t = ((gr(1), gr(a11.re / omega)), (gr(0), gr(a21.re / omega)))
+    det_t = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+    tinv = ((t[1][1] / det_t, -t[0][1] / det_t),
+            (-t[1][0] / det_t, t[0][0] / det_t))
+    p_sub = field.p.substitute_linear(t)
+    q_sub = field.q.substitute_linear(t)
+    scale = gr(1 / omega)
+    return t, scale, VectorField2(
+        (tinv[0][0] * p_sub + tinv[0][1] * q_sub) * scale,
+        (tinv[1][0] * p_sub + tinv[1][1] * q_sub) * scale)
+
+
+def naive_radius_series(obstructions, n):
+    """sum eta_k (x^2+y^2)^(k/2), each power by repeated products."""
+    r2 = Poly2({(2, 0): 1, (0, 2): 1}, n)
+    out = Poly2.zero(n)
+    for k, eta in obstructions:
+        power = Poly2.constant(1, n)
+        for _ in range(k // 2):
+            power = power * r2
+        out = out + power * eta
+    return out
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rotational_fields(draw):
+    """A real field with linear part [[a, b], [c, -a]], c != 0, of
+    frequency omega (a^2 + b c = -omega^2), plus quadratic and cubic
+    terms; truncated at 4..8."""
+    a, omega = draw(small), draw(small.filter(lambda v: v > 0))
+    c = draw(small.filter(bool))
+    b = -(a * a + omega * omega) / c
+    n = draw(st.integers(4, 8))
+    higher = st.dictionaries(
+        st.sampled_from([(i, d - i) for d in (2, 3) for i in range(d + 1)]),
+        small, max_size=7)
+    p = Poly2({(1, 0): a, (0, 1): b, **draw(higher)}, n)
+    q = Poly2({(1, 0): c, (0, 1): -a, **draw(higher)}, n)
+    return VectorField2(p, q)
+
+
 def hamiltonian_cubic(n):
     # H = (x^2+y^2)/2 + x^3/3, field (-H_y, H_x)
     x, y = Poly2.var_x(n), Poly2.var_y(n)
@@ -353,8 +405,9 @@ class TestLyapunovQuantities:
 
     def test_guard_builds_each_radius_power_once(self, monkeypatch):
         # the dense quadratic is a focus with eta_k != 0 at every even k:
-        # the guard needs (x^2+y^2)^j for j <= n/2, one product each, and
-        # the Lie derivative two more
+        # the guard writes each (x^2+y^2)^(k/2) from its binomial
+        # coefficients, and the Lie derivative accumulates its two
+        # products in the series kernel, so no Poly2 product is formed
         n = 24
         norm = normalize_rotation(dense_quadratic(n))
         calls = []
@@ -363,7 +416,28 @@ class TestLyapunovQuantities:
             calls.append(1) if isinstance(b, Poly2) else None) or mul(a, b))
         rep = lyapunov_quantities(norm, n)
         assert all(eta for _, eta in rep.obstructions)
-        assert len(calls) == n // 2 + 2
+        assert len(calls) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(rotational_fields())
+    def test_normalization_equals_explicit_inverse(self, field):
+        norm = normalize_rotation(field)
+        t, scale, normalized = naive_normalize(field)
+        assert norm.change_matrix == t
+        assert norm.time_rescale == scale
+        assert norm.normalized == normalized
+
+    @settings(max_examples=40, deadline=None)
+    @given(rotational_fields())
+    def test_guard_equals_repeated_products(self, field):
+        # the run's own guard passed, so its binomial series equals X(F);
+        # X(F) must equal the repeated-product series as well
+        n = field.truncation_degree
+        norm = normalize_rotation(field)
+        rep = lyapunov_quantities(norm, n)
+        check = lie_derivative(norm.normalized.lift(n + 1),
+                               rep.first_integral.lift(n + 1))
+        assert check.truncate(n) == naive_radius_series(rep.obstructions, n)
 
     def test_inverse_forms_no_gaussian_rational_product(self, monkeypatch):
         # the sweeps run on ints; GaussianRational is built only to hand

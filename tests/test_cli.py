@@ -178,6 +178,22 @@ class TestRunPipeline:
         assert all(r["status"] == "periodic" and 4 % r["period"] == 0
                    for r in rows)
 
+    def test_order_above_k_max_is_named(self, tmp_path):
+        # z -> iz has order 4; k_max = 3 only rules out orders up to 3
+        doc = {"kind": "germ", "truncation": 8, "coeffs": [[1, "0+1 i"]],
+               "analysis": {"k_max": 3}}
+        section = run_pipeline(parse_spec(_write(tmp_path, doc)),
+                               command="germ")["sections"]["finite_order"]
+        assert section["order"] is None
+        assert section["multiplier_order"] == 4
+        assert section["summary"] == ("no finite order up to k_max = 3; the "
+                                      "multiplier is a root of unity of "
+                                      "order 4")
+        doc["analysis"]["k_max"] = 4
+        section = run_pipeline(parse_spec(_write(tmp_path, doc)),
+                               command="germ")["sections"]["finite_order"]
+        assert section["summary"] == "finite order 4"
+
 
 class TestDeterminismAndGolden:
     def test_reports_identical_modulo_timestamp(self):

@@ -22,7 +22,13 @@ from centerfocus.foliation import (
     siegel_check,
     wedge_coefficient,
 )
-from centerfocus.series import GaussianRational, OneForm2, Poly2, VectorField2
+from centerfocus.series import (
+    GaussianRational,
+    OneForm2,
+    Poly2,
+    VectorField2,
+    gr,
+)
 
 from sympy_oracle import X, Y
 
@@ -297,6 +303,90 @@ class TestFormalFirstIntegral:
         _, obstructions = formal_first_integral_siegel(form, n)
         assert len(calls) == 1
         assert any(eta for _, eta in obstructions)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def monomials(*degrees):
+    return st.sampled_from([(i, d - i) for d in degrees for i in range(d + 1)])
+
+
+@st.composite
+def rotational_fields(draw, n=8):
+    """(field, known, degree): a real rotational field through a random
+    rational linear change and time scale, whether its first nonzero
+    obstruction is known by construction, and that degree (None for a
+    center).
+
+    Either X_H + mu (x^2+y^2)^m (x d/dx + y d/dy) with H = (x^2+y^2)/2 +
+    cubic + quartic: X_H has the first integral 2H, and the radial term
+    puts the first nonzero obstruction at degree 2m + 2 (none if mu = 0,
+    a Hamiltonian center).  Or -y d/dx + x d/dy plus random quadratic and
+    cubic terms (not known)."""
+    x, y = Poly2.var_x(n), Poly2.var_y(n)
+    if draw(st.booleans()):
+        h = Poly2({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2),
+                   **draw(st.dictionaries(monomials(3, 4), small))}, n)
+        m, mu = draw(st.integers(1, 3)), draw(small)
+        radial = Poly2({(2, 0): 1, (0, 2): 1}, n) ** m * mu
+        p = -h.diff_y().lift(n) + x * radial
+        q = h.diff_x().lift(n) + y * radial
+        known, degree = True, 2 * m + 2 if mu else None
+    else:
+        p = -y + Poly2(draw(st.dictionaries(monomials(2, 3), small)), n)
+        q = x + Poly2(draw(st.dictionaries(monomials(2, 3), small)), n)
+        known, degree = False, None
+    (a, b), (c, d) = draw(st.tuples(small, small, small, small).filter(
+        lambda t: t[0] * t[3] - t[1] * t[2]).map(lambda t: (t[:2], t[2:])))
+    scale = draw(small.filter(lambda v: v > 0)) / (a * d - b * c)
+    ps, qs = p.substitute_linear(((a, b), (c, d))), \
+        q.substitute_linear(((a, b), (c, d)))
+    # lambda A^-1 X(A u)
+    return VectorField2((ps * d - qs * b) * scale,
+                        (qs * a - ps * c) * scale), known, degree
+
+
+class TestCrossRoute:
+    """The real-coordinate and the Siegel route see one obstruction: the
+    first nonzero one sits at the same degree on both, with eta_real =
+    i eta_Siegel there."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rotational_fields())
+    def test_first_nonzero_obstruction_agrees(self, case):
+        field, known, degree = case
+        n = field.truncation_degree
+        norm = normalize_rotation(field)
+        real = lyapunov_quantities(norm, n).obstructions
+        _, siegel = formal_first_integral_siegel(complexify(norm).form, n)
+        assert [k for k, _ in real] == [k for k, _ in siegel]
+        first = next((j for j, (_, eta) in enumerate(real) if eta), None)
+        assert first == next(
+            (j for j, (_, eta) in enumerate(siegel) if eta), None)
+        if known:
+            assert degree == (None if first is None else real[first][0])
+        if first is not None:
+            assert real[first][1] == GaussianRational(0, 1) * siegel[first][1]
+
+    def test_focus_at_degree_six_and_eight(self):
+        # hand cases: mu (x^2+y^2)^m (x, y) on the rotation gives
+        # eta_(2m+2) = 2 mu on the real route
+        n = 8
+        x, y = Poly2.var_x(n), Poly2.var_y(n)
+        r2 = x * x + y * y
+        for m, mu in ((2, 3), (3, -1)):
+            radial = r2 ** m * mu
+            norm = normalize_rotation(VectorField2(-y + x * radial,
+                                                   x + y * radial))
+            real = lyapunov_quantities(norm, n).obstructions
+            _, siegel = formal_first_integral_siegel(complexify(norm).form,
+                                                     n)
+            k = 2 * m + 2
+            assert [eta for deg, eta in real if eta] == [gr(2 * mu)]
+            assert [deg for deg, eta in real if eta] == [k]
+            assert [(deg, eta) for deg, eta in siegel if eta] == \
+                [(k, gr(0, -2 * mu))]
 
 
 class TestFactorFg:

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centerfocus import series
+from centerfocus.foliation import wedge_coefficient
 from centerfocus.series import (
     GR_ONE,
     GaussianRational,
@@ -412,6 +413,30 @@ def naive_substitution_root(terms, shift, n):
     return {k: c for k, c in enumerate(s) if c}
 
 
+def naive_substitute_linear(f, m):
+    """Term by term: each c l1^i l2^j is its own product, then added."""
+    n = f.truncation_degree
+    l1 = Poly2({(1, 0): m[0][0], (0, 1): m[0][1]}, n)
+    l2 = Poly2({(1, 0): m[1][0], (0, 1): m[1][1]}, n)
+    out = Poly2.zero(n)
+    for (i, j), c in f.terms.items():
+        term = Poly2.constant(c, n)
+        for factor in [l1] * i + [l2] * j:
+            term = naive_poly_mul(term, factor)
+        out = out + term
+    return out
+
+
+def naive_lie_derivative(field, f):
+    return (naive_poly_mul(field.p, f.diff_x())
+            + naive_poly_mul(field.q, f.diff_y()))
+
+
+def naive_wedge(f, form):
+    return (naive_poly_mul(f.diff_x(), form.b)
+            - naive_poly_mul(f.diff_y(), form.a))
+
+
 def in_lowest_terms(c):
     return all(math.gcd(f.numerator, f.denominator) == 1 and f.denominator > 0
                for f in (c.re, c.im))
@@ -428,14 +453,31 @@ gaussian = st.one_of(
     st.builds(GaussianRational, part, part))
 
 
+def series_at(n):
+    """Possibly empty series truncated at n."""
+    exponents = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+        lambda e: sum(e) <= n)
+    return st.dictionaries(exponents, gaussian, max_size=12).map(
+        lambda terms: Poly2(terms, n))
+
+
 @st.composite
 def poly2s(draw, n_max=7):
     """Possibly empty series, truncated anywhere in 0..n_max, so that a
     product with a lower truncation drops this one's higher terms."""
+    return draw(series_at(draw(st.integers(0, n_max))))
+
+
+@st.composite
+def component_pairs(draw, n_max=7):
+    """Two series at one truncation: the components of a field or form."""
     n = draw(st.integers(0, n_max))
-    exponents = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
-        lambda e: sum(e) <= n)
-    return Poly2(draw(st.dictionaries(exponents, gaussian, max_size=12)), n)
+    return draw(series_at(n)), draw(series_at(n))
+
+
+nonsingular = st.tuples(gaussian, gaussian, gaussian, gaussian).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2]).map(
+    lambda m: ((m[0], m[1]), (m[2], m[3])))
 
 
 def useries(top):
@@ -522,6 +564,38 @@ class TestIntegerKernels:
             {(i - 1, j): c * i for i, j, c in kept if i}, n)
         assert p.diff_y() == Poly2(
             {(i, j - 1): c * j for i, j, c in kept if j}, n)
+
+    # the linear forms l1, l2 are built at the series' truncation, so it
+    # must be at least 1
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s().filter(lambda f: f.truncation_degree), nonsingular)
+    @example(Poly2({}, 3), ((1, 0), (0, 1)))
+    @example(Poly2({(2, 1): gr(0, Fraction(1, 3))}, 4), ((gr(1), gr(1)),
+                                                        (gr(0, 1), gr(0, -1))))
+    def test_substitute_linear(self, f, m):
+        out = f.substitute_linear(m)
+        assert out == naive_substitute_linear(f, m)
+        assert all(c and in_lowest_terms(c) for c in out.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(component_pairs(), poly2s())
+    @example((Poly2({}, 2), Poly2({}, 2)), Poly2({(1, 1): 1}, 3))
+    @example((Poly2({(0, 1): -1}, 3), Poly2({(1, 0): 1}, 3)),
+             Poly2({(2, 0): gr(1, 2)}, 3))
+    def test_lie_derivative(self, pq, f):
+        out = lie_derivative(VectorField2(*pq), f)
+        assert out == naive_lie_derivative(VectorField2(*pq), f)
+        assert all(c and in_lowest_terms(c) for c in out.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(component_pairs(), poly2s())
+    @example((Poly2({}, 2), Poly2({}, 2)), Poly2({(1, 1): 1}, 3))
+    @example((Poly2({(0, 1): 1}, 3), Poly2({(1, 0): 1}, 3)),
+             Poly2({(1, 2): gr(0, -1)}, 5))
+    def test_wedge(self, ab, f):
+        out = wedge_coefficient(f, OneForm2(*ab))
+        assert out == naive_wedge(f, OneForm2(*ab))
+        assert all(c and in_lowest_terms(c) for c in out.terms.values())
 
     def test_cancellation_leaves_no_zero_coefficient(self):
         # (1/6 + i/10)(3 + 5i) = 17i/15: the real parts cancel over the
