@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -628,6 +629,7 @@ def render_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # command line
 
+@cache  # built on first use, then shared by every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="centerfocus",

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .center import RotationNormalization
 from .series import (
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     InternalError,
@@ -28,6 +27,7 @@ from .series import (
     gr,
     homological_series,
     lie_derivative,
+    power_rows,
     substitute,
     substitution_root,
 )
@@ -424,7 +424,7 @@ def _solve_branch(F: Poly2, solve_for_y: bool) -> dict[int, GaussianRational]:
     terms = [((i, j, c) if solve_for_y else (j, i, c))
              for (i, j), c in F.terms.items()]
     branch = substitution_root(terms, 1, m)
-    resid = substitute(terms, [{0: GR_ONE}, branch], m)
+    resid = substitute(terms, power_rows(branch), m)
     if resid:
         raise BranchFailure(
             f"branch residual has unexpected low-order terms {sorted(resid)}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .series import (GR_ONE, GR_ZERO, GaussianRational, Scalar, gr,
-                     substitute, substitution_root)
+                     power_rows, substitute, substitution_root)
 
 __all__ = [
     "Germ1",
@@ -124,8 +124,7 @@ def compose(f: Germ1, g: Germ1) -> Germ1:
     """Truncated series of f(g(z)), as sum_m f_m g^m."""
     n = min(f.truncation_degree, g.truncation_degree)
     terms = [(0, m, c) for m, c in f.coeffs.items() if m <= n]
-    gt = {k: c for k, c in g.coeffs.items() if k <= n}
-    return Germ1(substitute(terms, [{0: GR_ONE}, gt], n), n)
+    return Germ1(substitute(terms, power_rows(g.coeffs), n), n)
 
 
 def invert(f: Germ1) -> Germ1:
@@ -144,14 +143,14 @@ def invert(f: Germ1) -> Germ1:
 def power(f: Germ1, k: int) -> Germ1:
     """k-fold composition f o ... o f (k >= 1).
 
-    The powers f, f^2, ... of the inner germ are formed once, in one
-    table that `series.substitute` extends; each further composition
-    out o f is then the linear combination sum_j out_j f^j.
+    The powers f, f^2, ... of the inner germ are formed once, in one list
+    of Gaussian-integer rows that `series.substitute` extends; then each
+    composition out o f is the linear combination sum_j out_j f^j.
     """
     if k < 1:
         raise ValueError("power requires k >= 1")
     n = f.truncation_degree
-    out, powers = f.coeffs, [{0: GR_ONE}, f.coeffs]
+    out, powers = f.coeffs, power_rows(f.coeffs)
     for _ in range(k - 1):
         out = substitute([(0, m, c) for m, c in out.items()], powers, n)
     return Germ1(out, n)

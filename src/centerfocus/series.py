@@ -10,7 +10,10 @@ field), linear and univariate substitutions and the homological
 residuals run on Gaussian integers over one shared denominator per
 operand, so each output coefficient costs one gcd, not one per `+` and
 `*` (Henrici; Knuth, TAOCP Vol. 2, 4.5.1).  Every sum of bivariate
-series products is one `_bilinear` call.
+series products is one `_bilinear` call.  The power tables of the
+univariate substitutions hold s^j as Gaussian-integer rows, each over
+one denominator, so no row is rescaled or rounded back to
+`GaussianRational` once it is built.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "InternalError",
     "ensure",
     "gr",
-    "umul",
+    "power_rows",
     "substitute",
     "substitution_root",
     "lie_derivative",
@@ -52,6 +55,14 @@ def ensure(condition, message: str) -> None:
 
 
 Scalar = Union[int, Fraction, "GaussianRational"]
+
+
+def _coerced(op):
+    """A GaussianRational operator that coerces int and Fraction operands."""
+    def method(self, other):
+        other = GaussianRational._try_coerce(other)
+        return NotImplemented if other is None else op(self, other)
+    return method
 
 
 @dataclass(frozen=True)
@@ -89,10 +100,8 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
+    @_coerced
     def __add__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -100,46 +109,28 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    @_coerced
     def __sub__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    __rsub__ = _coerced(lambda self, other: other - self)
 
+    @_coerced
     def __mul__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return GaussianRational((self.re * other.re + self.im * other.im) / d,
+                                (self.im * other.re - self.re * other.im) / d)
 
-    def __rtruediv__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+    __rtruediv__ = _coerced(lambda self, other: other / self)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -299,8 +290,6 @@ class Poly2:
                      self.truncation_degree)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly2.constant(other, self.truncation_degree)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -309,8 +298,6 @@ class Poly2:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.coerce(other)
-            if not c:
-                return Poly2.zero(self.truncation_degree)
             return Poly2({e: v * c for e, v in self.terms.items()},
                          self.truncation_degree)
         if not isinstance(other, Poly2):
@@ -327,19 +314,15 @@ class Poly2:
 
     def diff_x(self) -> "Poly2":
         n = max(self.truncation_degree - 1, 0)
-        acc = {}
-        for (i, j), c in self.terms.items():
-            if i >= 1 and (i - 1) + j <= n:
-                acc[(i - 1, j)] = GaussianRational(c.re * i, c.im * i)
-        return Poly2(acc, n)
+        return Poly2({(i - 1, j): GaussianRational(c.re * i, c.im * i)
+                      for (i, j), c in self.terms.items()
+                      if i and i + j <= n + 1}, n)
 
     def diff_y(self) -> "Poly2":
         n = max(self.truncation_degree - 1, 0)
-        acc = {}
-        for (i, j), c in self.terms.items():
-            if j >= 1 and i + (j - 1) <= n:
-                acc[(i, j - 1)] = GaussianRational(c.re * j, c.im * j)
-        return Poly2(acc, n)
+        return Poly2({(i, j - 1): GaussianRational(c.re * j, c.im * j)
+                      for (i, j), c in self.terms.items()
+                      if j and i + j <= n + 1}, n)
 
     # -- evaluation ----------------------------------------------------
 
@@ -350,26 +333,29 @@ class Poly2:
         dyadic rationals), the sum is accumulated exactly, and the result
         is rounded to binary64 once.
         """
-        xg = _exactify(point[0])
-        yg = _exactify(point[1])
-        nx = max((i for i, _ in self.terms), default=0)
-        ny = max((j for _, j in self.terms), default=0)
-        xp = _powers(GR_ONE, xg, nx)
-        yp = _powers(GR_ONE, yg, ny)
-        return _dot(_scaled(self.terms.items()),
-                    _scaled((e, xp[e[0]] * yp[e[1]]) for e in self.terms)
-                    ).to_complex()
+        nx, ny = (max((e[k] for e in self.terms), default=0) for k in (0, 1))
+        xp = _powers(GR_ONE, _exactify(point[0]), nx)
+        yp = _powers(GR_ONE, _exactify(point[1]), ny)
+        d, cs = _scaled(self.terms.items())
+        dm, ms = _scaled((e, xp[e[0]] * yp[e[1]]) for e in self.terms)
+        mk = {e: (x, y) for e, x, y in ms}
+        return _unscaled(d * dm, *_gdot(((x, y), mk[e]) for e, x, y in cs
+                                        if e in mk)).to_complex()
 
     def binary64(self):
         """The truncated polynomial as a binary64 function of (x, y).  The
         coefficients are rounded once, here: to float when all of them
         are real, to complex otherwise; the function sums c x^i y^j over
-        the sorted terms."""
-        terms = [(i, j, float(c.re) if self.real else c.to_complex())
+        the sorted terms, with each x**i and y**j raised once per point."""
+        real = self.real
+        terms = [(i, j, float(c.re) if real else c.to_complex())
                  for (i, j), c in sorted(self.terms.items())]
+        nx, ny = (max((e[k] for e in self.terms), default=0) for k in (0, 1))
 
         def evaluate(x, y):
-            return sum(c * x**i * y**j for i, j, c in terms)
+            xp = [x**i for i in range(nx + 1)]
+            yp = [y**j for j in range(ny + 1)]
+            return sum(c * xp[i] * yp[j] for i, j, c in terms)
 
         return evaluate
 
@@ -381,10 +367,9 @@ class Poly2:
         if not det:
             raise SingularMatrix("substitution matrix is singular")
         n = self.truncation_degree
-        l1 = Poly2({(1, 0): m00, (0, 1): m01}, n)
-        l2 = Poly2({(1, 0): m10, (0, 1): m11}, n)
-        nx = max((i for i, _ in self.terms), default=0)
-        ny = max((j for _, j in self.terms), default=0)
+        l1 = Poly2({(1, 0): m00, (0, 1): m01}, max(n, 1)).truncate(n)
+        l2 = Poly2({(1, 0): m10, (0, 1): m11}, max(n, 1)).truncate(n)
+        nx, ny = (max((e[k] for e in self.terms), default=0) for k in (0, 1))
         one = Poly2.constant(1, n)
         p1, p2 = _powers(one, l1, nx), _powers(one, l2, ny)
         return _bilinear([(p1[i] * c, p2[j])
@@ -494,11 +479,10 @@ def _unscaled(d: int, re: int, im: int) -> GaussianRational:
     return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
-def _product_sum(pairs: list[tuple[Scaled, Scaled]],
-                 n: int) -> dict[int, GaussianRational]:
-    """The nonzero coefficients 0..n of sum a b over the scaled series
-    pairs (a, b), keys adding and products beyond n dropped.  The sum is
-    accumulated on Gaussian integers over the least common denominator."""
+def _accumulate(pairs: list[tuple[Scaled, Scaled]], n: int) -> Scaled:
+    """sum a b over the scaled series pairs (a, b), keys adding and
+    products beyond n dropped, scaled over the least common denominator
+    of the products: Gaussian integers, not reduced."""
     den = math.lcm(*(da * db for (da, _), (db, _) in pairs))
     re, im = [0] * (n + 1), [0] * (n + 1)
     for (da, a), (db, b) in pairs:
@@ -509,38 +493,45 @@ def _product_sum(pairs: list[tuple[Scaled, Scaled]],
                 if r + s <= n:
                     re[r + s] += ar * br - ai * bi
                     im[r + s] += ar * bi + ai * br
-    return {k: _unscaled(den, x, y)
-            for k, (x, y) in enumerate(zip(re, im)) if x or y}
+    return den, [(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]
 
 
-def _dot(a: Scaled, b: Scaled) -> GaussianRational:
-    """sum a_k b_k over the keys the scaled series a and b share."""
-    bk = {k: (x, y) for k, x, y in b[1]}
-    t = [(x, y, *bk[k]) for k, x, y in a[1] if k in bk]
-    return _unscaled(a[0] * b[0], sum(x * p - y * q for x, y, p, q in t),
-                     sum(x * q + y * p for x, y, p, q in t))
+def _product_sum(pairs: list[tuple[Scaled, Scaled]],
+                 n: int) -> dict[int, GaussianRational]:
+    """The nonzero coefficients 0..n of `_accumulate`, one gcd each."""
+    den, terms = _accumulate(pairs, n)
+    return {k: _unscaled(den, x, y) for k, x, y in terms}
 
 
-def umul(a: dict[int, GaussianRational], b: dict[int, GaussianRational],
-         n: int) -> dict[int, GaussianRational]:
-    """Product of univariate series {degree: coefficient} to degree n,
-    without zero coefficients."""
-    return _product_sum([(_scaled(a.items()), _scaled(b.items()))], n)
+def _gdot(pairs) -> tuple[int, int]:
+    """sum a b over the pairs (a, b) of Gaussian integers (re, im)."""
+    re = im = 0
+    for (ar, ai), (br, bi) in pairs:
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    return re, im
+
+
+def power_rows(s: dict[int, GaussianRational]) -> list[Scaled]:
+    """[s^0, s^1], scaled: the start of a power list for `substitute`."""
+    return [(1, [(0, 1, 0)]), _scaled(s.items())]
 
 
 def substitute(terms: list[tuple[int, int, GaussianRational]],
-               powers: list[dict[int, GaussianRational]],
-               n: int) -> dict[int, GaussianRational]:
+               powers: list[Scaled], n: int) -> dict[int, GaussianRational]:
     """sum_(i, j, c) c z^i s(z)^j through degree n, without zero
-    coefficients, from the caller's list [s^0, s^1, ...] = [{0: 1}, s, ...]
-    of powers of s.  `umul` extends that list in place as far as the terms
-    need, so substituting into the same s again reuses the powers."""
+    coefficients, from the caller's power list of s (`power_rows`), which
+    is extended in place as far as the terms need.  Row j + 1 is the
+    Gaussian-integer product of rows j and 1 divided by its gcd (else row
+    j of a germ with s_k over q^k sits over q^(jn)), and is kept as is."""
     top = max((j for _, j, _ in terms), default=0)
     while len(powers) <= top:
-        powers.append(umul(powers[-1], powers[1], n))
-    return _product_sum([(_scaled((i, c) for i, k, c in terms if k == j),
-                          _scaled(powers[j].items()))
-                         for j in {j for _, j, _ in terms}], n)
+        den, row = _accumulate([(powers[-1], powers[1])], n)
+        g = math.gcd(den, *(v for _, x, y in row for v in (x, y)))
+        powers.append((den // g, [(k, x // g, y // g) for k, x, y in row]))
+    den, cs = _scaled(((i, j), c) for i, j, c in terms)
+    return _product_sum([((den, [(i, x, y) for (i, k), x, y in cs if k == j]),
+                          powers[j]) for j in {j for _, j, _ in terms}], n)
 
 
 def substitution_root(terms: list[tuple[int, int, GaussianRational]],
@@ -553,31 +544,38 @@ def substitution_root(terms: list[tuple[int, int, GaussianRational]],
     that degree's coefficient with s_k = 0 and lead the coefficient of
     z^shift s.  Callers keep every other term out of that degree (no
     z^i s with i < shift, no z^i s^j with j >= 2 and i + j <= shift + 1).
-    A table holds [s^j]_d for every power j in the terms and is extended
-    by one degree per step, so the whole solve takes O(n^3) exact
-    operations in place of a full substitution per degree (Brent & Kung,
-    J. ACM 25, 1978).  Each table entry and residual is summed on Gaussian
-    integers over one shared denominator, with one gcd per coefficient;
-    s and the table hold GaussianRational.  Returns the nonzero s_k,
-    k <= n - shift.
+    A table of D^j [s^j]_d on Gaussian integers, D the running denominator
+    of s, grows by one degree per step: O(n^3) exact operations in all
+    (Brent & Kung, J. ACM 25, 1978).  Row j is multiplied by t^j when D
+    grows by t; its entries below degree j (shift + 1) are zero and never
+    formed.  Returns the nonzero s_k, k <= n - shift.
     """
-    top = max(j for _, j, _ in terms)
-    s = [GR_ZERO] * (n + 1)
-    powers = [[GR_ONE] + [GR_ZERO] * n, s]
-    powers += [[GR_ZERO] * (n + 1) for _ in range(top - 1)]
+    top, low = max(j for _, j, _ in terms), shift + 1
     lead = sum((c for i, j, c in terms if (i, j) == (shift, 1)), GR_ZERO)
-    cs = _scaled(enumerate(c for _, _, c in terms))
+    cden, cs = _scaled(((i, j), c) for i, j, c in terms)
+    rows = [[(int(j == 0), 0)] + [(0, 0)] * n for j in range(top + 1)]
+    den, dpow, s = 1, [1] * (top + 1), {}  # dpow[j] = D^(top - j)
     for d in range(1, n + 1):
-        # [s^j]_d needs s_e for e < d - shift only, all solved by now
-        sd = _scaled(enumerate(s[:d]))
-        for j in range(2, top + 1):
-            powers[j][d] = _dot(sd, _scaled(
-                (d - e, c) for e, c in enumerate(powers[j - 1][:d])))
-        if d > 2 * shift:
-            residual = _dot(cs, _scaled((t, powers[j][d - i]) for t, (i, j, _)
-                                        in enumerate(terms) if i <= d))
-            s[d - shift] = -residual / lead
-    return {k: c for k, c in enumerate(s) if c}
+        # [s^j]_d needs s_e for e <= d - (j - 1) low < d - shift only
+        for j in range(2, min(top, d // low) + 1):
+            rows[j][d] = _gdot((rows[1][e], rows[j - 1][d - e])
+                               for e in range(low, d - (j - 1) * low + 1))
+        if d <= 2 * shift:
+            continue
+        c = -_unscaled(cden * dpow[0], *_gdot(
+            ((x * dpow[j], y * dpow[j]), rows[j][d - i])
+            for (i, j), x, y in cs if i <= d - j * low)) / lead
+        t = math.lcm(den, c.re.denominator, c.im.denominator) // den
+        if t > 1:
+            den *= t
+            dpow = [p * t ** (top - j) for j, p in enumerate(dpow)]
+            rows = [[(x * tj, y * tj) for x, y in row]
+                    for j, row in enumerate(rows) for tj in [t ** j]]
+        rows[1][d - shift] = (c.re.numerator * (den // c.re.denominator),
+                              c.im.numerator * (den // c.im.denominator))
+        if c:
+            s[d - shift] = c
+    return s
 
 
 def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:

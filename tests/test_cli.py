@@ -11,6 +11,7 @@ from centerfocus.cli import (
     ParseError,
     ValidationError,
     _STAGES,
+    _build_parser,
     format_coefficient,
     main,
     parse_coefficient,
@@ -291,6 +292,22 @@ class TestMainExitCodes:
         section = json.loads(out.read_text())["sections"]["return_maps"]
         assert section["error"]["type"] == "NoReturn"
         assert section["error"]["category"] == "numeric"
+
+    def test_parser_is_built_once_and_keeps_no_options(self, tmp_path):
+        # one parser serves every call in a process; an option given to
+        # one call does not carry over to the next
+        doc = {"kind": "germ", "truncation": 8, "coeffs": [[1, "0+1 i"]]}
+        path, out = _write(tmp_path, doc), tmp_path / "report.json"
+        assert main(["germ", str(path), "--kmax", "3", "--out", str(out)]) == 0
+        first = json.loads(out.read_text())["sections"]["finite_order"]
+        assert main(["germ", str(path), "--out", str(out)]) == 0
+        second = json.loads(out.read_text())["sections"]["finite_order"]
+        assert (first["k_max"], second["k_max"]) == (3, 200)
+        assert second["order"] == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["germ", str(path), "--kmax", "three"])
+        assert exc.value.code == 2
+        assert _build_parser() is _build_parser()
 
     def test_lyapunov_subcommand_sections(self, tmp_path):
         out = tmp_path / "report.json"

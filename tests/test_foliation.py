@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerfocus import foliation
+from centerfocus import foliation, series
 from centerfocus.center import lyapunov_quantities, normalize_rotation
 from centerfocus.foliation import (
     BranchFailure,
@@ -496,6 +496,19 @@ class TestFactorFg:
         calls = count_products(monkeypatch)
         factor_fg(target, 14)
         assert len(calls) <= 2
+
+    def test_scaled_calls_at_n14(self, monkeypatch):
+        # each branch scales its terms once, and its check scales the
+        # branch and the terms once: the rest is the unit, one scaled
+        # degree each, and the two products (253 calls when the branch
+        # solve scaled its power table at every degree)
+        target, calls = generic_target(17), []
+        scaled = foliation._scaled
+        for module in (series, foliation):
+            monkeypatch.setattr(module, "_scaled",
+                                lambda items: calls.append(1) or scaled(items))
+        factor_fg(target, 14)
+        assert len(calls) <= 82
 
 
 class TestRealSlice:

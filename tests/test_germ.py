@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerfocus import germ
+from centerfocus import germ, series
 from centerfocus.germ import (
     Germ1,
     InconclusiveOrder,
@@ -15,7 +15,7 @@ from centerfocus.germ import (
     power,
     pseudo_orbit,
 )
-from centerfocus.series import GaussianRational, gr, umul
+from centerfocus.series import GaussianRational, gr
 
 
 def random_germ(rng: random.Random, n: int, multiplier=1) -> Germ1:
@@ -23,6 +23,25 @@ def random_germ(rng: random.Random, n: int, multiplier=1) -> Germ1:
     for k in range(2, n + 1):
         if rng.random() < 0.6:
             coeffs[k] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Germ1(coeffs, n)
+
+
+def naive_product(a: dict, b: dict, n: int) -> dict:
+    """{degree: coefficient} product through degree n, term pair by pair."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if ka + kb <= n:
+                out[ka + kb] = out.get(ka + kb, gr(0)) + ca * cb
+    return out
+
+
+def mobius(lam, c, n: int) -> Germ1:
+    """lam z / (1 - c (1 - lam) z): a Moebius conjugate of z -> lam z."""
+    ratio, coeffs, term = c * (1 - lam), {}, lam
+    for k in range(1, n + 1):
+        coeffs[k] = term
+        term = term * ratio
     return Germ1(coeffs, n)
 
 
@@ -34,7 +53,7 @@ def horner_compose(f: Germ1, g: Germ1) -> Germ1:
         c = f.coefficient(m)
         if c:
             acc[0] = acc.get(0, gr(0)) + c
-        acc = umul(acc, g.coeffs, n)
+        acc = naive_product(acc, g.coeffs, n)
     return Germ1(acc, n)
 
 
@@ -157,6 +176,18 @@ class TestPower:
             out = compose(out, f)
         assert power(f, k) == out
 
+    def test_equals_repeated_composition_at_n40(self):
+        # denominators grow with the degree: 6^k in the Moebius germ, and
+        # the fractions of the polynomial germ mix 2, 3 and 5
+        rng = random.Random(13)
+        for f in (mobius(gr(0, 1), gr(Fraction(1, 2), Fraction(-1, 3)), 40),
+                  mobius(gr(-1), gr(Fraction(2, 5)), 40),
+                  random_germ(rng, 40, gr(Fraction(3, 5), Fraction(4, 5)))):
+            out = f
+            for k in range(2, 6):
+                out = compose(out, f)
+                assert power(f, k) == out
+
 
 class TestFiniteOrder:
     def test_quarter_rotation(self):
@@ -206,6 +237,18 @@ class TestFiniteOrder:
         assert finite_order(conj, 8) == 4
         assert finite_order(Germ1({1: -1, 3: 1}, n), 8) is None
         assert calls == []
+
+    def test_scaled_calls_on_a_mobius_germ_at_n40(self, monkeypatch):
+        # f^4 of an order-4 germ: one scaled row for the inner germ and one
+        # scaled coefficient list per further composition (318 calls when
+        # every substitution scaled each power row again)
+        calls = []
+        scaled = series._scaled
+        monkeypatch.setattr(series, "_scaled",
+                            lambda items: calls.append(1) or scaled(items))
+        f = mobius(gr(0, 1), gr(Fraction(1, 2), Fraction(-1, 3)), 40)
+        assert finite_order(f, 8) == 4
+        assert len(calls) == 4
 
 
 class TestPseudoOrbit:

@@ -23,8 +23,8 @@ from centerfocus.series import (
     VectorField2,
     gr,
     lie_derivative,
+    power_rows,
     substitute,
-    umul,
 )
 
 from sympy_oracle import X, Y, random_poly, to_sympy
@@ -314,10 +314,16 @@ def repeated_umul(terms, s, n):
     for i, j, c in terms:
         term = {i: c} if i <= n else {}
         for _ in range(j):
-            term = umul(term, s, n)
+            term = naive_umul(term, s, n)
         for d, v in term.items():
             out[d] = out.get(d, gr(0)) + v
     return {d: v for d, v in out.items() if v}
+
+
+def unscaled_row(row):
+    """A scaled power row {degree: coefficient}, each in lowest terms."""
+    den, items = row
+    return {k: series._unscaled(den, x, y) for k, x, y in items}
 
 
 @st.composite
@@ -337,12 +343,16 @@ class TestSubstitute:
                  min_size=1, max_size=6))))
     def test_equals_repeated_umul(self, case):
         n, s, terms = case
-        powers = [{0: GR_ONE}, s]
+        powers = power_rows(s)
         assert substitute(terms, powers, n) == repeated_umul(terms, s, n)
-        # the table now holds s^0 .. s^top, and a second call reuses it
+        # the list now holds s^0 .. s^top as primitive Gaussian-integer
+        # rows, each over its own denominator, and a second call reuses it
         top = max(j for _, j, _ in terms)
         assert len(powers) == max(top + 1, 2)
-        assert powers[top] == repeated_umul([(0, top, GR_ONE)], s, n)
+        assert [unscaled_row(row) for row in powers] == \
+            [repeated_umul([(0, j, GR_ONE)], s, n) for j in range(len(powers))]
+        assert all(math.gcd(den, *(v for _, x, y in items for v in (x, y)))
+                   == 1 for den, items in powers)
         assert substitute(terms, powers, n) == repeated_umul(terms, s, n)
         assert len(powers) == max(top + 1, 2)
 
@@ -416,8 +426,9 @@ def naive_substitution_root(terms, shift, n):
 def naive_substitute_linear(f, m):
     """Term by term: each c l1^i l2^j is its own product, then added."""
     n = f.truncation_degree
-    l1 = Poly2({(1, 0): m[0][0], (0, 1): m[0][1]}, n)
-    l2 = Poly2({(1, 0): m[1][0], (0, 1): m[1][1]}, n)
+    # each product truncates at n; a linear form needs degree 1
+    l1 = Poly2({(1, 0): m[0][0], (0, 1): m[0][1]}, max(n, 1))
+    l2 = Poly2({(1, 0): m[1][0], (0, 1): m[1][1]}, max(n, 1))
     out = Poly2.zero(n)
     for (i, j), c in f.terms.items():
         term = Poly2.constant(c, n)
@@ -485,6 +496,13 @@ def useries(top):
     return st.dictionaries(st.integers(0, top), gaussian, max_size=8)
 
 
+# s_k over coprime prime denominators, so that the running denominator of
+# `substitution_root` grows at several degrees
+prime_part = st.builds(Fraction, st.integers(-9, 9),
+                       st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+prime_gaussian = st.builds(GaussianRational, prime_part, prime_part)
+
+
 @st.composite
 def root_problems(draw):
     """(terms, shift, n, s): sum c z^i s^j = 0 through degree n holds for
@@ -492,11 +510,12 @@ def root_problems(draw):
     computed from s, the others drawn within `substitution_root`'s
     precondition (z^shift s is the only term linear in s at its degree)."""
     shift = draw(st.integers(0, 1))
-    n = draw(st.integers(shift + 1, 9))
-    s = draw(st.dictionaries(st.integers(shift + 1, n), gaussian, max_size=5))
+    n = draw(st.integers(shift + 1, 14))
+    s = draw(st.dictionaries(st.integers(shift + 1, n),
+                             st.one_of(gaussian, prime_gaussian), max_size=8))
     s = {k: c for k, c in s.items() if c}
     lead = draw(gaussian.filter(bool))
-    others = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4),
+    others = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6),
                                      gaussian), max_size=5))
     terms = [(shift, 1, lead)] + [(i, j, c) for i, j, c in others
                                   if i + (j - 1) * (shift + 1) > shift]
@@ -518,10 +537,13 @@ class TestIntegerKernels:
 
     @settings(max_examples=150, deadline=None)
     @given(useries(12), useries(12), st.integers(0, 10))
-    def test_umul(self, a, b, n):
-        out = umul(a, b, n)
-        assert out == naive_umul(a, b, n)
-        assert all(c and in_lowest_terms(c) for c in out.values())
+    def test_row_product(self, a, b, n):
+        # the unreduced product that extends a power list: Gaussian
+        # integers over the product of the two denominators
+        sa, sb = series._scaled(a.items()), series._scaled(b.items())
+        den, row = series._accumulate([(sa, sb)], n)
+        assert den == sa[0] * sb[0]
+        assert unscaled_row((den, row)) == naive_umul(a, b, n)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.lists(gaussian, max_size=6),
@@ -541,8 +563,7 @@ class TestIntegerKernels:
                  max_size=6))))
     def test_substitute(self, case):
         n, s, terms = case
-        powers = [{0: GR_ONE}, s]
-        out = substitute(terms, powers, n)
+        out = substitute(terms, power_rows(s), n)
         assert out == naive_substitute(terms, s, n)
         assert all(c and in_lowest_terms(c) for c in out.values())
 
@@ -565,11 +586,10 @@ class TestIntegerKernels:
         assert p.diff_y() == Poly2(
             {(i, j - 1): c * j for i, j, c in kept if j}, n)
 
-    # the linear forms l1, l2 are built at the series' truncation, so it
-    # must be at least 1
     @settings(max_examples=150, deadline=None)
-    @given(poly2s().filter(lambda f: f.truncation_degree), nonsingular)
+    @given(poly2s(), nonsingular)
     @example(Poly2({}, 3), ((1, 0), (0, 1)))
+    @example(Poly2.constant(3, 0), ((gr(1), gr(2)), (gr(0, 1), gr(1))))
     @example(Poly2({(2, 1): gr(0, Fraction(1, 3))}, 4), ((gr(1), gr(1)),
                                                         (gr(0, 1), gr(0, -1))))
     def test_substitute_linear(self, f, m):
@@ -601,16 +621,18 @@ class TestIntegerKernels:
         # (1/6 + i/10)(3 + 5i) = 17i/15: the real parts cancel over the
         # shared denominator 30, and 34/30 comes back as 17/15
         a, b = gr(Fraction(1, 6), Fraction(1, 10)), gr(3, 5)
-        assert umul({0: a}, {0: b}, 0) == {0: gr(0, Fraction(17, 15))}
+        assert substitute([(0, 1, a)], power_rows({0: b}), 0) == \
+            {0: gr(0, Fraction(17, 15))}
         # (z + z^2)(z - z^2) = z^2 - z^4: degree 3 sums to exactly 0
-        assert umul({1: a, 2: a}, {1: a, 2: -a}, 6) == {2: a * a, 4: -a * a}
+        assert substitute([(1, 1, a), (2, 1, a)], power_rows({1: a, 2: -a}),
+                          6) == {2: a * a, 4: -a * a}
         x, y = Poly2.var_x(4), Poly2.var_y(4)
         prod = (x * a + y) * (x * a - y)
         assert prod.terms == {(2, 0): a * a, (0, 2): gr(-1)}
         assert substitute([(1, 1, a), (1, 1, -a), (0, 0, b)],
-                          [{0: GR_ONE}, {1: b}], 3) == {0: b}
+                          power_rows({1: b}), 3) == {0: b}
         assert substitute([(0, 1, a), (0, 0, -a * b)],
-                          [{0: GR_ONE}, {0: b}], 3) == {}
+                          power_rows({0: b}), 3) == {}
         parts = [[gr(1), gr(0, 1)], [gr(Fraction(1, 4)), gr(0, Fraction(1, 6))]]
         scaled = [series._scaled(enumerate(h)) for h in parts]
         out = series._product_sum([(scaled[0], scaled[0]),
