@@ -1,0 +1,97 @@
+"""Compare the reports of two checkouts of centerfocus, run by run.
+
+    python3 scripts/compare_reports.py --base OLD --head NEW --seeds 1 2 3
+
+OLD and NEW are checkout roots (each holding src/centerfocus).  The
+script runs, in a fresh `python -m centerfocus.cli` process per run and
+checkout:
+
+  * every fixture of NEW's tests/fixtures under every command, the
+    pairs the command rejects included (they must fail the same way);
+  * every document of `perfbench/gen.make_workload`, taken from NEW, for
+    each workload and seed, under the document's own command.
+
+A run matches when the exit code, stderr (with the checkout root written
+as <root>) and the report (with its timestamp blanked) are the same in
+both checkouts.  Each mismatch is printed; the exit status is 1 if there
+is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("analyze", "lyapunov", "returnmap", "blowup", "germ", "slice")
+WORKLOADS = ("real_lyapunov", "holomorphic", "real_returnmap")
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+TIMEOUT_S = 600
+
+
+def runs(head: Path, seeds: list[int], work: Path) -> list[tuple]:
+    """(label, command, document path) of every run, documents written
+    under `work`."""
+    out = [(f"{path.stem} {command}", command, path)
+           for path in sorted((head / "tests" / "fixtures").glob("*.json"))
+           for command in COMMANDS]
+    sys.path.insert(0, str(head / "perfbench"))
+    import gen
+    for workload in WORKLOADS:
+        for seed in seeds:
+            items = gen.make_workload(workload, seed)
+            paths = gen.write_workload(items, work / f"{workload}-{seed}")
+            out += [(f"{workload} seed {seed} {item['id']}", item["command"],
+                     path) for item, path in zip(items, paths)]
+    return out
+
+
+def run(root: Path, command: str, doc: Path, out: Path) -> tuple:
+    """(exit code, stderr, report text or None) of one cold run."""
+    out.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "centerfocus.cli", command, str(doc),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
+    report = TIMESTAMP.sub('"timestamp": ""', out.read_text()) \
+        if out.exists() else None
+    return proc.returncode, proc.stderr.replace(str(root), "<root>"), report
+
+
+def differences(base: tuple, head: tuple) -> list[str]:
+    names = ("exit code", "stderr", "report")
+    return [f"{name} differs" + (f": {b} != {h}" if name == "exit code"
+                                 else "")
+            for name, b, h in zip(names, base, head) if b != h]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--head", type=Path, required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    base, head = args.base.resolve(), args.head.resolve()
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        todo = runs(head, args.seeds, work)
+        for label, command, doc in todo:
+            got = [run(root, command, doc, work / "report.json")
+                   for root in (base, head)]
+            lines = differences(*got)
+            mismatches += bool(lines)
+            for line in lines:
+                print(f"MISMATCH {label}: {line}", flush=True)
+    print(json.dumps({"runs": len(todo), "mismatches": mismatches}))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,12 +24,13 @@ from fractions import Fraction
 from functools import cache
 
 from .series import (
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     Poly2,
+    Scaled,
     VectorField2,
     _scaled,
+    _sparse,
     _unscaled,
     ensure,
     gr,
@@ -177,8 +178,8 @@ def _sweep_forward(b: list[int], first: int, k: int) -> list[int]:
 
 
 def _rotation_inverse(
-    k: int, rhs: list[GaussianRational]
-) -> tuple[list[GaussianRational], GaussianRational | None]:
+    k: int, rhs: Scaled
+) -> tuple[Scaled, GaussianRational | None]:
     """Solve L f - eta s = rhs for L = -y d/dx + x d/dy on degree k.
 
     On the coefficients f[r] of x^(k-r) y^r, row r of L f is
@@ -192,8 +193,8 @@ def _rotation_inverse(
     even row r = k, and f is projected (Euclidean) off s.
 
     The sweeps run on Python ints, real and imaginary parts apart (L is
-    real), over one denominator per call.  `series._scaled` writes rhs
-    as b / D with b Gaussian-integral; the sweeps solve for T f with
+    real), over one denominator per call.  rhs comes as a scaled part
+    b / D, b Gaussian-integral; the sweeps solve for T f with
     T = D M_k, from T rhs = M_k b.  A sweep divides by its divisors
     (r+1, or k-r+1 backward) one after another, so each value it yields
     is an integer combination of the b[r] over a product of some of its
@@ -203,10 +204,11 @@ def _rotation_inverse(
     over the even rows, eta = E / (D Q), E = -(M_k b[k] + U[-1]) and
     Q = M_k s[k] + V[-1].  Over T Q, f's numerators are Q U + E V at odd
     r and Q (T f[r]) at even r, and the projection puts them over
-    T Q ||s||^2.  Each coefficient is reduced once, by `series._unscaled`.
+    T Q ||s||^2.  f is returned as that scaled part, which the caller
+    reduces once; only eta becomes a GaussianRational.
     """
     m, s, v, q, norm2 = _degree_constants(k)
-    d, nonzero = _scaled(enumerate(rhs))
+    d, nonzero = rhs
     br, bi = [0] * (k + 1), [0] * (k + 1)
     for r, x, y in nonzero:
         br[r], bi[r] = m * x, m * y
@@ -217,8 +219,7 @@ def _rotation_inverse(
             nxt = 0  # f[k + 1]
             for r in range(k, 0, -2):
                 nxt = f[r - 1] = ((r + 1) * nxt - b[r]) // (k - r + 1)
-        den = d * m
-        return [_unscaled(den, x, y) for x, y in zip(fr, fi)], None
+        return (d * m, _sparse(fr, fi)), None
     ensure(q, "even-degree homological solve failed")
     parts = []
     for b in (br, bi):
@@ -233,9 +234,7 @@ def _rotation_inverse(
         dot = sum(c * sv for c, sv in zip(f[::2], s[::2]))
         parts.append(([norm2 * c - dot * sv for c, sv in zip(f, s)], e))
     (fr, er), (fi, ei) = parts
-    den = d * m * q * norm2
-    return ([_unscaled(den, x, y) for x, y in zip(fr, fi)],
-            _unscaled(d * q, er, ei))
+    return (d * m * q * norm2, _sparse(fr, fi)), _unscaled(d * q, er, ei)
 
 
 def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
@@ -248,7 +247,7 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     two-term recurrence (r+1) f[r+1] - (k-r+1) f[r-1] = rhs[r] (+ eta
     s[r]) in O(k) operations (`_rotation_inverse`).  The recurrence runs
     on Gaussian integers over one denominator per degree, chosen so that
-    each of its divisions is exact; each coefficient is reduced once.  At
+    each of its divisions is exact; each part is reduced once.  At
     even degrees the cokernel direction (x^2+y^2)^(k/2) carries the
     obstruction eta, and F_k is normalized to have zero component along
     it.  A full Lie derivative of F at the end checks the result exactly.
@@ -262,17 +261,18 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
             f"normalized field truncated at {field.truncation_degree}; "
             f"lift it to at least {n} before requesting order {n}"
         )
-    f_terms, obstructions = homological_series(
-        field.p, field.q, [GR_ONE, GR_ZERO, GR_ONE], n, _rotation_inverse)
-    first_integral = Poly2(f_terms, n)
-    # exact consistency guard: X(F) must equal the obstruction series
+    first_integral, obstructions = homological_series(  # F_2 = x^2 + y^2
+        field.p, field.q, (1, [(0, 1, 0), (2, 1, 0)]), n, _rotation_inverse)
+    # exact consistency guard: X(F) must equal the obstruction series,
+    # part by part: eta_k times the binomial coefficients s of
+    # (x^2+y^2)^(k/2), which the solve has cached
     check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),
                            first_integral.lift(n + 1))
-    # eta_k times the binomial coefficients s of (x^2+y^2)^(k/2), which
-    # the solve has cached; the powers have distinct degrees
-    expected = Poly2({(k - r, r): GaussianRational(eta.re * c, eta.im * c)
-                      for k, eta in obstructions if eta
-                      for r, c in enumerate(_degree_constants(k)[1]) if c}, n)
+    expected = Poly2._of(
+        [(k, (d, [(r, x * c, y * c) for r, c in enumerate(s) if c]))
+         for k, eta in obstructions if eta
+         for s, (d, [(_, x, y)]) in [(_degree_constants(k)[1],
+                                      _scaled([(0, eta)]))]], n)
     ensure(check.truncate(n) == expected, "obstruction decomposition failed")
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None

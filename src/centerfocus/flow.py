@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .series import Poly2, VectorField2, gr
+from .series import Poly2, VectorField2, binary64, gr
 
 __all__ = [
     "StepUnderflow",
@@ -56,10 +56,10 @@ class _NumericField:
     def __init__(self, fld: VectorField2):
         if not fld.real:
             raise ValueError("numeric integration expects a real field")
-        self.p, self.q = fld.p.binary64(), fld.q.binary64()
+        self.pq = binary64(fld.p, fld.q)
 
     def __call__(self, t, s):
-        return self.p(*s), self.q(*s)
+        return self.pq(*s)
 
 
 @dataclass(frozen=True)

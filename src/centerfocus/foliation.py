@@ -8,6 +8,7 @@ numpy and sympy are imported only inside the functions that use them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,11 +19,12 @@ from .series import (
     InternalError,
     OneForm2,
     Poly2,
+    Scaled,
     VectorField2,
-    _homogeneous_parts,
-    _product_sum,
-    _scaled,
+    _accumulate,
+    _primitive,
     _unscaled,
+    binary64,
     ensure,
     gr,
     homological_series,
@@ -356,23 +358,20 @@ def wedge_coefficient(f: Poly2, form: OneForm2) -> Poly2:
 
 
 def _siegel_inverse(
-    k: int, rhs: list[GaussianRational]
-) -> tuple[list[GaussianRational], GaussianRational | None]:
+    k: int, rhs: Scaled
+) -> tuple[Scaled, GaussianRational | None]:
     """Solve L f - eta (xy)^(k/2) = rhs for L = x d/dx - y d/dy on degree k.
 
     L multiplies x^(k-r) y^r by k - 2r, so every nonresonant coefficient
-    is one division; the resonant (xy)^(k/2) gets no component in f and
-    its right-hand side gives eta.
+    is one division, exact over rhs's denominator times the lcm w of the
+    k - 2r; the resonant (xy)^(k/2) gets no f and its rhs gives eta.
     """
-    f = [GR_ZERO] * (k + 1)
-    eta = None
-    for r, c in enumerate(rhs):
-        if 2 * r == k:
-            eta = -c
-        elif c:
-            w = k - 2 * r
-            f[r] = GaussianRational(c.re / w, c.im / w)
-    return f, eta
+    den, row = rhs
+    w = math.lcm(*(k - 2 * r for r, _, _ in row if 2 * r != k))
+    eta = None if k % 2 else next(
+        (_unscaled(den, -x, -y) for r, x, y in row if 2 * r == k), GR_ZERO)
+    return (den * w, [(r, x * (w // (k - 2 * r)), y * (w // (k - 2 * r)))
+                      for r, x, y in row if 2 * r != k]), eta
 
 
 def formal_first_integral_siegel(
@@ -397,9 +396,8 @@ def formal_first_integral_siegel(
         raise ValueError(
             f"form truncated at {form.truncation_degree}; lift it to {n} first"
         )
-    f_terms, obstructions = homological_series(
-        form.b, -form.a, [GR_ZERO, gr(1), GR_ZERO], n, _siegel_inverse)
-    first_integral = Poly2(f_terms, n)
+    first_integral, obstructions = homological_series(  # F_2 = xy
+        form.b, -form.a, (1, [(1, 1, 0)]), n, _siegel_inverse)
     # exact consistency guard: dF ^ form must equal the obstruction series
     check = wedge_coefficient(first_integral.lift(n + 1), form)
     expected = Poly2({(k // 2, k // 2): eta for k, eta in obstructions}, n)
@@ -436,24 +434,23 @@ def _solve_unit(F: Poly2, prod: Poly2) -> Poly2:
     """u with F = prod * u through degree m - 1, for prod = xy + h.o.t.
 
     At degree d only [F - prod u]_(d+2) = F_(d+2) - sum_(e<d)
-    prod_(d+2-e) u_e is formed, from homogeneous parts, and divided by xy
-    to give u_d.
+    prod_(d+2-e) u_e is formed on Gaussian integers from homogeneous
+    parts (F_(d+2) times 1 plus the -prod parts) and divided by xy.
     """
     m = F.truncation_degree
-    ps = _homogeneous_parts(prod, m - 1)
-    units: list = []  # u_0, u_1, ... scaled
+    neg = (-prod).parts
+    units: list[Scaled] = []  # u_0, u_1, ...
     for d in range(m - 2):
-        known = _product_sum([(ps[d + 2 - e], u) for e, u in
-                              enumerate(units) if d + 2 - e in ps], d + 2)
-        resid = [F.coefficient(d + 2 - r, r) - known.get(r, GR_ZERO)
-                 for r in range(d + 3)]
-        for r in (0, d + 2):
-            if resid[r]:
+        den, resid = _accumulate(
+            [(F.parts.get(d + 2, (1, [])), (1, [(0, 1, 0)]))]
+            + [(neg[d + 2 - e], u) for e, u in enumerate(units)
+               if d + 2 - e in neg], d + 2)
+        for r, _, _ in resid:
+            if r in (0, d + 2):
                 raise BranchFailure(f"residual term x^{d + 2 - r} y^{r} "
                                     "is not divisible by xy")
-        units.append(_scaled(enumerate(resid[1:-1])))
-    return Poly2({(d - r, r): _unscaled(den, x, y)
-                  for d, (den, u) in enumerate(units) for r, x, y in u}, m - 3)
+        units.append(_primitive(den, [(r - 1, x, y) for r, x, y in resid]))
+    return Poly2._of(enumerate(units), m - 3)
 
 
 def factor_fg(F: Poly2, n: int) -> FactorPair:
@@ -496,28 +493,15 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
 _RESIDUAL_TOL, _STEP_TOL, _MAX_ITER = 1e-10, 1e-12, 60
 
 
-class _CEval:
-    """Binary64 evaluation of a Poly2 and its partial derivatives."""
-
-    def __init__(self, p: Poly2):
-        self.value = p.binary64()
-        self._dx, self._dy = p.diff_x().binary64(), p.diff_y().binary64()
-
-    def grad(self, x, y):
-        return self._dx(x, y), self._dy(x, y)
-
-
-def _slice_residual(h1: _CEval, h2: _CEval, u):
+def _slice_residual(values, u):
     import numpy as np
-    x, y = complex(u[0], u[1]), complex(u[2], u[3])
-    return np.array([h1.value(x, y).real, h2.value(x, y).imag])
+    v1, v2 = values(complex(u[0], u[1]), complex(u[2], u[3]))
+    return np.array([v1.real, v2.imag])
 
 
-def _slice_jacobian(h1: _CEval, h2: _CEval, u):
+def _slice_jacobian(partials, u):
     import numpy as np
-    x, y = complex(u[0], u[1]), complex(u[2], u[3])
-    d1x, d1y = h1.grad(x, y)
-    d2x, d2y = h2.grad(x, y)
+    d1x, d1y, d2x, d2y = partials(complex(u[0], u[1]), complex(u[2], u[3]))
     # for analytic h: d/d(Re x) = h_x, d/d(Im x) = i h_x
     return np.array([
         [d1x.real, -d1x.imag, d1y.real, -d1y.imag],
@@ -525,19 +509,19 @@ def _slice_jacobian(h1: _CEval, h2: _CEval, u):
     ])
 
 
-def _refine(h1, h2, u0):
+def _refine(values, partials, u0):
     import numpy as np
     u = np.asarray(u0, dtype=float)
-    r = _slice_residual(h1, h2, u)
+    r = _slice_residual(values, u)
     for _ in range(_MAX_ITER):
         if np.linalg.norm(r) <= _RESIDUAL_TOL:
             return u
-        jac = _slice_jacobian(h1, h2, u)
+        jac = _slice_jacobian(partials, u)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         lam = 1.0
         while lam > 2 ** -20:
             trial = u + lam * step
-            rt = _slice_residual(h1, h2, trial)
+            rt = _slice_residual(values, trial)
             if np.linalg.norm(rt) < np.linalg.norm(r):
                 u, r = trial, rt
                 break
@@ -560,17 +544,16 @@ def real_slice(
     seed grid around the model slice y = conj(x).  Each converged sample
     is checked for a real, nonnegative product and for contact order one
     of the level foliation with the slice, whose gradient is that of the
-    pair's checked product.
+    pair's checked product.  Evaluators at one point share its powers.
     """
     import numpy as np
     if not pair.general_position:
         raise ValueError("branches must be in general position")
     fa, gb = pair.absorbed()
-    h1 = _CEval(fa - gb)
-    h2 = _CEval(fa + gb)
-    fa_ev, gb_ev = fa.binary64(), gb.binary64()
-    dx_ev = pair.product.diff_x().binary64()
-    dy_ev = pair.product.diff_y().binary64()
+    h1, h2 = fa - gb, fa + gb
+    values = binary64(h1, h2)
+    partials = binary64(h1.diff_x(), h1.diff_y(), h2.diff_x(), h2.diff_y())
+    checks = binary64(fa, gb, pair.product.diff_x(), pair.product.diff_y())
     samples: list[tuple[complex, complex]] = []
     bases = []
     failed = 0
@@ -579,12 +562,12 @@ def real_slice(
             theta = 2 * np.pi * kk / grid.n_angles
             x0 = r * np.exp(1j * theta)
             u0 = [x0.real, x0.imag, x0.real, -x0.imag]  # y = conj(x)
-            u = _refine(h1, h2, u0)
+            u = _refine(values, partials, u0)
             if u is None:
                 failed += 1
                 continue
             samples.append((complex(u[0], u[1]), complex(u[2], u[3])))
-            jac = _slice_jacobian(h1, h2, u)
+            jac = _slice_jacobian(partials, u)
             _, _, vh = np.linalg.svd(jac)
             bases.append(vh[2:])  # nullspace rows span the tangent plane
     if not samples:
@@ -593,11 +576,11 @@ def real_slice(
     min_re = float("inf")
     contact = []
     for (x, y), basis in zip(samples, bases):
-        val = fa_ev(x, y) * gb_ev(x, y)
+        fv, gv, px, py = checks(x, y)
+        val = fv * gv
         max_im = max(max_im, abs(val.imag))
         min_re = min(min_re, val.real)
-        contact.append(_contact_order(dx_ev(x, y), dy_ev(x, y), (x, y),
-                                      (basis[0], basis[1])))
+        contact.append(_contact_order(px, py, (x, y), (basis[0], basis[1])))
     return (
         RealSlice(samples),
         SliceVerification(len(samples), failed, max_im, min_re, contact,
@@ -616,8 +599,8 @@ def contact_order(form: OneForm2, point, tangent_basis) -> int:
     non-invariant) or 2 (invariant direction).
     """
     x, y = complex(point[0]), complex(point[1])
-    return _contact_order(form.a.binary64()(x, y), form.b.binary64()(x, y),
-                          point, tangent_basis)
+    return _contact_order(*binary64(form.a, form.b)(x, y), point,
+                          tangent_basis)
 
 
 def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:

@@ -3,17 +3,15 @@
 Everything downstream (Lyapunov obstructions, Siegel first integrals,
 blow-up charts) rides on this module: coefficients are exact, truncation
 degrees are data carried by every value, and all operations are pure.
-`GaussianRational` is the boundary type of parsing, storage, reports and
-every value a caller sees.  The inner loops of products, the Lie
-derivative X(F), the wedge dF ^ w (the Lie derivative along the dual
-field), linear and univariate substitutions and the homological
-residuals run on Gaussian integers over one shared denominator per
-operand, so each output coefficient costs one gcd, not one per `+` and
-`*` (Henrici; Knuth, TAOCP Vol. 2, 4.5.1).  Every sum of bivariate
-series products is one `_bilinear` call.  The power tables of the
-univariate substitutions hold s^j as Gaussian-integer rows, each over
-one denominator, so no row is rescaled or rounded back to
-`GaussianRational` once it is built.
+A `Poly2` stores each homogeneous part as Gaussian integers over one
+denominator, reduced by one gcd; sums, products, the Lie derivative, the
+wedge dF ^ w, partials, linear substitutions and the homological solves
+run on those integers and build no `Fraction` (Henrici; Knuth, TAOCP
+Vol. 2, 4.5.1).  `GaussianRational` is the type of parsing, of germs, of
+the obstructions and of what a caller reads off a series (`terms`,
+`coefficient`).  Every sum of bivariate series products is one
+`_bilinear` call; the power tables of the univariate substitutions hold
+s^j as Gaussian-integer rows, each over one denominator.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ __all__ = [
     "InternalError",
     "ensure",
     "gr",
+    "binary64",
     "power_rows",
     "substitute",
     "substitution_root",
@@ -157,22 +156,28 @@ GR_ZERO = gr(0)
 GR_ONE = gr(1)
 
 
+Scaled = tuple[int, list[tuple[int, int, int]]]
+
+
 class Poly2:
     """Bivariate power series truncated at a total degree.
 
-    terms maps exponent pairs (i, j) with i + j <= truncation_degree to
-    nonzero GaussianRational coefficients.  Arithmetic results carry the
-    minimum of the operands' truncation degrees; instances are immutable
-    by convention (no method mutates self).
+    `parts` maps the degree d of each nonzero homogeneous part to
+    (den, [(r, re, im), ...]): the coefficients (re + i im) / den of
+    x^(d-r) y^r in increasing r, over one denominator, primitive (den > 0,
+    gcd 1, no zero entry), so equal series have equal parts.  `terms` and
+    `coefficient` are GaussianRational views built on demand.  Results
+    carry the minimum of the operands' truncation degrees; instances are
+    immutable by convention (no method mutates self or a part).
     """
 
-    __slots__ = ("terms", "truncation_degree")
+    __slots__ = ("parts", "truncation_degree")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar],
                  truncation_degree: int):
         if truncation_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        clean: dict[tuple[int, int], GaussianRational] = {}
+        by_degree: dict[int, list] = {}
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i}, {j})")
@@ -180,11 +185,23 @@ class Poly2:
                 raise ValueError(
                     f"term ({i}, {j}) exceeds truncation degree {truncation_degree}"
                 )
-            c = GaussianRational.coerce(c)
-            if c:
-                clean[(i, j)] = c
-        object.__setattr__(self, "terms", clean)
+            by_degree.setdefault(i + j, []).append(
+                (j, GaussianRational.coerce(c)))
+        # lowest-terms coefficients over their lcm: already primitive
+        parts = ((d, _scaled(sorted(h))) for d, h in by_degree.items())
+        object.__setattr__(self, "parts", {d: p for d, p in parts if p[1]})
         object.__setattr__(self, "truncation_degree", truncation_degree)
+
+    @classmethod
+    def _of(cls, parts, truncation_degree: int) -> "Poly2":
+        """The series of the (degree, (den, row)) pairs `parts`, whose
+        rows hold no zero entry: each part reduced to primitive form,
+        empty parts dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "parts", {d: _primitive(*p)
+                                          for d, p in parts if p[1]})
+        object.__setattr__(out, "truncation_degree", truncation_degree)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
@@ -213,34 +230,43 @@ class Poly2:
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, int], GaussianRational]:
+        """The nonzero coefficients by exponent pair (i, j)."""
+        return {(d - r, r): _unscaled(den, x, y)
+                for d, (den, row) in self.parts.items() for r, x, y in row}
+
     def coefficient(self, i: int, j: int) -> GaussianRational:
-        return self.terms.get((i, j), GR_ZERO)
+        den, row = self.parts.get(i + j, (1, []))
+        return next((_unscaled(den, x, y) for r, x, y in row if r == j),
+                    GR_ZERO)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.parts
 
     @property
     def real(self) -> bool:
         """Every coefficient is real."""
-        return all(c.is_real for c in self.terms.values())
+        return not any(y for _, row in self.parts.values() for _, _, y in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
             return NotImplemented
         return (
-            self.terms == other.terms
+            self.parts == other.parts
             and self.truncation_degree == other.truncation_degree
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             body = "0"
         else:
             pieces = []
-            for (i, j) in sorted(self.terms, key=lambda e: (e[0] + e[1], -e[0])):
-                c = self.terms[(i, j)]
+            for (i, j) in sorted(terms, key=lambda e: (e[0] + e[1], -e[0])):
+                c = terms[(i, j)]
                 mono = "".join(
                     f"{v}^{e}" if e > 1 else v
                     for v, e in (("x", i), ("y", j))
@@ -256,8 +282,8 @@ class Poly2:
         """Drop terms above `degree` and lower the truncation to it."""
         if degree >= self.truncation_degree:
             return self
-        kept = {e: c for e, c in self.terms.items() if e[0] + e[1] <= degree}
-        return Poly2(kept, degree)
+        return Poly2._of([(d, p) for d, p in self.parts.items()
+                          if d <= degree], degree)
 
     def lift(self, degree: int) -> "Poly2":
         """Reinterpret as an exact polynomial known to a higher degree.
@@ -267,27 +293,22 @@ class Poly2:
         """
         if degree < self.truncation_degree:
             raise ValueError("lift cannot lower the truncation degree")
-        return Poly2(self.terms, degree)
+        return Poly2._of(self.parts.items(), degree)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic: sums and scalar multiples are products with constants
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Poly2.constant(other, self.truncation_degree)
         if not isinstance(other, Poly2):
             return NotImplemented
-        n = min(self.truncation_degree, other.truncation_degree)
-        acc = {e: c for e, c in self.terms.items() if e[0] + e[1] <= n}
-        for e, c in other.terms.items():
-            if e[0] + e[1] <= n:
-                acc[e] = acc.get(e, GR_ZERO) + c
-        return Poly2(acc, n)
+        return _bilinear([(self, _ONE), (other, _ONE)],
+                         min(self.truncation_degree, other.truncation_degree))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly2({e: -c for e, c in self.terms.items()},
-                     self.truncation_degree)
+        return _bilinear([(self, _MINUS_ONE)], self.truncation_degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -297,9 +318,7 @@ class Poly2:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            return Poly2({e: v * c for e, v in self.terms.items()},
-                         self.truncation_degree)
+            other = Poly2.constant(other, self.truncation_degree)
         if not isinstance(other, Poly2):
             return NotImplemented
         return _bilinear([(self, other)],
@@ -313,16 +332,14 @@ class Poly2:
         return _powers(Poly2.constant(1, self.truncation_degree), self, k)[k]
 
     def diff_x(self) -> "Poly2":
-        n = max(self.truncation_degree - 1, 0)
-        return Poly2({(i - 1, j): GaussianRational(c.re * i, c.im * i)
-                      for (i, j), c in self.terms.items()
-                      if i and i + j <= n + 1}, n)
+        return Poly2._of([(d - 1, _partials(d, p)[0])
+                          for d, p in self.parts.items() if d],
+                         max(self.truncation_degree - 1, 0))
 
     def diff_y(self) -> "Poly2":
-        n = max(self.truncation_degree - 1, 0)
-        return Poly2({(i, j - 1): GaussianRational(c.re * j, c.im * j)
-                      for (i, j), c in self.terms.items()
-                      if j and i + j <= n + 1}, n)
+        return Poly2._of([(d - 1, _partials(d, p)[1])
+                          for d, p in self.parts.items() if d],
+                         max(self.truncation_degree - 1, 0))
 
     # -- evaluation ----------------------------------------------------
 
@@ -333,52 +350,61 @@ class Poly2:
         dyadic rationals), the sum is accumulated exactly, and the result
         is rounded to binary64 once.
         """
-        nx, ny = (max((e[k] for e in self.terms), default=0) for k in (0, 1))
-        xp = _powers(GR_ONE, _exactify(point[0]), nx)
-        yp = _powers(GR_ONE, _exactify(point[1]), ny)
-        d, cs = _scaled(self.terms.items())
-        dm, ms = _scaled((e, xp[e[0]] * yp[e[1]]) for e in self.terms)
-        mk = {e: (x, y) for e, x, y in ms}
-        return _unscaled(d * dm, *_gdot(((x, y), mk[e]) for e, x, y in cs
-                                        if e in mk)).to_complex()
+        terms = self.terms
+        nx, ny = (max((e[k] for e in terms), default=0) for k in (0, 1))
+        x, y = map(complex, point)
+        xp = _powers(GR_ONE, gr(x.real, x.imag), nx)
+        yp = _powers(GR_ONE, gr(y.real, y.imag), ny)
+        return sum((c * xp[i] * yp[j] for (i, j), c in terms.items()),
+                   GR_ZERO).to_complex()
 
     def binary64(self):
-        """The truncated polynomial as a binary64 function of (x, y).  The
-        coefficients are rounded once, here: to float when all of them
-        are real, to complex otherwise; the function sums c x^i y^j over
-        the sorted terms, with each x**i and y**j raised once per point."""
-        real = self.real
-        terms = [(i, j, float(c.re) if real else c.to_complex())
-                 for (i, j), c in sorted(self.terms.items())]
-        nx, ny = (max((e[k] for e in self.terms), default=0) for k in (0, 1))
-
-        def evaluate(x, y):
-            xp = [x**i for i in range(nx + 1)]
-            yp = [y**j for j in range(ny + 1)]
-            return sum(c * xp[i] * yp[j] for i, j, c in terms)
-
-        return evaluate
+        """`binary64(self)`, returning the one value."""
+        evaluate = binary64(self)
+        return lambda x, y: evaluate(x, y)[0]
 
     def substitute_linear(self, m: Sequence[Sequence[Scalar]]) -> "Poly2":
-        """Compose with the linear substitution (x, y) -> m @ (x, y)."""
-        m00, m01 = GaussianRational.coerce(m[0][0]), GaussianRational.coerce(m[0][1])
-        m10, m11 = GaussianRational.coerce(m[1][0]), GaussianRational.coerce(m[1][1])
-        det = m00 * m11 - m01 * m10
-        if not det:
+        """Compose with the linear substitution (x, y) -> m @ (x, y): part
+        d is sum c_(d-r,r) l1^(d-r) l2^r, l1 = m00 x + m01 y and l2 = m10 x
+        + m11 y, one `_accumulate` over the pairs (c l1^(d-r), l2^r) of
+        `_extend` power lists, each c folded into the integers of l1^(d-r).
+        """
+        rows = [_scaled(enumerate(map(GaussianRational.coerce, row)))
+                for row in m]
+        a, b = ({r: (x, y) for r, x, y in row} for _, row in rows)
+        if _gdot([(a.get(0, (0, 0)), b.get(1, (0, 0)))]) == \
+                _gdot([(a.get(1, (0, 0)), b.get(0, (0, 0)))]):
             raise SingularMatrix("substitution matrix is singular")
-        n = self.truncation_degree
-        l1 = Poly2({(1, 0): m00, (0, 1): m01}, max(n, 1)).truncate(n)
-        l2 = Poly2({(1, 0): m10, (0, 1): m11}, max(n, 1)).truncate(n)
-        nx, ny = (max((e[k] for e in self.terms), default=0) for k in (0, 1))
-        one = Poly2.constant(1, n)
-        p1, p2 = _powers(one, l1, nx), _powers(one, l2, ny)
-        return _bilinear([(p1[i] * c, p2[j])
-                          for (i, j), c in self.terms.items()], n)
+        top = max(self.parts, default=0)
+        p1, p2 = (_extend([(1, [(0, 1, 0)]), row], top, top) for row in rows)
+        return Poly2._of([(d, _accumulate(
+            [((den * p1[d - r][0], [(s, x * u - y * v, x * v + y * u)
+                                     for s, u, v in p1[d - r][1]]), p2[r])
+             for r, x, y in row], d))
+            for d, (den, row) in self.parts.items()], self.truncation_degree)
 
 
-def _exactify(z) -> GaussianRational:
-    z = complex(z)
-    return GaussianRational(Fraction(z.real), Fraction(z.imag))
+def binary64(*polys: Poly2):
+    """The polynomials as one binary64 function of (x, y) that returns
+    their values, summing c x^i y^j over each one's sorted terms with each
+    x**i and y**j raised once per point for all.  Coefficients are rounded
+    once, here, by correctly rounded int / int division (the binary64 of
+    float(Fraction)): to float when all are real, to complex otherwise."""
+    tables = []
+    for p in polys:
+        real = p.real
+        tables.append(sorted(
+            (d - r, r, x / den if real else complex(x / den, y / den))
+            for d, (den, row) in p.parts.items() for r, x, y in row))
+    nx = max((i for t in tables for i, _, _ in t), default=0)
+    ny = max((j for t in tables for _, j, _ in t), default=0)
+
+    def evaluate(x, y):
+        xp = [x**i for i in range(nx + 1)]
+        yp = [y**j for j in range(ny + 1)]
+        return [sum(c * xp[i] * yp[j] for i, j, c in t) for t in tables]
+
+    return evaluate
 
 
 def _powers(one, base, n: int) -> list:
@@ -460,9 +486,6 @@ class OneForm2:
         return OneForm2(a_new * m00 + b_new * m10, a_new * m01 + b_new * m11)
 
 
-Scaled = tuple[int, list[tuple[int, int, int]]]
-
-
 def _scaled(items) -> Scaled:
     """The (key, c) pairs `items` over their least common denominator D:
     (D, [(key, D re(c), D im(c)), ...]) for the nonzero c."""
@@ -493,14 +516,37 @@ def _accumulate(pairs: list[tuple[Scaled, Scaled]], n: int) -> Scaled:
                 if r + s <= n:
                     re[r + s] += ar * br - ai * bi
                     im[r + s] += ar * bi + ai * br
-    return den, [(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]
+    return den, _sparse(re, im)
 
 
-def _product_sum(pairs: list[tuple[Scaled, Scaled]],
-                 n: int) -> dict[int, GaussianRational]:
-    """The nonzero coefficients 0..n of `_accumulate`, one gcd each."""
-    den, terms = _accumulate(pairs, n)
-    return {k: _unscaled(den, x, y) for k, x, y in terms}
+def _sparse(re: list[int], im: list[int]) -> list[tuple[int, int, int]]:
+    """The row [(r, re[r], im[r]), ...] of the nonzero entries."""
+    return [(r, x, y) for r, (x, y) in enumerate(zip(re, im)) if x or y]
+
+
+def _primitive(den: int, row: list[tuple[int, int, int]]) -> Scaled:
+    """(den, row) divided by the gcd of den and the entries, signed so
+    that the denominator is positive; (1, []) for an empty row."""
+    g = math.gcd(den, *(v for _, x, y in row for v in (x, y)))
+    g = g if den > 0 else -g
+    return (den, row) if g == 1 else \
+        (den // g, [(r, x // g, y // g) for r, x, y in row])
+
+
+def _extend(powers: list[Scaled], top: int, n: int) -> list[Scaled]:
+    """The power list [s^0, s, ...] of scaled rows, extended in place
+    through s^top, keys beyond n dropped: row j + 1 is the Gaussian-
+    integer product of rows j and 1, reduced by its gcd."""
+    while len(powers) <= top:
+        powers.append(_primitive(*_accumulate([(powers[-1], powers[1])], n)))
+    return powers
+
+
+def _partials(d: int, part: Scaled) -> tuple[Scaled, Scaled]:
+    """The x and y partials of a degree-d part, over its denominator."""
+    den, row = part
+    return ((den, [(r, (d - r) * x, (d - r) * y) for r, x, y in row if r < d]),
+            (den, [(r - 1, r * x, r * y) for r, x, y in row if r]))
 
 
 def _gdot(pairs) -> tuple[int, int]:
@@ -524,14 +570,11 @@ def substitute(terms: list[tuple[int, int, GaussianRational]],
     is extended in place as far as the terms need.  Row j + 1 is the
     Gaussian-integer product of rows j and 1 divided by its gcd (else row
     j of a germ with s_k over q^k sits over q^(jn)), and is kept as is."""
-    top = max((j for _, j, _ in terms), default=0)
-    while len(powers) <= top:
-        den, row = _accumulate([(powers[-1], powers[1])], n)
-        g = math.gcd(den, *(v for _, x, y in row for v in (x, y)))
-        powers.append((den // g, [(k, x // g, y // g) for k, x, y in row]))
+    _extend(powers, max((j for _, j, _ in terms), default=0), n)
     den, cs = _scaled(((i, j), c) for i, j, c in terms)
-    return _product_sum([((den, [(i, x, y) for (i, k), x, y in cs if k == j]),
-                          powers[j]) for j in {j for _, j, _ in terms}], n)
+    den, row = _accumulate([((den, [(i, x, y) for (i, k), x, y in cs if k == j]),
+                              powers[j]) for j in {j for _, j, _ in terms}], n)
+    return {k: _unscaled(den, x, y) for k, x, y in row}
 
 
 def substitution_root(terms: list[tuple[int, int, GaussianRational]],
@@ -585,73 +628,47 @@ def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:
                      min(field.truncation_degree, fx.truncation_degree))
 
 
-Homogeneous = list[GaussianRational]  # degree d: coefficients of x^(d-r) y^r
-
-
-def _homogeneous_parts(f: Poly2, n: int) -> dict[int, Scaled]:
-    """f's nonzero parts of degree <= n, scaled, x^(d-r) y^r keyed by r."""
-    parts: dict[int, list] = {}
-    for (i, j), c in f.terms.items():
-        if i + j <= n:
-            parts.setdefault(i + j, []).append((j, c))
-    return {d: _scaled(h) for d, h in parts.items()}
-
-
 def _bilinear(pairs: list[tuple[Poly2, Poly2]], n: int) -> Poly2:
     """sum a b over the pairs (a, b) of series, through degree n: one
-    `_product_sum` per output degree k, over the pairs of the operands'
-    scaled homogeneous parts whose degrees add to k."""
+    `_accumulate` per output degree k, over the pairs of the operands'
+    homogeneous parts whose degrees add to k, reduced once."""
     by_degree: dict[int, list] = {}
     for a, b in pairs:
-        bs = _homogeneous_parts(b, n)
-        for e, pa in _homogeneous_parts(a, n).items():
-            for f, pb in bs.items():
+        for e, pa in a.parts.items():
+            for f, pb in b.parts.items():
                 if e + f <= n:
                     by_degree.setdefault(e + f, []).append((pa, pb))
-    return Poly2({(k - r, r): c for k, ps in by_degree.items()
-                  for r, c in _product_sum(ps, k).items()}, n)
+    return Poly2._of([(k, _accumulate(ps, k)) for k, ps in by_degree.items()],
+                     n)
 
 
-def homological_series(p: Poly2, q: Poly2, quadratic: Homogeneous, n: int,
-                       invert) -> tuple[dict[tuple[int, int], GaussianRational],
-                                        list[tuple[int, GaussianRational]]]:
+_ONE, _MINUS_ONE = Poly2.constant(1, 0), Poly2.constant(-1, 0)
+
+
+def homological_series(p: Poly2, q: Poly2, quadratic: Scaled, n: int,
+                       invert) -> tuple[Poly2, list[tuple[int, GaussianRational]]]:
     """Build F = F_2 + F_3 + ... + F_n with p F_x + q F_y = sum eta_k s_k.
 
-    F_2 is `quadratic`, which the linear part L = p_1 d/dx + q_1 d/dy of
-    the field kills.  At each degree k = 3..n only the new degree-k part
-    of p F_x + q F_y is formed,
-
-        R_k = sum_{m=2}^{k-1} (p_{k+1-m} dF_m/dx + q_{k+1-m} dF_m/dy),
-
-    from the field's homogeneous parts and the cached partials of the
-    solved F_m.  Each part is scaled to Gaussian integers over one shared
-    denominator once, when it is formed, so each R_k is one integer
-    multiply-accumulate with one gcd per coefficient; F and the
-    obstructions come back as GaussianRational.  `invert(k, rhs)` is L's
-    structured inverse on degree k: it returns F_k and eta_k with
-    L F_k - eta_k s_k = rhs = -R_k, where s_k spans L's cokernel (eta_k
-    is None at odd k).  Returns F's coefficients and the obstructions
-    (k, eta_k) at even k >= 4.
+    F_2 is the part `quadratic`, killed by the linear part L of the field.
+    At each degree k = 3..n only the new degree-k part of p F_x + q F_y,
+    R_k = sum_{m=2}^{k-1} (p_{k+1-m} dF_m/dx + q_{k+1-m} dF_m/dy), is
+    formed from the field's parts and the partials of the solved F_m: one
+    Gaussian-integer multiply-accumulate, reduced once.  `invert(k, rhs)`
+    is L's structured inverse on degree k: from the part rhs = -R_k it
+    returns the part F_k (no zero entry) and eta_k, a GaussianRational
+    (None at odd k), with L F_k - eta_k s_k = rhs, s_k spanning L's
+    cokernel.  Returns F and the obstructions (k, eta_k) at even k >= 4.
     """
-    ps, qs = _homogeneous_parts(p, n), _homogeneous_parts(q, n)
-    dx: dict[int, Scaled] = {}
-    dy: dict[int, Scaled] = {}
-    terms: dict[tuple[int, int], GaussianRational] = {}
+    parts, dx, dy = {2: quadratic}, {}, {}  # F_m and its partials
     obstructions: list[tuple[int, GaussianRational]] = []
-
-    def record(m: int, f: Homogeneous) -> None:
-        d, fs = _scaled(enumerate(f))
-        dx[m] = d, [(r, (m - r) * x, (m - r) * y) for r, x, y in fs if r < m]
-        dy[m] = d, [(r - 1, r * x, r * y) for r, x, y in fs if r]
-        terms.update(((m - r, r), c) for r, c in enumerate(f) if c)
-
-    record(2, quadratic)
     for k in range(3, n + 1):
-        residual = _product_sum(
+        dx[k - 1], dy[k - 1] = _partials(k - 1, parts[k - 1])
+        den, row = _primitive(*_accumulate(
             [(part[k + 1 - m], d[m]) for m in range(2, k)
-             for part, d in ((ps, dx), (qs, dy)) if k + 1 - m in part], k)
-        f, eta = invert(k, [-residual.get(r, GR_ZERO) for r in range(k + 1)])
+             for part, d in ((p.parts, dx), (q.parts, dy))
+             if k + 1 - m in part], k))
+        f, eta = invert(k, (den, [(r, -x, -y) for r, x, y in row]))
         if k % 2 == 0:
             obstructions.append((k, eta))
-        record(k, f)
-    return terms, obstructions
+        parts[k] = _primitive(*f)
+    return Poly2._of(parts.items(), n), obstructions

@@ -26,7 +26,7 @@ from centerfocus.series import (
     lie_derivative,
 )
 
-from sympy_oracle import X, Y, to_sympy
+from sympy_oracle import X, Y, dense_inverse, to_sympy
 
 
 def rotation_field(n):
@@ -336,7 +336,7 @@ class TestLyapunovQuantities:
             exact_gaussian(), min_size=k + 1, max_size=k + 1))))
     def test_structured_inverse_solves_exactly(self, case):
         k, rhs = case
-        f, eta = _rotation_inverse(k, rhs)
+        f, eta = dense_inverse(_rotation_inverse, k, rhs)
         s = radius_power_vector(k)
         lf = rotate(k, f)
         if k % 2 == 1:
@@ -349,7 +349,7 @@ class TestLyapunovQuantities:
     @given(inverse_cases())
     def test_integer_inverse_equals_the_gaussian_rational_sweeps(self, case):
         k, rhs = case
-        f, eta = _rotation_inverse(k, rhs)
+        f, eta = dense_inverse(_rotation_inverse, k, rhs)
         assert (f, eta) == naive_rotation_inverse(k, rhs)
         if k % 2 == 0:
             assert not euclidean_dot(f, radius_power_vector(k))
@@ -363,14 +363,14 @@ class TestLyapunovQuantities:
                        Fraction(rng.randint(-2**64, 2**64),
                                 rng.randint(1, 2**64)))
                     for _ in range(k + 1)]):
-                f, eta = _rotation_inverse(k, rhs)
+                f, eta = dense_inverse(_rotation_inverse, k, rhs)
                 assert (f, eta) == naive_rotation_inverse(k, rhs)
                 if k % 2 == 0:
                     assert not euclidean_dot(f, radius_power_vector(k))
 
     def test_odd_degree_operator_injective(self):
         for k in range(3, 17, 2):
-            f, eta = _rotation_inverse(k, [gr(0)] * (k + 1))
+            f, eta = dense_inverse(_rotation_inverse, k, [gr(0)] * (k + 1))
             assert f == [gr(0)] * (k + 1) and eta is None
 
     def test_even_degree_operator_rank_deficit_one(self):
@@ -378,7 +378,7 @@ class TestLyapunovQuantities:
         for k in range(4, 17, 2):
             s = radius_power_vector(k)
             assert rotate(k, s) == [gr(0)] * (k + 1)
-            _, eta = _rotation_inverse(k, s)
+            _, eta = dense_inverse(_rotation_inverse, k, s)
             assert eta
 
     def test_dense_oracle(self):

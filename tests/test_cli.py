@@ -228,6 +228,23 @@ def test_golden(fixture, command):
     assert got == json.loads(_golden_path(fixture, command).read_text())
 
 
+# Dense documents at high order, with their reports recorded while each
+# coefficient of a series was still stored as its own pair of Fractions:
+# a conjugated quartic Hamiltonian at order 24 (`lyapunov`, coefficients of
+# F near 160 bits) and a dense exact form dF at order 12 (`slice`).  They
+# live apart from `FIXTURES`, so no other command runs on them.
+HIGH_ORDER = Path(__file__).parent / "high_order"
+
+
+@pytest.mark.parametrize("report", sorted(
+    p.name for p in HIGH_ORDER.glob("*.report.json")))
+def test_high_order_golden(report):
+    fixture, command = report.split(".")[:2]
+    spec = parse_spec(HIGH_ORDER / f"{fixture}.json")
+    got = normalize(run_pipeline(spec, command=command))
+    assert got == json.loads((HIGH_ORDER / report).read_text())
+
+
 @pytest.mark.parametrize("fixture", ["linear_center", "cubic_focus"])
 def test_golden_orbit_dumps(tmp_path, fixture):
     """`--dump-orbits` writes the recorded CSVs byte for byte."""
@@ -453,12 +470,14 @@ class TestStagesPerCommand:
 
 
 def corrupted(inverse):
-    """A structured homological inverse with one coefficient of F_5 off."""
+    """A structured homological inverse with one coefficient of F_5 off:
+    the part (den, [(r, re, im), ...]) gains 1 on x^5 (r = 0)."""
     def solve(k, rhs):
-        f, eta = inverse(k, rhs)
+        (den, row), eta = inverse(k, rhs)
         if k == 5:
-            f = [f[0] + 1, *f[1:]]
-        return f, eta
+            x, y = next(((x, y) for r, x, y in row if r == 0), (0, 0))
+            row = [(0, x + den, y)] + [t for t in row if t[0]]
+        return (den, row), eta
     return solve
 
 
@@ -468,8 +487,11 @@ from centerfocus import center
 from centerfocus.cli import main
 inverse = center._rotation_inverse
 def solve(k, rhs):
-    f, eta = inverse(k, rhs)
-    return ([f[0] + 1, *f[1:]] if k == 5 else f), eta
+    (den, row), eta = inverse(k, rhs)
+    if k == 5:
+        x, y = next(((x, y) for r, x, y in row if r == 0), (0, 0))
+        row = [(0, x + den, y)] + [t for t in row if t[0]]
+    return (den, row), eta
 center._rotation_inverse = solve
 sys.exit(main(["lyapunov", sys.argv[1], "--out", sys.argv[2]]))
 """

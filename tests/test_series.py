@@ -448,6 +448,14 @@ def naive_wedge(f, form):
             - naive_poly_mul(f.diff_y(), form.a))
 
 
+def is_primitive(den, row):
+    """A stored part: den > 0, gcd 1 with the entries, no zero entry,
+    entries in increasing r."""
+    return (den > 0 and all(x or y for _, x, y in row)
+            and math.gcd(den, *(v for _, x, y in row for v in (x, y))) == 1
+            and [r for r, _, _ in row] == sorted({r for r, _, _ in row}))
+
+
 def in_lowest_terms(c):
     return all(math.gcd(f.numerator, f.denominator) == 1 and f.denominator > 0
                for f in (c.re, c.im))
@@ -550,11 +558,12 @@ class TestIntegerKernels:
                               st.lists(gaussian, max_size=6)), max_size=4),
            st.integers(0, 10))
     def test_product_sum(self, pairs, n):
+        # one multiply-accumulate, then one reduction to primitive form
         scaled = [(series._scaled(enumerate(a)), series._scaled(enumerate(b)))
                   for a, b in pairs]
-        out = series._product_sum(scaled, n)
-        assert out == naive_product_sum(pairs, n)
-        assert all(c and in_lowest_terms(c) for c in out.values())
+        den, row = series._primitive(*series._accumulate(scaled, n))
+        assert unscaled_row((den, row)) == naive_product_sum(pairs, n)
+        assert is_primitive(den, row)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
@@ -635,8 +644,8 @@ class TestIntegerKernels:
                           power_rows({0: b}), 3) == {}
         parts = [[gr(1), gr(0, 1)], [gr(Fraction(1, 4)), gr(0, Fraction(1, 6))]]
         scaled = [series._scaled(enumerate(h)) for h in parts]
-        out = series._product_sum([(scaled[0], scaled[0]),
-                                   (scaled[1], scaled[1])], 2)
+        out = unscaled_row(series._accumulate([(scaled[0], scaled[0]),
+                                               (scaled[1], scaled[1])], 2))
         # (1 + i y)^2 + (1/4 + i y/6)^2: the y^2 terms -1 and -1/36 stay,
         # the y terms 2i and i/12 add, the constants 1 and 1/16 add
         assert out == {0: gr(Fraction(17, 16)), 1: gr(0, Fraction(25, 12)),
@@ -650,6 +659,141 @@ class TestIntegerKernels:
         assert [series._unscaled(d, x, y) for _, x, y in items] == \
             [c for c in coeffs if c]
         assert series._scaled([]) == (1, [])
+
+
+# -- the stored homogeneous parts ---------------------------------------
+#
+# A Poly2 keeps each homogeneous part as Gaussian integers over one
+# denominator.  Every operation must give the series the naive
+# GaussianRational loop gives, with every part in its primitive form.
+
+def naive_add(a, b):
+    n = min(a.truncation_degree, b.truncation_degree)
+    acc = {e: c for e, c in a.terms.items() if sum(e) <= n}
+    for e, c in b.terms.items():
+        if sum(e) <= n:
+            acc[e] = acc.get(e, ZERO) + c
+    return Poly2(acc, n)
+
+
+def naive_scale(a, c):
+    return Poly2({e: v * c for e, v in a.terms.items()}, a.truncation_degree)
+
+
+def naive_truncate(a, degree):
+    if degree >= a.truncation_degree:
+        return a
+    return Poly2({e: c for e, c in a.terms.items() if sum(e) <= degree},
+                 degree)
+
+
+def stored_primitive(p):
+    """Every part of p sits at a degree within its truncation and is
+    primitive, so that `==` on the parts is equality of series."""
+    return all(0 <= d <= p.truncation_degree and row and is_primitive(den, row)
+               for d, (den, row) in p.parts.items())
+
+
+# binary64 corner cases: denominators above 2^1000 with normal quotients,
+# and quotients below 2^-1022 (subnormal, or rounding to zero)
+huge_part = st.builds(Fraction, st.integers(-2**1100, 2**1100),
+                      st.integers(2**1000, 2**1100))
+tiny_part = st.builds(Fraction, st.integers(-2**80, 2**80),
+                      st.integers(2**1020, 2**1160))
+extreme = st.builds(GaussianRational, huge_part | tiny_part | part,
+                    huge_part | tiny_part | part)
+
+
+class TestStoredParts:
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s())
+    def test_terms_round_trip(self, p):
+        assert Poly2(p.terms, p.truncation_degree) == p
+        assert stored_primitive(p)
+        assert all(p.coefficient(i, j) == c for (i, j), c in p.terms.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s(), poly2s(), gaussian)
+    def test_sums_negation_and_scalar_multiples(self, a, b, c):
+        neg_b = Poly2({e: -v for e, v in b.terms.items()}, b.truncation_degree)
+        for got, want in ((a + b, naive_add(a, b)), (-b, neg_b),
+                          (a - b, naive_add(a, neg_b)),
+                          (a * c, naive_scale(a, c)), (c * a, naive_scale(a, c)),
+                          (a + c, naive_add(a, Poly2.constant(c, 0).lift(
+                              a.truncation_degree)))):
+            assert got == want and stored_primitive(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s(), poly2s(), st.integers(0, 9))
+    def test_products_partials_truncate_and_lift(self, a, b, k):
+        n = a.truncation_degree
+        for got, want in ((a * b, naive_poly_mul(a, b)),
+                          (a.truncate(k), naive_truncate(a, k)),
+                          (a.lift(n + k), Poly2(a.terms, n + k)),
+                          (a.diff_x(), Poly2(
+                              {(i - 1, j): c * i for (i, j), c in a.terms.items()
+                               if i}, max(n - 1, 0))),
+                          (a.diff_y(), Poly2(
+                              {(i, j - 1): c * j for (i, j), c in a.terms.items()
+                               if j}, max(n - 1, 0)))):
+            assert got == want and stored_primitive(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly2s(), nonsingular, component_pairs(), poly2s())
+    def test_substitution_lie_derivative_and_wedge(self, f, m, pq, g):
+        field, form = VectorField2(*pq), OneForm2(*pq)
+        for got, want in ((f.substitute_linear(m),
+                           naive_substitute_linear(f, m)),
+                          (lie_derivative(field, g),
+                           naive_lie_derivative(field, g)),
+                          (wedge_coefficient(g, form), naive_wedge(g, form))):
+            assert got == want and stored_primitive(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(0, 4), extreme, min_size=1,
+                           max_size=5), st.booleans())
+    def test_binary64_rounds_like_float_of_fraction(self, coeffs, real):
+        # one part of degree 4, over the lcm of all its denominators
+        p = Poly2({(4 - r, r): GaussianRational(c.re, 0 if real else c.im)
+                   for r, c in coeffs.items()}, 4)
+        ev = p.binary64()
+        for r in (0, 4):  # (1, 0) and (0, 1) isolate x^4 and y^4
+            c = p.coefficient(4 - r, r)
+            got = ev(1.0, 0.0) if r == 0 else ev(0.0, 1.0)
+            assert got == (float(c.re) if p.real
+                           else complex(float(c.re), float(c.im)))
+        rounding = (lambda c: float(c.re)) if p.real else \
+            GaussianRational.to_complex
+        for x, y in ((1.0, 1.0), (0.5, -0.75), (1j, 0.25 - 2j)):
+            assert bits(ev(x, y)) == bits(comprehension(p, x, y, rounding))
+
+    def test_kernels_build_no_gaussian_rational(self, monkeypatch):
+        # lie_derivative, products and linear substitutions run on the
+        # stored integers from end to end
+        rng = random.Random(5)
+        n = 10
+
+        def dense(seed_im):
+            return Poly2({(i, d - i): gr(Fraction(rng.randint(-9, 9),
+                                                  rng.randint(1, 12)),
+                                         Fraction(rng.randint(-9, 9), 7)
+                                         if seed_im else 0)
+                          for d in range(n + 1) for i in range(d + 1)}, n)
+
+        field, f, g = VectorField2(dense(True), dense(False)), dense(True), \
+            dense(False)
+        m = ((gr(1), gr(Fraction(1, 2), 3)), (gr(0, -1), gr(Fraction(2, 3))))
+        built = []
+        init = GaussianRational.__init__
+        monkeypatch.setattr(GaussianRational, "__init__", lambda self, *a: (
+            built.append(1), init(self, *a))[1])
+        for run in (lambda: lie_derivative(field, f), lambda: f * g,
+                    lambda: f.substitute_linear(m)):
+            built.clear()
+            run()
+            assert built == []
+        f.coefficient(1, 1)
+        assert built == [1]
 
 
 def test_series_imports_only_the_standard_library():
