@@ -202,10 +202,11 @@ def _rotation_inverse(
     multiple of every such product, so every `//` is exact.  At even k,
     with U = T u and V = M_k v the forward sweeps of M_k b and M_k s
     over the even rows, eta = E / (D Q), E = -(M_k b[k] + U[-1]) and
-    Q = M_k s[k] + V[-1].  Over T Q, f's numerators are Q U + E V at odd
-    r and Q (T f[r]) at even r, and the projection puts them over
-    T Q ||s||^2.  f is returned as that scaled part, which the caller
-    reduces once; only eta becomes a GaussianRational.
+    Q = M_k s[k] + V[-1], positive as s and its sweep are.  Over T Q, f's
+    numerators are Q U + E V at odd r and Q (T f[r]) at even r, and the
+    projection puts them over T Q ||s||^2.  f is returned as that scaled
+    part, which the caller reduces once; only eta becomes a
+    GaussianRational.
     """
     m, s, v, q, norm2 = _degree_constants(k)
     d, nonzero = rhs

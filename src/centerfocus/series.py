@@ -525,10 +525,9 @@ def _sparse(re: list[int], im: list[int]) -> list[tuple[int, int, int]]:
 
 
 def _primitive(den: int, row: list[tuple[int, int, int]]) -> Scaled:
-    """(den, row) divided by the gcd of den and the entries, signed so
-    that the denominator is positive; (1, []) for an empty row."""
+    """(den, row), den > 0, divided by the gcd of den and the entries;
+    (1, []) for an empty row."""
     g = math.gcd(den, *(v for _, x, y in row for v in (x, y)))
-    g = g if den > 0 else -g
     return (den, row) if g == 1 else \
         (den // g, [(r, x // g, y // g) for r, x, y in row])
 
