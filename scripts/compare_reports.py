@@ -9,7 +9,9 @@ checkout:
   * every fixture of NEW's tests/fixtures under every command, the
     pairs the command rejects included (they must fail the same way);
   * every document of `perfbench/gen.make_workload`, taken from NEW, for
-    each workload and seed, under the document's own command.
+    each workload and seed, under the document's own command, and each
+    `slice` document under `blowup` and `analyze` too, since no workload
+    runs the blow-up.
 
 A run matches when the exit code, stderr (with the checkout root written
 as <root>) and the report (with its timestamp blanked) are the same in
@@ -32,6 +34,8 @@ COMMANDS = ("analyze", "lyapunov", "returnmap", "blowup", "germ", "slice")
 WORKLOADS = ("real_lyapunov", "holomorphic", "real_returnmap")
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 TIMEOUT_S = 600
+# commands run on a workload document besides its own
+ALSO = {"slice": ("blowup", "analyze")}
 
 
 def runs(head: Path, seeds: list[int], work: Path) -> list[tuple]:
@@ -46,8 +50,10 @@ def runs(head: Path, seeds: list[int], work: Path) -> list[tuple]:
         for seed in seeds:
             items = gen.make_workload(workload, seed)
             paths = gen.write_workload(items, work / f"{workload}-{seed}")
-            out += [(f"{workload} seed {seed} {item['id']}", item["command"],
-                     path) for item, path in zip(items, paths)]
+            out += [(f"{workload} seed {seed} {item['id']} {command}",
+                     command, path) for item, path in zip(items, paths)
+                    for command in (item["command"],
+                                    *ALSO.get(item["command"], ()))]
     return out
 
 

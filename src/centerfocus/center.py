@@ -29,7 +29,6 @@ from .series import (
     Poly2,
     Scaled,
     VectorField2,
-    _scaled,
     _sparse,
     _unscaled,
     ensure,
@@ -264,17 +263,14 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
         )
     first_integral, obstructions = homological_series(  # F_2 = x^2 + y^2
         field.p, field.q, (1, [(0, 1, 0), (2, 1, 0)]), n, _rotation_inverse)
-    # exact consistency guard: X(F) must equal the obstruction series,
-    # part by part: eta_k times the binomial coefficients s of
-    # (x^2+y^2)^(k/2), which the solve has cached
-    check = lie_derivative(field.lift(max(field.truncation_degree, n + 1)),
-                           first_integral.lift(n + 1))
-    expected = Poly2._of(
-        [(k, (d, [(r, x * c, y * c) for r, c in enumerate(s) if c]))
-         for k, eta in obstructions if eta
-         for s, (d, [(_, x, y)]) in [(_degree_constants(k)[1],
-                                      _scaled([(0, eta)]))]], n)
-    ensure(check.truncate(n) == expected, "obstruction decomposition failed")
+    # exact consistency guard: X(F), truncated at n, must equal the
+    # obstruction series sum eta_k (x^2+y^2)^(k/2), written from its
+    # binomial coefficients
+    check = lie_derivative(field, first_integral.lift(n + 1))
+    expected = Poly2({(k - 2 * a, 2 * a): eta * math.comb(k // 2, a)
+                      for k, eta in obstructions if eta
+                      for a in range(k // 2 + 1)}, n)
+    ensure(check == expected, "obstruction decomposition failed")
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None
     )

@@ -492,7 +492,7 @@ def _real_slice(run):
     params = run.params
     grid = fol_mod.SliceGrid(tuple(params["slice_radii"]),
                              params["slice_angles"])
-    sl, ver = fol_mod.real_slice(run.pair, grid)
+    samples, ver = fol_mod.real_slice(run.pair, grid)
     hist = dict(Counter(str(c) for c in ver.contact_orders))
     run.sections["real_slice"] = {
         "n_samples": ver.n_samples,
@@ -505,7 +505,7 @@ def _real_slice(run):
         "samples": [
             {"x": [x.real, x.imag], "y": [y.real, y.imag],
              "tol": ver.residual_tol}
-            for x, y in sl.sample_points
+            for x, y in samples
         ],
         "summary": (
             f"{ver.n_samples} samples; max |Im(fg)| = "

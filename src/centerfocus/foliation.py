@@ -1,6 +1,11 @@
 """Complex-analytic side: Siegel resonant forms, quadratic blow-up,
 formal first integrals, branch factorization and totally real slices.
 
+`complexify` returns the Siegel resonant 1-form of a normalized real
+field itself; the change of coordinates is the constant SIEGEL_CHANGE.
+`blowup` computes one chart and reads the other off the form with x and
+y exchanged.  `real_slice` returns its samples with their verification.
+
 All symbolic work stays exact; numerics appear only where a value is
 inherently a sample (divisor singularities, slice points, contact ranks).
 numpy and sympy are imported only inside the functions that use them.
@@ -39,12 +44,11 @@ __all__ = [
     "SingularPoint",
     "BranchFailure",
     "NoSamples",
-    "SiegelForm",
+    "SIEGEL_CHANGE",
     "DivisorSingularity",
     "BlowupResult",
     "FactorPair",
     "SliceGrid",
-    "RealSlice",
     "SliceVerification",
     "complexify",
     "siegel_check",
@@ -70,15 +74,6 @@ class BranchFailure(InternalError):
 
 class NoSamples(RuntimeError):
     """Slice refinement failed at every seed."""
-
-
-@dataclass(frozen=True)
-class SiegelForm:
-    """1-form with linear part exactly x dy + y dx, plus how we got there."""
-
-    form: OneForm2
-    change_matrix: tuple[tuple[GaussianRational, GaussianRational],
-                         tuple[GaussianRational, GaussianRational]]
 
 
 @dataclass(frozen=True)
@@ -128,13 +123,6 @@ class SliceGrid:
 
 
 @dataclass(frozen=True)
-class RealSlice:
-    """Samples of V2 = (Re f = Re g) cap (Im f = -Im g)."""
-
-    sample_points: list[tuple[complex, complex]]
-
-
-@dataclass(frozen=True)
 class SliceVerification:
     n_samples: int
     n_failed_seeds: int
@@ -148,26 +136,24 @@ class SliceVerification:
 # complexification
 
 
-def complexify(norm: RotationNormalization) -> SiegelForm:
+# x = (u+v)/2, y = -i(u-v)/2: (x, y) = SIEGEL_CHANGE @ (u, v)
+SIEGEL_CHANGE = ((gr(Fraction(1, 2)), gr(Fraction(1, 2))),
+                 (gr(0, Fraction(-1, 2)), gr(0, Fraction(1, 2))))
+
+
+def complexify(norm: RotationNormalization) -> OneForm2:
     """Promote a normalized real field to its Siegel resonant dual form.
 
-    The substitution x = (u+v)/2, y = -i(u-v)/2 diagonalizes the rotation;
-    the dual 1-form q dx - p dy pulls back to a scalar multiple of
-    u dv + v du, and the scalar is removed exactly.
+    The substitution SIEGEL_CHANGE diagonalizes the rotation; the dual
+    1-form q dx - p dy pulls back to a scalar multiple of u dv + v du,
+    and the scalar is removed exactly.
     """
-    fld = norm.normalized
-    w = OneForm2(fld.q, -fld.p)
-    half = Fraction(1, 2)
-    m = (
-        (gr(half), gr(half)),
-        (gr(0, -half), gr(0, half)),
-    )
-    pulled = w.pullback_linear(m)
+    pulled = norm.normalized.dual_form().pullback_linear(SIEGEL_CHANGE)
     c = pulled.b.coefficient(1, 0)
     ensure(c, "rotational linear part did not survive complexification")
     siegel = pulled.scale(1 / c)
     ensure(siegel_check(siegel), "complexified form is not in Siegel shape")
-    return SiegelForm(siegel, m)
+    return siegel
 
 
 def siegel_check(form: OneForm2) -> bool:
@@ -207,11 +193,11 @@ def _check_isolated(form: OneForm2) -> None:
         )
 
 
-def _chart_components(form: OneForm2, chart: str) -> tuple[Poly2, Poly2, int]:
-    """Substituted, divided chart components and the power divided out.
+def _chart_components(form: OneForm2) -> tuple[Poly2, Poly2, int]:
+    """Chart t components and the power of x divided out.
 
-    Chart "t": y = t x gives [a(x,tx) + t b(x,tx)] dx + x b(x,tx) dt,
-    then the maximal common power of x is removed.  Chart "s" mirrors it.
+    y = t x gives [a(x,tx) + t b(x,tx)] dx + x b(x,tx) dt, then the
+    maximal common power of x is removed.
     """
     n = form.truncation_degree
     first: dict[tuple[int, int], GaussianRational] = {}
@@ -220,38 +206,25 @@ def _chart_components(form: OneForm2, chart: str) -> tuple[Poly2, Poly2, int]:
     def add(acc, key, val):
         acc[key] = acc.get(key, GR_ZERO) + val
 
-    if chart == "t":
-        for (i, j), c in form.a.terms.items():
-            add(first, (i + j, j), c)          # a(x, tx) dx
-        for (i, j), c in form.b.terms.items():
-            add(first, (i + j, j + 1), c)      # t b(x, tx) dx
-            add(second, (i + j + 1, j), c)     # x b(x, tx) dt
-    else:
-        for (i, j), c in form.b.terms.items():
-            add(second, (i, i + j), c)         # b(sy, y) dy
-        for (i, j), c in form.a.terms.items():
-            add(second, (i + 1, i + j), c)     # s a(sy, y) dy
-            add(first, (i, i + j + 1), c)      # y a(sy, y) ds
+    for (i, j), c in form.a.terms.items():
+        add(first, (i + j, j), c)          # a(x, tx) dx
+    for (i, j), c in form.b.terms.items():
+        add(first, (i + j, j + 1), c)      # t b(x, tx) dx
+        add(second, (i + j + 1, j), c)     # x b(x, tx) dt
     first = {k: v for k, v in first.items() if v}
     second = {k: v for k, v in second.items() if v}
-    axis = 0 if chart == "t" else 1  # exponent of the divisor variable
-    m = min(k[axis] for k in list(first) + list(second))
-    shift = (lambda k: (k[0] - m, k[1])) if chart == "t" else \
-        (lambda k: (k[0], k[1] - m))
-    bound = n - m
+    m = min(i for i, _ in list(first) + list(second))
 
     def divided(part):
-        return Poly2({shift(k): v for k, v in part.items()
-                      if sum(shift(k)) <= bound}, bound)
+        return Poly2({(i - m, j): v for (i, j), v in part.items()
+                      if i + j <= n}, n - m)
 
     return divided(first), divided(second), m
 
 
-def _restrict_to_divisor(p: Poly2, chart: str) -> dict[int, GaussianRational]:
-    """Univariate coefficients of p on the exceptional divisor of a chart."""
-    if chart == "t":
-        return {j: c for (i, j), c in p.terms.items() if i == 0}
-    return {i: c for (i, j), c in p.terms.items() if j == 0}
+def _restrict_to_divisor(p: Poly2) -> dict[int, GaussianRational]:
+    """Univariate coefficients of p on the exceptional divisor x = 0."""
+    return {j: c for (i, j), c in p.terms.items() if i == 0}
 
 
 def _uni_roots(coeffs: dict[int, GaussianRational]):
@@ -268,10 +241,10 @@ def _uni_eval(coeffs: dict[int, GaussianRational], z: complex) -> complex:
     return sum(c.to_complex() * z**k for k, c in coeffs.items())
 
 
-def _divisor_singularities(chart: str, comp_a: Poly2,
+def _divisor_singularities(comp_a: Poly2,
                            comp_b: Poly2) -> list[DivisorSingularity]:
-    a0 = _restrict_to_divisor(comp_a, chart)
-    b0 = _restrict_to_divisor(comp_b, chart)
+    a0 = _restrict_to_divisor(comp_a)
+    b0 = _restrict_to_divisor(comp_b)
     if not a0 and not b0:
         return []
     base = a0 if a0 else b0
@@ -286,16 +259,13 @@ def _divisor_singularities(chart: str, comp_a: Poly2,
     for c in candidates:
         if all(abs(c - u) > 1e-7 * (1 + abs(c)) for u in unique):
             unique.append(c)
-    return [_linearize(chart, comp_a, comp_b, loc) for loc in unique]
+    return [_linearize("t", comp_a, comp_b, loc) for loc in unique]
 
 
 def _linearize(chart, comp_a, comp_b, loc: complex) -> DivisorSingularity:
     import numpy as np
     # dual field of A dx + B dt is (B, -A); its Jacobian at the point
-    if chart == "t":
-        point = (0.0, loc)
-    else:
-        point = (loc, 0.0)
+    point = (0.0, loc)
     j11 = comp_b.diff_x().evaluate(point)
     j12 = comp_b.diff_y().evaluate(point)
     j21 = -comp_a.diff_x().evaluate(point)
@@ -306,27 +276,37 @@ def _linearize(chart, comp_a, comp_b, loc: complex) -> DivisorSingularity:
     return DivisorSingularity(chart, loc, (complex(e1), complex(e2)), ratio)
 
 
+def _swapped(p: Poly2) -> Poly2:
+    """p with x and y exchanged."""
+    return p.substitute_linear(((0, 1), (1, 0)))
+
+
 def blowup(form: OneForm2) -> BlowupResult:
     """Quadratic blow-up in the two affine charts.
 
-    Substitutes y = t x (and x = s y), removes the maximal common power of
-    the divisor variable, decides divisor invariance exactly, and locates
-    the singular points on the exceptional divisor with their linearized
-    eigenvalues.  Chart s contributes only the point s = 0 that chart t
-    cannot see.
+    Substitutes y = t x, removes the maximal common power of x, decides
+    divisor invariance exactly, and locates the singular points on the
+    exceptional divisor with their linearized eigenvalues.  Chart s
+    (x = s y) is chart t of the form with x and y exchanged, its
+    components exchanged back; it contributes only the point s = 0 that
+    chart t cannot see, linearized in (s, y), since the exchange reverses
+    the sign of the eigenvalues.
     """
     if form.a.coefficient(0, 0) or form.b.coefficient(0, 0):
         raise ValueError("1-form does not vanish at the origin")
     _check_isolated(form)
-    at, bt, mt = _chart_components(form, "t")
-    as_, bs, ms = _chart_components(form, "s")
+    at, bt, mt = _chart_components(form)
+    # chart t of the exchanged form: the dy- and ds-components in (y, s)
+    dy, ds, ms = _chart_components(OneForm2(_swapped(form.b),
+                                            _swapped(form.a)))
+    as_, bs = _swapped(ds), _swapped(dy)
     # E = {x = 0} is invariant iff the dt-component vanishes on it
-    invariant_t = not _restrict_to_divisor(bt, "t")
-    invariant_s = not _restrict_to_divisor(as_, "s")
-    ensure(invariant_t == invariant_s,
+    invariant_t = not _restrict_to_divisor(bt)
+    ensure(invariant_t == (not _restrict_to_divisor(ds)),
            "charts disagree on divisor invariance")
-    sings = _divisor_singularities("t", at, bt)
-    sings += _divisor_singularities_chart_s(as_, bs)
+    sings = _divisor_singularities(at, bt)
+    if not as_.coefficient(0, 0) and not bs.coefficient(0, 0):
+        sings.append(_linearize("s", as_, bs, 0j))
     return BlowupResult(
         chart_t=OneForm2(at, bt),
         chart_s=OneForm2(as_, bs),
@@ -335,16 +315,6 @@ def blowup(form: OneForm2) -> BlowupResult:
         divisor_invariant=invariant_t,
         singularities_on_E=sings,
     )
-
-
-def _divisor_singularities_chart_s(as_: Poly2, bs: Poly2) -> list[DivisorSingularity]:
-    # only the origin of chart s (t = infinity) is new
-    a0 = _restrict_to_divisor(as_, "s")
-    b0 = _restrict_to_divisor(bs, "s")
-    singular = not a0.get(0, GR_ZERO) and not b0.get(0, GR_ZERO)
-    if not singular:
-        return []
-    return [_linearize("s", as_, bs, 0j)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +380,16 @@ def formal_first_integral_siegel(
 # branch factorization F = f g unit
 
 
-def _solve_branch(F: Poly2, solve_for_y: bool) -> dict[int, GaussianRational]:
-    """The branch y = a(x) (or x = b(y)) of F = 0 through degree m - 1.
+def _solve_branch(terms: list[tuple[int, int, GaussianRational]],
+                  m: int) -> dict[int, GaussianRational]:
+    """The branch y = a(x) of F = 0 through degree m - 1, for the terms
+    (i, j, c) of F = sum c x^i y^j known to degree m.
 
     a_k is read off the degree-(k+1) coefficient of F(x, a(x)), where it
     enters through the xy term alone (`series.substitution_root`).  One
     full substitution of the solved branch then checks that F vanishes
     on it through degree m.
     """
-    m = F.truncation_degree
-    terms = [((i, j, c) if solve_for_y else (j, i, c))
-             for (i, j), c in F.terms.items()]
     branch = substitution_root(terms, 1, m)
     resid = substitute(terms, power_rows(branch), m)
     if resid:
@@ -472,8 +441,9 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     if m < n + 3:
         raise ValueError(f"F truncated at {m}; degree {n + 3} is needed "
                          f"to verify the factorization to degree {n}")
-    a = _solve_branch(F, solve_for_y=True)
-    b = _solve_branch(F, solve_for_y=False)
+    terms = [(i, j, c) for (i, j), c in F.terms.items()]
+    a = _solve_branch(terms, m)
+    b = _solve_branch([(j, i, c) for i, j, c in terms], m)  # x = b(y)
     f = Poly2({(0, 1): gr(1), **{(k, 0): -c for k, c in a.items()}}, m - 1)
     g = Poly2({(1, 0): gr(1), **{(0, k): -c for k, c in b.items()}}, m - 1)
     prod = f * g
@@ -536,8 +506,8 @@ def _refine(values, partials, u0):
 
 def real_slice(
     pair: FactorPair, grid: SliceGrid = SliceGrid(),
-) -> tuple[RealSlice, SliceVerification]:
-    """Sample the totally real surface Re f = Re g, Im f = -Im g.
+) -> tuple[list[tuple[complex, complex]], SliceVerification]:
+    """Sample V2 = (Re f = Re g) cap (Im f = -Im g), a totally real surface.
 
     The unit is absorbed into f so that the product of the pair equals the
     first integral; damped Gauss-Newton refinement is run from a polar
@@ -545,6 +515,7 @@ def real_slice(
     is checked for a real, nonnegative product and for contact order one
     of the level foliation with the slice, whose gradient is that of the
     pair's checked product.  Evaluators at one point share its powers.
+    Returns the samples (x, y) and their verification.
     """
     import numpy as np
     if not pair.general_position:
@@ -581,11 +552,8 @@ def real_slice(
         max_im = max(max_im, abs(val.imag))
         min_re = min(min_re, val.real)
         contact.append(_contact_order(px, py, (x, y), (basis[0], basis[1])))
-    return (
-        RealSlice(samples),
-        SliceVerification(len(samples), failed, max_im, min_re, contact,
-                          _RESIDUAL_TOL),
-    )
+    return samples, SliceVerification(len(samples), failed, max_im, min_re,
+                                      contact, _RESIDUAL_TOL)
 
 
 def contact_order(form: OneForm2, point, tangent_basis) -> int:

@@ -73,9 +73,9 @@ class TestComplexify:
         n = 8
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         norm = normalize_rotation(VectorField2(-y, x))
-        sf = complexify(norm)
-        assert sf.form.a == Poly2.var_y(n)
-        assert sf.form.b == Poly2.var_x(n)
+        form = complexify(norm)
+        assert form.a == Poly2.var_y(n)
+        assert form.b == Poly2.var_x(n)
 
     def test_quadratic_perturbation_hand_oracle(self):
         # hand substitution oracle: for X = -y dx + (x + x^2) dy the dual
@@ -84,13 +84,13 @@ class TestComplexify:
         n = 8
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         norm = normalize_rotation(VectorField2(-y, x + x * x))
-        sf = complexify(norm)
+        form = complexify(norm)
         quarter = Fraction(1, 4)
         sq = Poly2({(2, 0): quarter, (1, 1): 2 * quarter, (0, 2): quarter},
                    n)
-        assert sf.form.a == Poly2.var_y(n) + sq
-        assert sf.form.b == Poly2.var_x(n) + sq
-        assert siegel_check(sf.form)
+        assert form.a == Poly2.var_y(n) + sq
+        assert form.b == Poly2.var_x(n) + sq
+        assert siegel_check(form)
 
     def test_complexified_first_integral_annihilates_form(self):
         # a real first integral transported by the same substitution must
@@ -99,10 +99,8 @@ class TestComplexify:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         norm = normalize_rotation(VectorField2(-y, x + x * x))
         rep = lyapunov_quantities(norm, n)
-        sf = complexify(norm)
-        f_c = rep.first_integral.substitute_linear(
-            sf.change_matrix)
-        assert wedge_coefficient(f_c, sf.form).is_zero()
+        f_c = rep.first_integral.substitute_linear(foliation.SIEGEL_CHANGE)
+        assert wedge_coefficient(f_c, complexify(norm)).is_zero()
 
 
 class TestSiegelCheck:
@@ -121,7 +119,72 @@ class TestSiegelCheck:
         assert siegel_check(form)
 
 
+def direct_chart(form: OneForm2, chart: str) -> tuple[OneForm2, int]:
+    """The form in chart "t" (y = t x, A dx + B dt) or chart "s" (x = s y,
+    A ds + B dy) by direct substitution, divided by the maximal common
+    power m of the divisor variable (x, or y), and m."""
+    n = form.truncation_degree
+    first: dict = {}
+    second: dict = {}
+
+    def add(acc, key, c):
+        acc[key] = acc.get(key, GaussianRational()) + c
+
+    if chart == "t":
+        for (i, j), c in form.a.terms.items():
+            add(first, (i + j, j), c)          # a(x, tx) dx
+        for (i, j), c in form.b.terms.items():
+            add(first, (i + j, j + 1), c)      # t b(x, tx) dx
+            add(second, (i + j + 1, j), c)     # x b(x, tx) dt
+    else:
+        for (i, j), c in form.b.terms.items():
+            add(second, (i, i + j), c)         # b(sy, y) dy
+        for (i, j), c in form.a.terms.items():
+            add(second, (i + 1, i + j), c)     # s a(sy, y) dy
+            add(first, (i, i + j + 1), c)      # y a(sy, y) ds
+    axis = 0 if chart == "t" else 1
+    m = min(k[axis] for part in (first, second) for k, c in part.items()
+            if c)
+
+    def divided(part):
+        shifted = {(i - m, j) if axis == 0 else (i, j - m): c
+                   for (i, j), c in part.items() if c}
+        return Poly2({k: c for k, c in shifted.items() if sum(k) <= n - m},
+                     n - m)
+
+    return OneForm2(divided(first), divided(second)), m
+
+
+@st.composite
+def siegel_shaped_forms(draw):
+    """(y + ...) dx + (x + ...) dy with Gaussian-rational terms of degree
+    2..4, truncated at 4..7: isolated, as the linear parts y and x are
+    independent."""
+    n = draw(st.integers(4, 7))
+    higher = st.dictionaries(
+        st.sampled_from([(i, d - i) for d in (2, 3, 4) for i in range(d + 1)]),
+        nonzero_gaussian, max_size=5)
+    return OneForm2(Poly2({(0, 1): 1, **draw(higher)}, n),
+                    Poly2({(1, 0): 1, **draw(higher)}, n))
+
+
 class TestBlowup:
+    @settings(max_examples=25, deadline=None)
+    @given(siegel_shaped_forms())
+    def test_charts_equal_direct_substitution(self, form):
+        # chart s is computed as chart t of the exchanged form; both must
+        # equal the direct substitutions x = s y and y = t x
+        res = blowup(form)
+        chart_t, mt = direct_chart(form, "t")
+        chart_s, ms = direct_chart(form, "s")
+        assert (res.chart_t, res.divided_power_t) == (chart_t, mt)
+        assert (res.chart_s, res.divided_power_s) == (chart_s, ms)
+        assert res.divisor_invariant == (not any(
+            i == 0 for i, _ in chart_t.b.terms))
+        origin_s = [s for s in res.singularities_on_E if s.chart == "s"]
+        assert [s.location for s in origin_s] == [0j]
+        assert abs(origin_s[0].ratio - (-0.5)) < 1e-9
+
     def test_siegel_linear_charts_and_singularities(self):
         # hand computation: x(t dx + x dt) + tx dx = x(2t dx + x dt)
         n = 8
@@ -299,7 +362,7 @@ class TestFormalFirstIntegral:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         field = VectorField2(-y + 2 * x * x + 3 * x * y - y * y,
                              x + x * x - 5 * x * y + 2 * y * y)
-        form = complexify(normalize_rotation(field)).form
+        form = complexify(normalize_rotation(field))
         _, obstructions = formal_first_integral_siegel(form, n)
         assert len(calls) == 1
         assert any(eta for _, eta in obstructions)
@@ -359,7 +422,7 @@ class TestCrossRoute:
         n = field.truncation_degree
         norm = normalize_rotation(field)
         real = lyapunov_quantities(norm, n).obstructions
-        _, siegel = formal_first_integral_siegel(complexify(norm).form, n)
+        _, siegel = formal_first_integral_siegel(complexify(norm), n)
         assert [k for k, _ in real] == [k for k, _ in siegel]
         first = next((j for j, (_, eta) in enumerate(real) if eta), None)
         assert first == next(
@@ -380,8 +443,7 @@ class TestCrossRoute:
             norm = normalize_rotation(VectorField2(-y + x * radial,
                                                    x + y * radial))
             real = lyapunov_quantities(norm, n).obstructions
-            _, siegel = formal_first_integral_siegel(complexify(norm).form,
-                                                     n)
+            _, siegel = formal_first_integral_siegel(complexify(norm), n)
             k = 2 * m + 2
             assert [eta for deg, eta in real if eta] == [gr(2 * mu)]
             assert [deg for deg, eta in real if eta] == [k]
@@ -497,6 +559,16 @@ class TestFactorFg:
         factor_fg(target, 14)
         assert len(calls) <= 2
 
+    def test_one_terms_read(self, monkeypatch):
+        # both branch solves share one GaussianRational view of F; the x
+        # branch reads it with i and j exchanged
+        calls = []
+        terms = Poly2.terms
+        monkeypatch.setattr(Poly2, "terms", property(
+            lambda p: calls.append(1) or terms.fget(p)))
+        factor_fg(generic_target(17), 14)
+        assert len(calls) == 1
+
     def test_scaled_calls_at_n14(self, monkeypatch):
         # each branch scales its terms once, and its check scales the
         # branch and the terms once; building f and g from the branches
@@ -518,9 +590,10 @@ class TestRealSlice:
         n = 10
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
         pair = factor_fg(x * y, n)
-        sl, ver = real_slice(pair, SliceGrid(radii=(0.05, 0.1), n_angles=8))
-        assert ver.n_samples == 16
-        for (xs, ys) in sl.sample_points:
+        samples, ver = real_slice(pair,
+                                  SliceGrid(radii=(0.05, 0.1), n_angles=8))
+        assert len(samples) == ver.n_samples == 16
+        for (xs, ys) in samples:
             assert abs(ys - xs.conjugate()) < 1e-9
         assert ver.max_abs_im_fg <= 1e-12
         assert ver.min_re_fg >= 0
@@ -530,8 +603,8 @@ class TestRealSlice:
         n = 10
         x, y = Poly2.var_x(n + 3), Poly2.var_y(n + 3)
         pair = factor_fg(x * y + x ** 3 * y ** 2, n)
-        sl, ver = real_slice(pair)
-        assert ver.n_samples >= 50
+        samples, ver = real_slice(pair)
+        assert len(samples) == ver.n_samples >= 50
         assert ver.max_abs_im_fg <= 1e-9
         assert ver.min_re_fg >= -1e-9
         assert all(c == 1 for c in ver.contact_orders)
