@@ -331,7 +331,6 @@ def _lyapunov(run):
     first_deg = None if rep.first_nonzero is None else \
         rep.obstructions[rep.first_nonzero][0]
     run.sections["lyapunov"] = {
-        "order": order,
         "obstructions": [{"degree": d, "value": format_coefficient(e)}
                          for d, e in rep.obstructions],
         "first_nonzero_degree": first_deg,
@@ -359,12 +358,8 @@ def _return_maps(run):
         rel_tol=params["rel_tol"], tol=params["tol"],
     )
     run.sections["return_maps"] = {
-        "rows": [
-            {"r_in": s.r_in, "r_out": s.r_out, "residual": res,
-             "crossings": s.crossings, "tol": params["tol"]}
-            for s, res in zip(seq.samples, seq.residuals)
-        ],
-        "relative_tolerance": params["rel_tol"],
+        "rows": [{"r_in": s.r_in, "r_out": s.r_out, "residual": res}
+                 for s, res in zip(seq.samples, seq.residuals)],
         "verdict": seq.verdict,
         "summary": f"{seq.verdict} over radii {params['radii']}",
     }
@@ -465,7 +460,6 @@ def _formal_first_integral(run):
     visible = [(d, e) for d, e in obstructions if d <= order]
     all_zero = all(not e for _, e in obstructions)
     run.sections["formal_first_integral"] = {
-        "order": order,
         "obstructions": [{"degree": d, "value": format_coefficient(e)}
                          for d, e in visible],
         "all_zero_to_internal_order": all_zero,
@@ -500,13 +494,9 @@ def _real_slice(run):
         "max_abs_im_fg": ver.max_abs_im_fg,
         "min_re_fg": ver.min_re_fg,
         "contact_order_histogram": hist,
-        "tol": params["tol"],
         "residual_tol": ver.residual_tol,
-        "samples": [
-            {"x": [x.real, x.imag], "y": [y.real, y.imag],
-             "tol": ver.residual_tol}
-            for x, y in samples
-        ],
+        "samples": [{"x": [x.real, x.imag], "y": [y.real, y.imag]}
+                    for x, y in samples],
         "summary": (
             f"{ver.n_samples} samples; max |Im(fg)| = "
             f"{ver.max_abs_im_fg:.3e}, min Re(fg) = {ver.min_re_fg:.3e}, "
@@ -518,11 +508,8 @@ def _real_slice(run):
 def _finite_order(run):
     g = run.spec.build_germ()
     m, k_max = multiplier_order(g.multiplier), run.params["k_max"]
-    section = {
-        "multiplier": format_coefficient(g.multiplier),
-        "multiplier_order": m,
-        "k_max": k_max,
-    }
+    section = {"multiplier": format_coefficient(g.multiplier),
+               "multiplier_order": m}
     try:
         order = finite_order(g, k_max)
         section["order"] = order
@@ -554,11 +541,9 @@ def _pseudo_orbits(run):
             "status": rec.status,
             "period": rec.period,
             "iterations": len(rec.iterates) - 1,
-            "tol": params["tol"],
         })
     statuses = sorted({r["status"] for r in rows})
     run.sections["pseudo_orbits"] = {
-        "escape_radius": params["escape_radius"],
         "rows": rows,
         "summary": f"{len(rows)} starting points; statuses {statuses}",
     }
@@ -593,7 +578,7 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
         params.update({k: v for k, v in overrides.items() if v is not None})
     _check_ranges(params, spec.kind)
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "kind": spec.kind,
         "provenance": {
             "tool": "centerfocus",

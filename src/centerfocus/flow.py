@@ -115,7 +115,6 @@ class TransverseSegment:
 class ReturnMapSample:
     r_in: float
     r_out: float
-    crossings: int
     return_time: float
 
 
@@ -222,16 +221,10 @@ def _return_sample(fld, seg, r, tol, want_half) -> ReturnMapSample:
     rhs = _NumericField(fld)
     x0 = (r * seg.direction[0], r * seg.direction[1])
     crossings, _ = _section_crossings(rhs, seg, x0, _T_MAX, tol, 2.0)
-    hits = 0
     for c in crossings:
-        if not c.transversal:
-            continue
-        if c.param > 0:
-            hits += 1
-            if not want_half:
-                return ReturnMapSample(r, c.param, hits, c.time)
-        elif want_half:
-            return ReturnMapSample(r, -c.param, hits, c.time)
+        if c.transversal and (c.param > 0) != want_half:
+            return ReturnMapSample(r, -c.param if want_half else c.param,
+                                   c.time)
     raise NoReturn(
         f"no {'half' if want_half else 'full'} return from r={r} "
         f"within t={_T_MAX}"

@@ -131,12 +131,6 @@ class GaussianRational:
 
     __rtruediv__ = _coerced(lambda self, other: other / self)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         # float() rounds the exact fraction to the nearest binary64
         return complex(float(self.re), float(self.im))

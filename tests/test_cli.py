@@ -145,7 +145,8 @@ class TestRunPipeline:
         assert verdict["numeric"] == "NOT_PERIODIC"
         assert verdict["agreement"] is True
         rows = report["sections"]["return_maps"]["rows"]
-        assert all("tol" in row for row in rows)
+        assert not any("tol" in row for row in rows)
+        assert report["provenance"]["parameters"]["tol"] == 1e-12
 
     def test_product_form_pipeline(self):
         spec = parse_spec(FIXTURES / "product_form.json")
@@ -245,6 +246,45 @@ def test_high_order_golden(report):
     assert got == json.loads((HIGH_ORDER / report).read_text())
 
 
+# Schema 2 states each value once: these keys only repeated a parameter
+# (kept under provenance.parameters) or a sibling key, or, for a return
+# map's `crossings`, a constant.
+ECHOED = {"tol", "relative_tolerance", "crossings", "k_max", "escape_radius"}
+
+
+def _echoed_keys(node, path):
+    """Paths of the keys in `node`, at any depth, named in `ECHOED`."""
+    if isinstance(node, list):
+        return [p for k, v in enumerate(node)
+                for p in _echoed_keys(v, f"{path}[{k}]")]
+    if not isinstance(node, dict):
+        return []
+    return [f"{path}.{k}" for k in node if k in ECHOED] + \
+        [p for k, v in node.items() for p in _echoed_keys(v, f"{path}.{k}")]
+
+
+def _check_schema_2(report):
+    sections = report["sections"]
+    assert report["schema_version"] == 2
+    assert _echoed_keys(sections, "sections") == []
+    # the order is a parameter; `finite_order.order` is a result and stays
+    for name in ("lyapunov", "formal_first_integral"):
+        assert "order" not in sections.get(name, {})
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*GOLDEN.glob("*.report.json"), *HIGH_ORDER.glob("*.report.json")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_recorded_reports_state_each_value_once(path):
+    _check_schema_2(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("fixture,command", list(_golden_cases()))
+def test_reports_state_each_value_once(fixture, command):
+    spec = parse_spec(FIXTURES / f"{fixture}.json")
+    _check_schema_2(run_pipeline(spec, command=command))
+
+
 @pytest.mark.parametrize("fixture", ["linear_center", "cubic_focus"])
 def test_golden_orbit_dumps(tmp_path, fixture):
     """`--dump-orbits` writes the recorded CSVs byte for byte."""
@@ -316,11 +356,12 @@ class TestMainExitCodes:
         doc = {"kind": "germ", "truncation": 8, "coeffs": [[1, "0+1 i"]]}
         path, out = _write(tmp_path, doc), tmp_path / "report.json"
         assert main(["germ", str(path), "--kmax", "3", "--out", str(out)]) == 0
-        first = json.loads(out.read_text())["sections"]["finite_order"]
+        first = json.loads(out.read_text())
         assert main(["germ", str(path), "--out", str(out)]) == 0
-        second = json.loads(out.read_text())["sections"]["finite_order"]
-        assert (first["k_max"], second["k_max"]) == (3, 200)
-        assert second["order"] == 4
+        second = json.loads(out.read_text())
+        assert (first["provenance"]["parameters"]["k_max"],
+                second["provenance"]["parameters"]["k_max"]) == (3, 200)
+        assert second["sections"]["finite_order"]["order"] == 4
         with pytest.raises(SystemExit) as exc:
             main(["germ", str(path), "--kmax", "three"])
         assert exc.value.code == 2

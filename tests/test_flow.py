@@ -100,7 +100,7 @@ class TestReturnMaps:
     def test_linear_rotation_full_return(self):
         s = return_map(rotation(), SEG, 0.2)
         assert abs(s.r_out - 0.2) < 1e-10
-        assert s.crossings == 1
+        assert abs(s.return_time - 2 * math.pi) < 1e-8
 
     def test_focus_return_matches_closed_form(self):
         s = return_map(cubic_focus(), SEG, 0.1)

@@ -42,11 +42,6 @@ class TestGaussianRational:
         assert a + (-a) == gr(0)
         assert (1 / b) * b == gr(1)
 
-    def test_conjugate_and_norm(self):
-        a = gr(3, 4)
-        assert a.abs2() == Fraction(25)
-        assert (a * a.conjugate()).re == Fraction(25)
-
     def test_reality(self):
         assert gr(2).is_real
         assert not gr(0, 1).is_real
