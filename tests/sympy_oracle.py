@@ -54,10 +54,13 @@ def sympy_truncate(expr, degree: int):
 def dense_inverse(inverse, k: int, rhs: list[GaussianRational]):
     """A structured homological inverse (`center._rotation_inverse`,
     `foliation._siegel_inverse`) on dense coefficient lists: rhs becomes
-    the degree-k part of a Poly2, and the returned part, which must hold
-    no zero entry, is read back through `Poly2.coefficient`."""
+    the degree-k part of a Poly2, and the two returned parts, f and
+    eta s_k, which must hold no zero entry, are read back through
+    `Poly2.coefficient`."""
     part = Poly2({(k - r, r): c for r, c in enumerate(rhs)}, k).parts
-    (den, row), eta = inverse(k, part.get(k, (1, [])))
-    assert all(x or y for _, x, y in row)
-    f = Poly2._of([(k, (den, row))], k)
-    return [f.coefficient(k - r, r) for r in range(k + 1)], eta
+    dense = []
+    for den, row in inverse(k, part.get(k, (1, []))):
+        assert all(x or y for _, x, y in row)
+        series = Poly2._of([(k, (den, row))], k)
+        dense.append([series.coefficient(k - r, r) for r in range(k + 1)])
+    return tuple(dense)

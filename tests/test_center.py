@@ -72,7 +72,7 @@ def naive_rotation_inverse(k, rhs):
         nxt = GR_ZERO
         for r in range(k, 0, -2):
             nxt = f[r - 1] = ((r + 1) * nxt - rhs[r]) / (k - r + 1)
-        return f, None
+        return f, [GR_ZERO] * (k + 1)
     s = radius_power_vector(k)
     f[2::2] = naive_sweep_up(rhs, 1, k)
     u, v = naive_sweep_up(rhs, 0, k), naive_sweep_up(s, 0, k)
@@ -80,7 +80,8 @@ def naive_rotation_inverse(k, rhs):
     f[1::2] = [a + eta * b for a, b in zip(u, v)]
     dot = sum((c * sv for c, sv in zip(f, s)), GR_ZERO)
     norm2 = sum((sv * sv for sv in s), GR_ZERO)
-    return [c - dot / norm2 * sv for c, sv in zip(f, s)], eta
+    return [c - dot / norm2 * sv for c, sv in zip(f, s)], \
+        [eta * sv for sv in s]
 
 
 def rotate(k, f):
@@ -336,21 +337,22 @@ class TestLyapunovQuantities:
             exact_gaussian(), min_size=k + 1, max_size=k + 1))))
     def test_structured_inverse_solves_exactly(self, case):
         k, rhs = case
-        f, eta = dense_inverse(_rotation_inverse, k, rhs)
-        s = radius_power_vector(k)
+        f, eta_s = dense_inverse(_rotation_inverse, k, rhs)
         lf = rotate(k, f)
         if k % 2 == 1:
-            assert eta is None
-            assert lf == rhs
+            assert eta_s == [GR_ZERO] * (k + 1)
         else:
-            assert [a - eta * b for a, b in zip(lf, s)] == rhs
+            # eta_s is eta (x^2+y^2)^(k/2), eta its x^k coefficient
+            s = radius_power_vector(k)
+            assert eta_s == [eta_s[0] * b for b in s]
+        assert [a - b for a, b in zip(lf, eta_s)] == rhs
 
     @settings(max_examples=200, deadline=None)
     @given(inverse_cases())
     def test_integer_inverse_equals_the_gaussian_rational_sweeps(self, case):
         k, rhs = case
-        f, eta = dense_inverse(_rotation_inverse, k, rhs)
-        assert (f, eta) == naive_rotation_inverse(k, rhs)
+        f, eta_s = dense_inverse(_rotation_inverse, k, rhs)
+        assert (f, eta_s) == naive_rotation_inverse(k, rhs)
         if k % 2 == 0:
             assert not euclidean_dot(f, radius_power_vector(k))
 
@@ -363,23 +365,23 @@ class TestLyapunovQuantities:
                        Fraction(rng.randint(-2**64, 2**64),
                                 rng.randint(1, 2**64)))
                     for _ in range(k + 1)]):
-                f, eta = dense_inverse(_rotation_inverse, k, rhs)
-                assert (f, eta) == naive_rotation_inverse(k, rhs)
+                f, eta_s = dense_inverse(_rotation_inverse, k, rhs)
+                assert (f, eta_s) == naive_rotation_inverse(k, rhs)
                 if k % 2 == 0:
                     assert not euclidean_dot(f, radius_power_vector(k))
 
     def test_odd_degree_operator_injective(self):
         for k in range(3, 17, 2):
-            f, eta = dense_inverse(_rotation_inverse, k, [gr(0)] * (k + 1))
-            assert f == [gr(0)] * (k + 1) and eta is None
+            f, eta_s = dense_inverse(_rotation_inverse, k, [gr(0)] * (k + 1))
+            assert f == eta_s == [gr(0)] * (k + 1)
 
     def test_even_degree_operator_rank_deficit_one(self):
         # kernel and cokernel both along s = (x^2+y^2)^(k/2)
         for k in range(4, 17, 2):
             s = radius_power_vector(k)
             assert rotate(k, s) == [gr(0)] * (k + 1)
-            _, eta = dense_inverse(_rotation_inverse, k, s)
-            assert eta
+            _, eta_s = dense_inverse(_rotation_inverse, k, s)
+            assert any(eta_s)
 
     def test_dense_oracle(self):
         n = 8
@@ -405,9 +407,9 @@ class TestLyapunovQuantities:
 
     def test_guard_builds_each_radius_power_once(self, monkeypatch):
         # the dense quadratic is a focus with eta_k != 0 at every even k:
-        # the guard writes each (x^2+y^2)^(k/2) from its binomial
-        # coefficients, and the Lie derivative accumulates its two
-        # products in the series kernel, so no Poly2 product is formed
+        # the inverse hands back each eta_k (x^2+y^2)^(k/2) as a part,
+        # and the Lie derivative accumulates its two products in the
+        # series kernel, so no Poly2 product is formed
         n = 24
         norm = normalize_rotation(dense_quadratic(n))
         calls = []
@@ -430,7 +432,7 @@ class TestLyapunovQuantities:
     @settings(max_examples=40, deadline=None)
     @given(rotational_fields())
     def test_guard_equals_repeated_products(self, field):
-        # the run's own guard passed, so its binomial series equals X(F);
+        # the run's own guard passed, so its obstruction series is X(F);
         # X(F) must equal the repeated-product series as well
         n = field.truncation_degree
         norm = normalize_rotation(field)
@@ -440,31 +442,28 @@ class TestLyapunovQuantities:
         assert check.truncate(n) == naive_radius_series(rep.obstructions, n)
 
     def test_inverse_forms_no_gaussian_rational_product(self, monkeypatch):
-        # the sweeps run on ints; GaussianRational is built only to hand
-        # back each reduced coefficient
-        inside, degrees, calls = [False], [], []
-        inverse = center._rotation_inverse
-
-        def traced(k, rhs):
-            degrees.append(k)
-            inside[0] = True
-            try:
-                return inverse(k, rhs)
-            finally:
-                inside[0] = False
+        # both solves, guards included, run on ints: the inverses hand
+        # back eta_k s_k as parts, and GaussianRational is built only to
+        # read each coefficient off a series
+        from centerfocus.foliation import (complexify,
+                                           formal_first_integral_siegel)
+        n = 24
+        norm = normalize_rotation(dense_quadratic(n))
+        form = complexify(norm)
+        calls = []
 
         def counted(name):
             op = getattr(GaussianRational, name)
-            return lambda a, b: (calls.append(name) if inside[0]
-                                 else None) or op(a, b)
+            return lambda *args: calls.append(name) or op(*args)
 
-        monkeypatch.setattr(center, "_rotation_inverse", traced)
-        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__"):
             monkeypatch.setattr(GaussianRational, name, counted(name))
-        n = 24
-        rep = lyapunov_quantities(normalize_rotation(dense_quadratic(n)), n)
-        assert degrees == list(range(3, n + 1))
+        rep = lyapunov_quantities(norm, n)
+        _, siegel = formal_first_integral_siegel(form, n)
         assert all(eta for _, eta in rep.obstructions)
+        assert any(eta for _, eta in siegel)
         assert calls == []
 
     def test_requires_enough_truncation(self):

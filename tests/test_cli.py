@@ -514,27 +514,28 @@ def corrupted(inverse):
     """A structured homological inverse with one coefficient of F_5 off:
     the part (den, [(r, re, im), ...]) gains 1 on x^5 (r = 0)."""
     def solve(k, rhs):
-        (den, row), eta = inverse(k, rhs)
+        (den, row), eta_s = inverse(k, rhs)
         if k == 5:
             x, y = next(((x, y) for r, x, y in row if r == 0), (0, 0))
             row = [(0, x + den, y)] + [t for t in row if t[0]]
-        return (den, row), eta
+        return (den, row), eta_s
     return solve
 
 
 _FAIL_A_CHECK = """
-import sys
-from centerfocus import center
+import importlib, sys
 from centerfocus.cli import main
-inverse = center._rotation_inverse
+module, name, command, fixture, out = sys.argv[1:]
+module = importlib.import_module("centerfocus." + module)
+inverse = getattr(module, name)
 def solve(k, rhs):
-    (den, row), eta = inverse(k, rhs)
+    (den, row), eta_s = inverse(k, rhs)
     if k == 5:
         x, y = next(((x, y) for r, x, y in row if r == 0), (0, 0))
         row = [(0, x + den, y)] + [t for t in row if t[0]]
-    return (den, row), eta
-center._rotation_inverse = solve
-sys.exit(main(["lyapunov", sys.argv[1], "--out", sys.argv[2]]))
+    return (den, row), eta_s
+setattr(module, name, solve)
+sys.exit(main([command, fixture, "--out", out]))
 """
 
 
@@ -550,17 +551,23 @@ class TestInternalError:
         assert "obstruction decomposition failed" in captured.err
         assert captured.out == ""
 
-    def test_check_survives_optimize_flag(self, tmp_path):
+    @pytest.mark.parametrize("module, inverse, command, fixture, message", [
+        ("center", "_rotation_inverse", "lyapunov", "cubic_focus.json",
+         "internal error: obstruction decomposition failed"),
+        ("foliation", "_siegel_inverse", "slice", "product_form.json",
+         "internal error: Siegel obstruction decomposition failed"),
+    ], ids=["center", "siegel"])
+    def test_check_survives_optimize_flag(self, tmp_path, module, inverse,
+                                          command, fixture, message):
         import centerfocus
         src = str(Path(centerfocus.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", _FAIL_A_CHECK,
-             str(FIXTURES / "cubic_focus.json"), str(tmp_path / "r.json")],
+            [sys.executable, "-O", "-c", _FAIL_A_CHECK, module, inverse,
+             command, str(FIXTURES / fixture), str(tmp_path / "r.json")],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 3, proc.stderr
-        assert "internal error: obstruction decomposition failed" \
-            in proc.stderr
+        assert message in proc.stderr
 
     def test_failed_siegel_check_exits_3(self, monkeypatch, capsys):
         from centerfocus import foliation

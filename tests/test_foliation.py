@@ -346,10 +346,12 @@ class TestFormalFirstIntegral:
             min_size=k + 1, max_size=k + 1))))
     def test_siegel_inverse_equals_gaussian_rational_division(self, case):
         k, rhs = case
-        f, eta = dense_inverse(foliation._siegel_inverse, k, rhs)
+        f, eta_s = dense_inverse(foliation._siegel_inverse, k, rhs)
         assert f == [GaussianRational() if 2 * r == k else c / (k - 2 * r)
                      for r, c in enumerate(rhs)]
-        assert eta == (-rhs[k // 2] if k % 2 == 0 else None)
+        # eta (xy)^(k/2) with eta = -rhs[k/2]; no resonance at odd k
+        assert eta_s == [-c if 2 * r == k else GaussianRational()
+                         for r, c in enumerate(rhs)]
 
     def test_one_wedge_per_run(self, monkeypatch):
         # residuals come from homogeneous parts; the only full wedge is
@@ -613,8 +615,7 @@ class TestRealSlice:
         from centerfocus.foliation import FactorPair
         n = 6
         y = Poly2.var_y(n)
-        pair = FactorPair(y, y, Poly2.constant(1, n),
-                          verified_degree=n, product=y * y)
+        pair = FactorPair(y, y, Poly2.constant(1, n), product=y * y)
         assert not pair.general_position
         with pytest.raises(ValueError):
             real_slice(pair)
