@@ -15,8 +15,9 @@ checkout:
 
 A run matches when the exit code, stderr (with the checkout root written
 as <root>) and the report (with its timestamp blanked) are the same in
-both checkouts.  Each mismatch is printed; the exit status is 1 if there
-is any, 0 otherwise.
+both checkouts.  A run that takes longer than TIMEOUT_S seconds in
+either checkout is stopped and counts as a mismatch.  Each mismatch is
+printed; the exit status is 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -57,20 +58,28 @@ def runs(head: Path, seeds: list[int], work: Path) -> list[tuple]:
     return out
 
 
-def run(root: Path, command: str, doc: Path, out: Path) -> tuple:
-    """(exit code, stderr, report text or None) of one cold run."""
+def run(root: Path, command: str, doc: Path, out: Path) -> tuple | None:
+    """(exit code, stderr, report text or None) of one cold run, or None
+    when it timed out."""
     out.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "centerfocus.cli", command, str(doc),
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "centerfocus.cli", command, str(doc),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     report = TIMESTAMP.sub('"timestamp": ""', out.read_text()) \
         if out.exists() else None
     return proc.returncode, proc.stderr.replace(str(root), "<root>"), report
 
 
-def differences(base: tuple, head: tuple) -> list[str]:
+def differences(base: tuple | None, head: tuple | None) -> list[str]:
+    if base is None or head is None:
+        return [f"{name} timed out after {TIMEOUT_S} s"
+                for name, got in (("base", base), ("head", head))
+                if got is None]
     names = ("exit code", "stderr", "report")
     return [f"{name} differs" + (f": {b} != {h}" if name == "exit code"
                                  else "")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, inf, isfinite
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -81,10 +81,12 @@ DEFAULT_ANALYSIS = {
     },
 }
 
-# Each of these analysis values, or every entry of such a list (which must
-# not be empty), exceeds its floor; a complex form's order is at least 2.
+# Every analysis number is finite.  Each of these analysis values, or
+# every entry of such a list (which must not be empty), exceeds its floor;
+# the order of a real field is at least 4, of a complex form at least 2.
 _FLOORS = {"tol": 0, "rel_tol": 0, "escape_radius": 0, "radii": 0,
            "slice_radii": 0, "slice_angles": 0, "k_max": 0}
+_ORDER_FLOORS = {"real_field": 3, "complex_form": 1}
 
 _COMPLEX_RE = re.compile(
     r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*i\s*$"
@@ -112,7 +114,14 @@ def _check_shape(value, default, where: str, pair: bool = False) -> None:
 
 
 def _check_ranges(params: dict, kind: str) -> None:
-    floors = dict(_FLOORS, order=1) if kind == "complex_form" else _FLOORS
+    for key, value in params.items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not isfinite(v) for item in items
+               for v in (item if isinstance(item, list) else [item])):
+            raise ValidationError(f"{key}: expected finite numbers, "
+                                  f"got {value!r}")
+    # a germ's order (`analyze --truncation`) drives nothing
+    floors = dict(_FLOORS, order=_ORDER_FLOORS.get(kind, -inf))
     for key, floor in floors.items():
         value = params.get(key)
         many = isinstance(value, list)

@@ -220,37 +220,26 @@ def _chart_components(form: OneForm2) -> tuple[Poly2, Poly2, int]:
     return divided(first), divided(second), m
 
 
-def _restrict_to_divisor(p: Poly2) -> dict[int, GaussianRational]:
-    """Univariate coefficients of p on the exceptional divisor x = 0."""
-    return {j: c for (i, j), c in p.terms.items() if i == 0}
-
-
-def _uni_roots(coeffs: dict[int, GaussianRational]):
-    """Numpy array of the roots of a nonzero univariate polynomial."""
-    import numpy as np
-    deg = max(coeffs)
-    arr = np.zeros(deg + 1, dtype=complex)
-    for k, c in coeffs.items():
-        arr[deg - k] = c.to_complex()
-    return np.roots(arr)
-
-
-def _uni_eval(coeffs: dict[int, GaussianRational], z: complex) -> complex:
-    return sum(c.to_complex() * z**k for k, c in coeffs.items())
+def _on_divisor(p: Poly2) -> Poly2:
+    """p on the exceptional divisor x = 0: its terms in y alone."""
+    return Poly2._of([(d, (den, [e for e in row if e[0] == d]))
+                      for d, (den, row) in p.parts.items()],
+                     p.truncation_degree)
 
 
 def _divisor_singularities(comp_a: Poly2,
                            comp_b: Poly2) -> list[DivisorSingularity]:
-    a0 = _restrict_to_divisor(comp_a)
-    b0 = _restrict_to_divisor(comp_b)
-    if not a0 and not b0:
+    import numpy as np
+    a0, b0 = _on_divisor(comp_a), _on_divisor(comp_b)
+    if a0.is_zero() and b0.is_zero():
         return []
-    base = a0 if a0 else b0
-    other = b0 if a0 else a0
+    base, other = (b0, a0) if a0.is_zero() else (a0, b0)
+    value = other.binary64()
     candidates: list[complex] = []
-    for r in _uni_roots(base):
-        scale = 1.0 + abs(r) ** max(other, default=0)
-        if not other or abs(_uni_eval(other, r)) <= 1e-8 * scale:
+    for r in np.roots([base.coefficient(0, k).to_complex()
+                       for k in range(max(base.parts), -1, -1)]):
+        scale = 1.0 + abs(r) ** max(other.parts, default=0)
+        if other.is_zero() or abs(value(0.0, r)) <= 1e-8 * scale:
             candidates.append(complex(r))
     # dedupe numerically coincident roots
     unique: list[complex] = []
@@ -274,11 +263,6 @@ def _linearize(chart, comp_a, comp_b, loc: complex) -> DivisorSingularity:
     return DivisorSingularity(chart, loc, (complex(e1), complex(e2)), ratio)
 
 
-def _swapped(p: Poly2) -> Poly2:
-    """p with x and y exchanged."""
-    return p.substitute_linear(((0, 1), (1, 0)))
-
-
 def blowup(form: OneForm2) -> BlowupResult:
     """Quadratic blow-up in the two affine charts.
 
@@ -295,12 +279,12 @@ def blowup(form: OneForm2) -> BlowupResult:
     _check_isolated(form)
     at, bt, mt = _chart_components(form)
     # chart t of the exchanged form: the dy- and ds-components in (y, s)
-    dy, ds, ms = _chart_components(OneForm2(_swapped(form.b),
-                                            _swapped(form.a)))
-    as_, bs = _swapped(ds), _swapped(dy)
+    dy, ds, ms = _chart_components(OneForm2(form.b.swapped(),
+                                            form.a.swapped()))
+    as_, bs = ds.swapped(), dy.swapped()
     # E = {x = 0} is invariant iff the dt-component vanishes on it
-    invariant_t = not _restrict_to_divisor(bt)
-    ensure(invariant_t == (not _restrict_to_divisor(ds)),
+    invariant_t = _on_divisor(bt).is_zero()
+    ensure(invariant_t == _on_divisor(ds).is_zero(),
            "charts disagree on divisor invariance")
     sings = _divisor_singularities(at, bt)
     if not as_.coefficient(0, 0) and not bs.coefficient(0, 0):
@@ -375,22 +359,21 @@ def formal_first_integral_siegel(
 # branch factorization F = f g unit
 
 
-def _solve_branch(terms: list[tuple[int, int, GaussianRational]],
-                  m: int) -> dict[int, GaussianRational]:
-    """The branch y = a(x) of F = 0 through degree m - 1, for the terms
-    (i, j, c) of F = sum c x^i y^j known to degree m.
+def _solve_branch(F: Poly2) -> Poly2:
+    """The branch y = a(x) of F = 0, a series in x truncated one degree
+    below F.
 
     a_k is read off the degree-(k+1) coefficient of F(x, a(x)), where it
     enters through the xy term alone (`series.substitution_root`).  One
     full substitution of the solved branch then checks that F vanishes
-    on it through degree m.
+    on it through F's degree.
     """
-    branch = substitution_root(terms, 1, m)
-    resid = substitute(terms, power_rows(branch), m)
-    if resid:
-        raise BranchFailure(
-            f"branch residual has unexpected low-order terms {sorted(resid)}"
-        )
+    m = F.truncation_degree
+    branch = substitution_root(F, 1, m)
+    resid = substitute(F, power_rows(branch), m)
+    if not resid.is_zero():
+        raise BranchFailure("branch residual has unexpected low-order "
+                            f"terms {sorted(resid.parts)}")
     return branch
 
 
@@ -436,11 +419,8 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     if m < n + 3:
         raise ValueError(f"F truncated at {m}; degree {n + 3} is needed "
                          f"to verify the factorization to degree {n}")
-    terms = [(i, j, c) for (i, j), c in F.terms.items()]
-    a = _solve_branch(terms, m)
-    b = _solve_branch([(j, i, c) for i, j, c in terms], m)  # x = b(y)
-    f = Poly2({(0, 1): gr(1), **{(k, 0): -c for k, c in a.items()}}, m - 1)
-    g = Poly2({(1, 0): gr(1), **{(0, k): -c for k, c in b.items()}}, m - 1)
+    f = Poly2.var_y(m - 1) - _solve_branch(F)
+    g = Poly2.var_x(m - 1) - _solve_branch(F.swapped()).swapped()  # x = b(y)
     prod = f * g
     unit = _solve_unit(F, prod)
     product = prod * unit

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .series import (GR_ONE, GR_ZERO, GaussianRational, Scalar, gr,
-                     power_rows, substitute, substitution_root)
+from .series import (GaussianRational, Poly2, Scalar, gr, power_rows,
+                     substitute, substitution_root)
 
 __all__ = [
     "Germ1",
@@ -46,26 +46,28 @@ class InconclusiveOrder(Exception):
 
 
 class Germ1:
-    """Truncated series germ with nonzero multiplier and no constant term."""
+    """Truncated series germ with nonzero multiplier and no constant term,
+    held as a `Poly2` in x; `coeffs` is a view by degree."""
 
-    __slots__ = ("coeffs", "truncation_degree")
+    __slots__ = ("series",)
 
     def __init__(self, coeffs: Mapping[int, Scalar], truncation_degree: int):
         if truncation_degree < 1:
             raise ValueError("truncation degree must be at least 1")
-        clean: dict[int, GaussianRational] = {}
-        for k, c in coeffs.items():
-            if k < 1:
-                raise ValueError("germ fixes the origin: degrees start at 1")
-            if k > truncation_degree:
-                raise ValueError(f"degree {k} exceeds truncation {truncation_degree}")
-            c = GaussianRational.coerce(c)
-            if c:
-                clean[k] = c
-        if 1 not in clean:
+        if any(k < 1 for k in coeffs):
+            raise ValueError("germ fixes the origin: degrees start at 1")
+        object.__setattr__(self, "series", Poly2(
+            {(k, 0): c for k, c in coeffs.items()}, truncation_degree))
+        if 1 not in self.series.parts:
             raise ValueError("multiplier (degree-1 coefficient) must be nonzero")
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "truncation_degree", truncation_degree)
+
+    @classmethod
+    def _of(cls, series: Poly2) -> "Germ1":
+        """The germ of a series in x without constant term, whose
+        multiplier is nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "series", series)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Germ1 is immutable")
@@ -75,22 +77,28 @@ class Germ1:
         return cls({1: 1}, truncation_degree)
 
     @property
+    def truncation_degree(self) -> int:
+        return self.series.truncation_degree
+
+    @property
+    def coeffs(self) -> dict[int, GaussianRational]:
+        """The nonzero coefficients by degree."""
+        return {k: c for (k, _), c in self.series.terms.items()}
+
+    @property
     def multiplier(self) -> GaussianRational:
-        return self.coeffs[1]
+        return self.coefficient(1)
 
     def coefficient(self, k: int) -> GaussianRational:
-        return self.coeffs.get(k, GR_ZERO)
+        return self.series.coefficient(k, 0)
 
     def is_identity(self) -> bool:
-        return self.coeffs == {1: GR_ONE}
+        return self.series.parts == {1: (1, [(0, 1, 0)])}
 
     def __eq__(self, other):
         if not isinstance(other, Germ1):
             return NotImplemented
-        return (
-            self.coeffs == other.coeffs
-            and self.truncation_degree == other.truncation_degree
-        )
+        return self.series == other.series
 
     __hash__ = None
 
@@ -115,16 +123,12 @@ class Germ1:
 
         return evaluate
 
-    def evaluate(self, z: complex) -> complex:
-        """Binary64 Horner evaluation of the truncated polynomial."""
-        return self.evaluator()(z)
-
 
 def compose(f: Germ1, g: Germ1) -> Germ1:
-    """Truncated series of f(g(z)), as sum_m f_m g^m."""
+    """Truncated series of f(g(x)): f(y) at y = g(x)."""
     n = min(f.truncation_degree, g.truncation_degree)
-    terms = [(0, m, c) for m, c in f.coeffs.items() if m <= n]
-    return Germ1(substitute(terms, power_rows(g.coeffs), n), n)
+    return Germ1._of(substitute(f.series.truncate(n).swapped(),
+                                power_rows(g.series), n))
 
 
 def invert(f: Germ1) -> Germ1:
@@ -136,8 +140,8 @@ def invert(f: Germ1) -> Germ1:
     step, so no composition is recomputed.
     """
     n = f.truncation_degree
-    terms = [(0, m, c) for m, c in f.coeffs.items()] + [(1, 0, -GR_ONE)]
-    return Germ1(substitution_root(terms, 0, n), n)
+    return Germ1._of(substitution_root(f.series.swapped() - Poly2.var_x(n),
+                                       0, n))
 
 
 def power(f: Germ1, k: int) -> Germ1:
@@ -150,10 +154,10 @@ def power(f: Germ1, k: int) -> Germ1:
     if k < 1:
         raise ValueError("power requires k >= 1")
     n = f.truncation_degree
-    out, powers = f.coeffs, power_rows(f.coeffs)
+    out, powers = f.series, power_rows(f.series)
     for _ in range(k - 1):
-        out = substitute([(0, m, c) for m, c in out.items()], powers, n)
-    return Germ1(out, n)
+        out = substitute(out.swapped(), powers, n)
+    return Germ1._of(out)
 
 
 def multiplier_order(lam: GaussianRational) -> int | None:

@@ -7,11 +7,13 @@ A `Poly2` stores each homogeneous part as Gaussian integers over one
 denominator, reduced by one gcd; sums, products, the Lie derivative, the
 wedge dF ^ w, partials, linear substitutions and the homological solves
 run on those integers and build no `Fraction` (Henrici; Knuth, TAOCP
-Vol. 2, 4.5.1).  `GaussianRational` is the type of parsing, of germs, of
-the obstructions and of what a caller reads off a series (`terms`,
-`coefficient`).  Every sum of bivariate series products is one
-`_bilinear` call; the power tables of the univariate substitutions hold
-s^j as Gaussian-integer rows, each over one denominator.
+Vol. 2, 4.5.1).  A univariate series (a germ, a branch, a divisor
+restriction) is a `Poly2` in one variable.  `GaussianRational` is the
+type of parsing, of the obstructions and of what a caller reads off a
+series (`terms`, `coefficient`).  Every sum of bivariate series products
+is one `_bilinear` call; the power tables of the univariate
+substitutions hold s^j as Gaussian-integer rows, each over one
+denominator.
 """
 
 from __future__ import annotations
@@ -335,6 +337,12 @@ class Poly2:
                           for d, p in self.parts.items() if d],
                          max(self.truncation_degree - 1, 0))
 
+    def swapped(self) -> "Poly2":
+        """The series with x and y exchanged."""
+        return Poly2._of([(d, (den, [(d - r, x, y) for r, x, y in row[::-1]]))
+                          for d, (den, row) in self.parts.items()],
+                         self.truncation_degree)
+
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point: Sequence[complex]) -> complex:
@@ -551,46 +559,55 @@ def _gdot(pairs) -> tuple[int, int]:
     return re, im
 
 
-def power_rows(s: dict[int, GaussianRational]) -> list[Scaled]:
-    """[s^0, s^1], scaled: the start of a power list for `substitute`."""
-    return [(1, [(0, 1, 0)]), _scaled(s.items())]
+def _common_terms(p: Poly2) -> tuple[int, list]:
+    """The terms of p over one denominator D: (D, [(i, j, re, im), ...])
+    for the nonzero coefficients (re + i im) / D of x^i y^j."""
+    den = math.lcm(*(d for d, _ in p.parts.values()))
+    return den, [(d - r, r, x * (den // pd), y * (den // pd))
+                 for d, (pd, row) in p.parts.items() for r, x, y in row]
 
 
-def substitute(terms: list[tuple[int, int, GaussianRational]],
-               powers: list[Scaled], n: int) -> dict[int, GaussianRational]:
-    """sum_(i, j, c) c z^i s(z)^j through degree n, without zero
-    coefficients, from the caller's power list of s (`power_rows`), which
-    is extended in place as far as the terms need.  Row j + 1 is the
-    Gaussian-integer product of rows j and 1 divided by its gcd (else row
-    j of a germ with s_k over q^k sits over q^(jn)), and is kept as is."""
-    _extend(powers, max((j for _, j, _ in terms), default=0), n)
-    den, cs = _scaled(((i, j), c) for i, j, c in terms)
-    den, row = _accumulate([((den, [(i, x, y) for (i, k), x, y in cs if k == j]),
-                              powers[j]) for j in {j for _, j, _ in terms}], n)
-    return {k: _unscaled(den, x, y) for k, x, y in row}
+def power_rows(s: Poly2) -> list[Scaled]:
+    """[s^0, s^1], scaled, for a series s in x: the start of a power list
+    for `substitute`."""
+    den, terms = _common_terms(s)
+    return [(1, [(0, 1, 0)]), (den, [(i, x, y) for i, _, x, y in terms])]
 
 
-def substitution_root(terms: list[tuple[int, int, GaussianRational]],
-                      shift: int, n: int) -> dict[int, GaussianRational]:
-    """The series s = s_(shift+1) z^(shift+1) + ... with
-    sum_(i, j, c) c z^i s(z)^j = 0 through degree n.
+def substitute(f: Poly2, powers: list[Scaled], n: int) -> Poly2:
+    """f(x, s(x)) through degree n, as a series in x, from the caller's
+    power list of s (`power_rows`), which is extended in place as far as
+    f's powers of y need.  Row j + 1 is the Gaussian-integer product of
+    rows j and 1 divided by its gcd (else row j of a germ with s_k over
+    q^k sits over q^(jn)), and is kept as is."""
+    _extend(powers, max((r for _, row in f.parts.values()
+                         for r, _, _ in row), default=0), n)
+    den, row = _accumulate([((pd, [(d - r, x, y)]), powers[r])
+                            for d, (pd, part) in f.parts.items()
+                            for r, x, y in part], n)
+    return Poly2._of([(k, (den, [(0, x, y)])) for k, x, y in row], n)
+
+
+def substitution_root(f: Poly2, shift: int, n: int) -> Poly2:
+    """The series s = s_(shift+1) x^(shift+1) + ..., truncated at
+    n - shift, with f(x, s(x)) = 0 through degree n.
 
     Degree by degree: the unknown s_k first appears at degree k + shift,
-    linearly, through the terms z^shift s, so s_k = -R / lead, where R is
+    linearly, through the term x^shift y, so s_k = -R / lead, where R is
     that degree's coefficient with s_k = 0 and lead the coefficient of
-    z^shift s.  Callers keep every other term out of that degree (no
-    z^i s with i < shift, no z^i s^j with j >= 2 and i + j <= shift + 1).
+    x^shift y.  Callers keep every other term out of that degree (no
+    x^i y with i < shift, no x^i y^j with j >= 2 and i + j <= shift + 1).
     A table of D^j [s^j]_d on Gaussian integers, D the running denominator
     of s, grows by one degree per step: O(n^3) exact operations in all
     (Brent & Kung, J. ACM 25, 1978).  Row j is multiplied by t^j when D
     grows by t; its entries below degree j (shift + 1) are zero and never
-    formed.  Returns the nonzero s_k, k <= n - shift.
+    formed.
     """
-    top, low = max(j for _, j, _ in terms), shift + 1
-    lead = sum((c for i, j, c in terms if (i, j) == (shift, 1)), GR_ZERO)
-    cden, cs = _scaled(((i, j), c) for i, j, c in terms)
+    cden, cs = _common_terms(f)
+    top, low = max(j for _, j, _, _ in cs), shift + 1
+    lead = f.coefficient(shift, 1)
     rows = [[(int(j == 0), 0)] + [(0, 0)] * n for j in range(top + 1)]
-    den, dpow, s = 1, [1] * (top + 1), {}  # dpow[j] = D^(top - j)
+    den, dpow = 1, [1] * (top + 1)  # dpow[j] = D^(top - j)
     for d in range(1, n + 1):
         # [s^j]_d needs s_e for e <= d - (j - 1) low < d - shift only
         for j in range(2, min(top, d // low) + 1):
@@ -600,7 +617,7 @@ def substitution_root(terms: list[tuple[int, int, GaussianRational]],
             continue
         c = -_unscaled(cden * dpow[0], *_gdot(
             ((x * dpow[j], y * dpow[j]), rows[j][d - i])
-            for (i, j), x, y in cs if i <= d - j * low)) / lead
+            for i, j, x, y in cs if i <= d - j * low)) / lead
         t = math.lcm(den, c.re.denominator, c.im.denominator) // den
         if t > 1:
             den *= t
@@ -609,9 +626,8 @@ def substitution_root(terms: list[tuple[int, int, GaussianRational]],
                     for j, row in enumerate(rows) for tj in [t ** j]]
         rows[1][d - shift] = (c.re.numerator * (den // c.re.denominator),
                               c.im.numerator * (den // c.im.denominator))
-        if c:
-            s[d - shift] = c
-    return s
+    return Poly2._of([(k, (den, [(0, x, y)])) for k, (x, y)
+                      in enumerate(rows[1]) if x or y], n - shift)
 
 
 def lie_derivative(field: VectorField2, f: Poly2) -> Poly2:

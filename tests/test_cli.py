@@ -19,7 +19,7 @@ from centerfocus.cli import (
     render_report,
     run_pipeline,
 )
-from centerfocus.series import gr
+from centerfocus.series import Poly2, gr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -431,6 +431,18 @@ OUT_OF_RANGE = {
     "k_max-zero": ("k_max", {**GERM, "analysis": {"k_max": 0}}),
     "order-complex-zero": ("order", {**FORM, "analysis": {"order": 0}}),
     "order-complex-one": ("order", {**FORM, "analysis": {"order": 1}}),
+    "order-real-three": ("order", {**REAL, "analysis": {"order": 3}}),
+    # json.dumps writes these as the literals NaN, Infinity and -Infinity,
+    # which json.loads accepts
+    "tol-nan": ("tol", {**REAL, "analysis": {"tol": float("nan")}}),
+    "rel_tol-minus-infinity": ("rel_tol", {
+        **REAL, "analysis": {"rel_tol": float("-inf")}}),
+    "radii-infinite": ("radii",
+                       {**REAL, "analysis": {"radii": [0.1, float("inf")]}}),
+    "slice_radii-nan": ("slice_radii",
+                        {**FORM, "analysis": {"slice_radii": [float("nan")]}}),
+    "point-nan": ("points",
+                  {**GERM, "analysis": {"points": [[float("nan"), 0.0]]}}),
 }
 MALFORMED.update({name: doc for name, (_, doc) in OUT_OF_RANGE.items()})
 
@@ -448,6 +460,23 @@ def test_out_of_range_override_is_input_error(capsys):
     assert main(["returnmap", str(FIXTURES / "linear_center.json"),
                  "--tol=-1e-9"]) == 1
     assert capsys.readouterr().err.startswith("error: tol:")
+
+
+@pytest.mark.parametrize("command, option, key", [
+    ("returnmap", "--tol=nan", "tol"),
+    ("returnmap", "--radii=0.1,inf", "radii"),
+    ("lyapunov", "--truncation=0", "order"),
+    ("analyze", "--truncation=3", "order"),
+])
+def test_nonfinite_or_low_override_is_input_error(capsys, command, option,
+                                                 key):
+    assert main([command, str(FIXTURES / "linear_center.json"), option]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+
+def test_order_four_is_accepted(capsys):
+    assert main(["lyapunov", str(FIXTURES / "linear_center.json"),
+                 "--truncation=4"]) == 0
 
 
 class TestIrrationalFrequency:
@@ -592,9 +621,8 @@ class TestInternalError:
 
         def corrupted(*args):
             out = solve(*args)
-            if target == "_solve_unit":
-                return out + 1
-            return {**out, 2: out.get(2, gr(0)) + 1}
+            return out + (1 if target == "_solve_unit" else
+                          Poly2.monomial(2, 0, 1, out.truncation_degree))
 
         monkeypatch.setattr(foliation, target, corrupted)
         code = main(["slice", str(FIXTURES / "product_form_perturbed.json")])

@@ -1,0 +1,45 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+# A stand-in for `python -m centerfocus.cli COMMAND DOC --out OUT`: it
+# writes an empty report, after sleeping first when SLEEP is set and the
+# document's name holds "slow".
+FAKE_CLI = """
+import sys, time
+if SLEEP and "slow" in sys.argv[2]:
+    time.sleep(60)
+open(sys.argv[4], "w").write("{}")
+"""
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_checkout(root: Path, sleep: bool) -> Path:
+    package = root / "src" / "centerfocus"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(f"SLEEP = {sleep}\n{FAKE_CLI}")
+    return root
+
+
+def test_timeout_is_a_mismatch_and_later_runs_go_on(tmp_path, monkeypatch,
+                                                    capsys):
+    compare = load_script()
+    base = fake_checkout(tmp_path / "base", sleep=False)
+    head = fake_checkout(tmp_path / "head", sleep=True)
+    docs = [tmp_path / name for name in ("slow.json", "fast.json")]
+    monkeypatch.setattr(compare, "TIMEOUT_S", 2)
+    monkeypatch.setattr(compare, "runs", lambda *args: [
+        (doc.stem, "analyze", doc) for doc in docs])
+    assert compare.main(["--base", str(base), "--head", str(head)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["MISMATCH slow: head timed out after 2 s",
+                     json.dumps({"runs": 2, "mismatches": 1})]

@@ -521,7 +521,7 @@ class TestFactorFg:
         def corrupted(*args):
             out = solve(*args)
             if len(calls) == which:
-                out[k] = out.get(k, GaussianRational()) + delta
+                out += Poly2.monomial(k, 0, delta, out.truncation_degree)
             calls.append(1)
             return out
 
@@ -561,29 +561,30 @@ class TestFactorFg:
         factor_fg(target, 14)
         assert len(calls) <= 2
 
-    def test_one_terms_read(self, monkeypatch):
-        # both branch solves share one GaussianRational view of F; the x
-        # branch reads it with i and j exchanged
+    def test_no_terms_read(self, monkeypatch):
+        # the branch solves take F and its exchange F.swapped() as stored
+        # parts, and f and g are built by Poly2 arithmetic: no
+        # GaussianRational view of any series is read
         calls = []
         terms = Poly2.terms
         monkeypatch.setattr(Poly2, "terms", property(
             lambda p: calls.append(1) or terms.fget(p)))
         factor_fg(generic_target(17), 14)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_scaled_calls_at_n14(self, monkeypatch):
-        # each branch scales its terms once, and its check scales the
-        # branch and the terms once; building f and g from the branches
-        # scales one part per degree.  The unit and the products run on
-        # the stored parts and scale nothing (82 calls when the unit
-        # scaled each degree and each product its operands, 253 when the
-        # branch solve also scaled its power table at every degree)
+        # the branch solves, their checks, the unit and the products run
+        # on the stored parts; only the variables x and y of f = y - a
+        # and g = x - b are built from scalars (27 calls when the branch
+        # solves took GaussianRational terms, 82 when the unit scaled each
+        # degree and each product its operands, 253 when the branch solve
+        # also scaled its power table at every degree)
         target, calls = generic_target(17), []
         scaled = series._scaled
         monkeypatch.setattr(series, "_scaled",
                             lambda items: calls.append(1) or scaled(items))
         factor_fg(target, 14)
-        assert len(calls) <= 27
+        assert len(calls) == 2
 
 
 class TestRealSlice:

@@ -315,6 +315,20 @@ def repeated_umul(terms, s, n):
     return {d: v for d, v in out.items() if v}
 
 
+def bivariate(terms):
+    """The series sum c x^i y^j of the terms (i, j, c), repeated exponents
+    summed, at the least truncation that holds them."""
+    acc = {}
+    for i, j, c in terms:
+        acc[i, j] = acc.get((i, j), gr(0)) + c
+    return Poly2(acc, max((i + j for i, j in acc), default=0))
+
+
+def in_x(s, n):
+    """{degree: coefficient} as a series in x truncated at n."""
+    return Poly2({(k, 0): c for k, c in s.items()}, n)
+
+
 def unscaled_row(row):
     """A scaled power row {degree: coefficient}, each in lowest terms."""
     den, items = row
@@ -338,17 +352,18 @@ class TestSubstitute:
                  min_size=1, max_size=6))))
     def test_equals_repeated_umul(self, case):
         n, s, terms = case
-        powers = power_rows(s)
-        assert substitute(terms, powers, n) == repeated_umul(terms, s, n)
+        f, expected = bivariate(terms), in_x(repeated_umul(terms, s, n), n)
+        powers = power_rows(in_x(s, n))
+        assert substitute(f, powers, n) == expected
         # the list now holds s^0 .. s^top as primitive Gaussian-integer
         # rows, each over its own denominator, and a second call reuses it
-        top = max(j for _, j, _ in terms)
+        top = max((j for _, j in f.terms), default=0)
         assert len(powers) == max(top + 1, 2)
         assert [unscaled_row(row) for row in powers] == \
             [repeated_umul([(0, j, GR_ONE)], s, n) for j in range(len(powers))]
         assert all(math.gcd(den, *(v for _, x, y in items for v in (x, y)))
                    == 1 for den, items in powers)
-        assert substitute(terms, powers, n) == repeated_umul(terms, s, n)
+        assert substitute(f, powers, n) == expected
         assert len(powers) == max(top + 1, 2)
 
 
@@ -431,6 +446,11 @@ def naive_substitute_linear(f, m):
             term = naive_poly_mul(term, factor)
         out = out + term
     return out
+
+
+def naive_swapped(p):
+    """x and y exchanged as the linear substitution (x, y) -> (y, x)."""
+    return p.substitute_linear(((0, 1), (1, 0)))
 
 
 def naive_lie_derivative(field, f):
@@ -567,17 +587,27 @@ class TestIntegerKernels:
                  max_size=6))))
     def test_substitute(self, case):
         n, s, terms = case
-        out = substitute(terms, power_rows(s), n)
-        assert out == naive_substitute(terms, s, n)
-        assert all(c and in_lowest_terms(c) for c in out.values())
+        out = substitute(bivariate(terms), power_rows(in_x(s, n + 2)), n)
+        assert out == in_x(naive_substitute(terms, s, n), n)
+        assert all(is_primitive(*p) for p in out.parts.values())
 
     @settings(max_examples=100, deadline=None)
     @given(root_problems())
     def test_substitution_root(self, problem):
         terms, shift, n, s = problem
-        out = series.substitution_root(terms, shift, n)
-        assert out == naive_substitution_root(terms, shift, n) == s
-        assert all(c and in_lowest_terms(c) for c in out.values())
+        out = series.substitution_root(bivariate(terms), shift, n)
+        assert out == in_x(naive_substitution_root(terms, shift, n),
+                           n - shift) == in_x(s, n - shift)
+        assert all(is_primitive(*p) for p in out.parts.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly2s())
+    @example(Poly2({(0, 0): 1, (2, 1): gr(1, 2), (0, 3): gr(0, -3)}, 3))
+    def test_swapped(self, p):
+        out = p.swapped()
+        assert out == naive_swapped(p)
+        assert all(is_primitive(*part) for part in out.parts.values())
+        assert out.swapped() == p
 
     @settings(max_examples=150, deadline=None)
     @given(poly2s())
@@ -625,18 +655,20 @@ class TestIntegerKernels:
         # (1/6 + i/10)(3 + 5i) = 17i/15: the real parts cancel over the
         # shared denominator 30, and 34/30 comes back as 17/15
         a, b = gr(Fraction(1, 6), Fraction(1, 10)), gr(3, 5)
-        assert substitute([(0, 1, a)], power_rows({0: b}), 0) == \
-            {0: gr(0, Fraction(17, 15))}
+        assert substitute(bivariate([(0, 1, a)]), power_rows(in_x({0: b}, 0)),
+                          0) == in_x({0: gr(0, Fraction(17, 15))}, 0)
         # (z + z^2)(z - z^2) = z^2 - z^4: degree 3 sums to exactly 0
-        assert substitute([(1, 1, a), (2, 1, a)], power_rows({1: a, 2: -a}),
-                          6) == {2: a * a, 4: -a * a}
+        assert substitute(bivariate([(1, 1, a), (2, 1, a)]),
+                          power_rows(in_x({1: a, 2: -a}, 2)), 6) == \
+            in_x({2: a * a, 4: -a * a}, 6)
         x, y = Poly2.var_x(4), Poly2.var_y(4)
         prod = (x * a + y) * (x * a - y)
         assert prod.terms == {(2, 0): a * a, (0, 2): gr(-1)}
-        assert substitute([(1, 1, a), (1, 1, -a), (0, 0, b)],
-                          power_rows({1: b}), 3) == {0: b}
-        assert substitute([(0, 1, a), (0, 0, -a * b)],
-                          power_rows({0: b}), 3) == {}
+        # a x y - a x^2 + b at y = x: the x^2 terms of j = 1 and j = 0
+        assert substitute(bivariate([(1, 1, a), (2, 0, -a), (0, 0, b)]),
+                          power_rows(in_x({1: 1}, 1)), 3) == in_x({0: b}, 3)
+        assert substitute(bivariate([(0, 1, a), (0, 0, -a * b)]),
+                          power_rows(in_x({0: b}, 0)), 3).is_zero()
         parts = [[gr(1), gr(0, 1)], [gr(Fraction(1, 4)), gr(0, Fraction(1, 6))]]
         scaled = [series._scaled(enumerate(h)) for h in parts]
         out = unscaled_row(series._accumulate([(scaled[0], scaled[0]),
