@@ -45,8 +45,8 @@ from . import flow as flow_mod
 from . import foliation as fol_mod
 from .germ import ROOTS_OF_UNITY, Germ1, InconclusiveOrder, finite_order, \
     multiplier_order, pseudo_orbit
-from .series import GaussianRational, InternalError, OneForm2, Poly2, \
-    VectorField2, gr
+from .series import Gaussian, InternalError, OneForm2, Poly2, \
+    VectorField2, format_coefficient, parts_of
 
 __all__ = ["ParseError", "ValidationError", "ProblemSpec", "parse_spec",
            "run_pipeline", "main"]
@@ -91,6 +91,7 @@ _ORDER_FLOORS = {"real_field": 3, "complex_form": 1}
 _COMPLEX_RE = re.compile(
     r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*i\s*$"
 )
+_RATIO_RE = re.compile(r"(-?\d+)(?:/(\d*[1-9]\d*))?")  # no zero den
 
 
 def _is_int(value) -> bool:
@@ -132,34 +133,36 @@ def _check_ranges(params: dict, kind: str) -> None:
                                   f"got {value!r}")
 
 
-def parse_coefficient(text, where: str) -> GaussianRational:
+def _ratio(text: str) -> tuple[int, int]:
+    """(n, d), d > 0, equal to Fraction(text); [-]n[/d] is read without one."""
+    m = _RATIO_RE.fullmatch(text)
+    return (int(m[1]), int(m[2] or 1)) if m else \
+        Fraction(text).as_integer_ratio()
+
+
+def parse_coefficient(text, where: str) -> Gaussian:
+    """`text` as Gaussian integers over a denominator, not reduced."""
     if _is_int(text):
-        return gr(text)
+        return text, 0, 1
     if not isinstance(text, str):
         raise ValidationError(f"{where}: coefficient must be a string, "
                               f"got {type(text).__name__}")
     m = _COMPLEX_RE.match(text)
     try:
-        if m:
-            return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
-        return GaussianRational(Fraction(text.strip()))
+        (a, b), (c, d) = map(_ratio, m.groups()) if m else \
+            (_ratio(text.strip()), (0, 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: bad coefficient {text!r} ({exc})")
+    return a * d, c * b, b * d
 
 
-def format_coefficient(c: GaussianRational) -> str:
-    if c.is_real:
-        return str(c.re)
-    return f"{c.re}+{c.im} i"
-
-
-def _root_of_unity(p: int, q: int, where: str) -> GaussianRational:
+def _root_of_unity(p: int, q: int, where: str) -> Gaussian:
     if q <= 0:
         raise ValidationError(f"{where}: root order must be positive")
     g = gcd(p, q)
     p, q = (p // g) % (q // g), q // g
     if (p, q) in ROOTS_OF_UNITY:
-        return ROOTS_OF_UNITY[p, q]
+        return parts_of(ROOTS_OF_UNITY[p, q])
     raise ValidationError(
         f"{where}: exp(2 pi i {p}/{q}) is not a Gaussian rational; "
         "exactly representable multiplier orders are 1, 2 and 4"
@@ -209,7 +212,7 @@ def _parse_term_list(raw, truncation, key, real_only) -> dict:
         if (i, j) in terms:
             raise ValidationError(f"{where}: duplicate exponent ({i}, {j})")
         c = parse_coefficient(coeff, where)
-        if real_only and not c.is_real:
+        if real_only and c[1]:
             raise ValidationError(f"{where}: real field cannot carry an "
                                   "imaginary coefficient")
         terms[(i, j)] = c
@@ -281,12 +284,13 @@ def parse_spec(path) -> ProblemSpec:
                     and all(_is_int(v) for v in root)):
                 raise ValidationError("multiplier_root: expected [p, q]")
             lam = _root_of_unity(root[0], root[1], "multiplier_root")
-            if 1 in germ_coeffs and germ_coeffs[1] != lam:
+            re, im, den = germ_coeffs.get(1, lam)  # lam has den 1
+            if (re, im) != (lam[0] * den, lam[1] * den):
                 raise ValidationError(
                     "multiplier_root contradicts the degree-1 coefficient"
                 )
             germ_coeffs[1] = lam
-        if 1 not in germ_coeffs or not germ_coeffs[1]:
+        if not any(germ_coeffs.get(1, (0, 0))[:2]):
             raise ValidationError("coeffs: nonzero degree-1 coefficient "
                                   "(or multiplier_root) is required")
     return ProblemSpec(kind, truncation, dx_terms, dy_terms, germ_coeffs,
@@ -308,8 +312,8 @@ _NO_NORMALIZATION = {
 
 
 def _poly_rows(p: Poly2) -> list:
-    return [[i, j, format_coefficient(c)]
-            for (i, j), c in sorted(p.terms.items())]
+    return [[i, j, format_coefficient((x, y, den))]
+            for i, j, x, y, den in p.scaled_terms()]
 
 
 def _normalization(run):
@@ -514,7 +518,7 @@ def _real_slice(run):
 
 
 def _finite_order(run):
-    g = run.spec.build_germ()
+    run.germ = g = run.spec.build_germ()
     m, k_max = multiplier_order(g.multiplier), run.params["k_max"]
     section = {"multiplier": format_coefficient(g.multiplier),
                "multiplier_order": m}
@@ -536,7 +540,7 @@ def _finite_order(run):
 
 
 def _pseudo_orbits(run):
-    g = run.spec.build_germ()
+    g = run.germ
     params = run.params
     rows = []
     for pt in params["points"]:
@@ -597,10 +601,10 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
         },
         "sections": {},
     }
-    # what the stages hand on: norm (or why_not), form, pair
+    # what the stages hand on: norm (or why_not), form, pair, germ
     run = SimpleNamespace(spec=spec, params=params, dump_dir=dump_dir,
                           sections=report["sections"], norm=None, form=None,
-                          pair=None, why_not=None)
+                          pair=None, germ=None, why_not=None)
     for stage in stages:
         try:
             stage(run)

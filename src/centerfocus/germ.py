@@ -103,17 +103,14 @@ class Germ1:
     __hash__ = None
 
     def __repr__(self):
-        body = " + ".join(
-            f"({c})z^{k}" if k > 1 else f"({c})z"
-            for k, c in sorted(self.coeffs.items())
-        )
-        return f"Germ1[{body or '0'}; N={self.truncation_degree}]"
+        return f"Germ1({self.series!r})"
 
     def evaluator(self):
         """Binary64 Horner evaluation of the truncated polynomial, as a
-        function; the coefficients are rounded to binary64 once, here."""
-        coeffs = [self.coefficient(k).to_complex()
-                  for k in range(self.truncation_degree, 0, -1)]
+        function; coefficients are rounded once, here, as float(Fraction)."""
+        coeffs = [0j] * self.truncation_degree  # degrees N, ..., 1
+        for k, _, x, y, den in self.series.scaled_terms():
+            coeffs[-k] = complex(x / den, y / den)
 
         def evaluate(z: complex) -> complex:
             acc = 0j

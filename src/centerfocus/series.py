@@ -8,12 +8,13 @@ denominator, reduced by one gcd; sums, products, the Lie derivative, the
 wedge dF ^ w, partials, linear substitutions and the homological solves
 run on those integers and build no `Fraction` (Henrici; Knuth, TAOCP
 Vol. 2, 4.5.1).  A univariate series (a germ, a branch, a divisor
-restriction) is a `Poly2` in one variable.  `GaussianRational` is the
-type of parsing, of the obstructions and of what a caller reads off a
-series (`terms`, `coefficient`).  Every sum of bivariate series products
-is one `_bilinear` call; the power tables of the univariate
-substitutions hold s^j as Gaussian-integer rows, each over one
-denominator.
+restriction) is a `Poly2` in one variable.  Parsed coefficients come in
+as such integers, and report rows and binary64 values are made from them
+(`scaled_terms`).  `GaussianRational` is the type of the obstructions, of
+the normalization and of what a caller reads off a series (`terms`,
+`coefficient`).  Every sum of bivariate series products is one
+`_bilinear` call; the power tables of the univariate substitutions hold
+s^j as Gaussian-integer rows, each over one denominator.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "InternalError",
     "ensure",
     "gr",
+    "parts_of",
+    "format_coefficient",
     "binary64",
     "power_rows",
     "substitute",
@@ -56,47 +59,25 @@ def ensure(condition, message: str) -> None:
 
 
 Scalar = Union[int, Fraction, "GaussianRational"]
+Gaussian = tuple[int, int, int]  # (re, im, den): (re + i im) / den, den > 0
 
 
 def _coerced(op):
     """A GaussianRational operator that coerces int and Fraction operands."""
     def method(self, other):
-        other = GaussianRational._try_coerce(other)
-        return NotImplemented if other is None else op(self, other)
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(Fraction(other))
+        return op(self, other) if isinstance(other, GaussianRational) \
+            else NotImplemented
     return method
 
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact element of Q(i): a pair of Fractions.
-
-    Fraction keeps numerators/denominators in lowest terms with positive
-    denominators, which is exactly the coefficient invariant we need.
-    """
+    """Exact element of Q(i): a pair of Fractions, each in lowest terms."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
-
-    @staticmethod
-    def coerce(value: Scalar) -> "GaussianRational":
-        out = GaussianRational._try_coerce(value)
-        if out is None:
-            raise TypeError(
-                f"cannot coerce {type(value).__name__} to GaussianRational"
-            )
-        return out
-
-    @staticmethod
-    def _try_coerce(value) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
-        return None
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -138,9 +119,7 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
+        return format_coefficient(self)
 
 
 def gr(re: Scalar = 0, im: Scalar = 0) -> GaussianRational:
@@ -152,6 +131,30 @@ GR_ZERO = gr(0)
 GR_ONE = gr(1)
 
 
+def parts_of(c: Scalar | Gaussian) -> Gaussian:
+    """c over the lcm of its parts' denominators; a Gaussian as it is."""
+    if isinstance(c, tuple):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    den = math.lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator), den)
+
+
+def _rational(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, by one gcd."""
+    g = math.gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
+
+
+def format_coefficient(c: Scalar | Gaussian) -> str:
+    """c as reports print it: "re", or "re+im i" when it is not real."""
+    re, im, den = parts_of(c)
+    text = _rational(re, den)
+    return f"{text}+{_rational(im, den)} i" if im else text
+
+
 Scaled = tuple[int, list[tuple[int, int, int]]]
 
 
@@ -161,15 +164,15 @@ class Poly2:
     `parts` maps the degree d of each nonzero homogeneous part to
     (den, [(r, re, im), ...]): the coefficients (re + i im) / den of
     x^(d-r) y^r in increasing r, over one denominator, primitive (den > 0,
-    gcd 1, no zero entry), so equal series have equal parts.  `terms` and
-    `coefficient` are GaussianRational views built on demand.  Results
+    gcd 1, no zero entry), so equal series have equal parts; `terms` and
+    `coefficient` are GaussianRational views of them.  Results
     carry the minimum of the operands' truncation degrees; instances are
     immutable by convention (no method mutates self or a part).
     """
 
     __slots__ = ("parts", "truncation_degree")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar],
+    def __init__(self, terms: Mapping[tuple[int, int], Scalar | Gaussian],
                  truncation_degree: int):
         if truncation_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
@@ -181,11 +184,10 @@ class Poly2:
                 raise ValueError(
                     f"term ({i}, {j}) exceeds truncation degree {truncation_degree}"
                 )
-            by_degree.setdefault(i + j, []).append(
-                (j, GaussianRational.coerce(c)))
-        # lowest-terms coefficients over their lcm: already primitive
+            by_degree.setdefault(i + j, []).append((j, c))
         parts = ((d, _scaled(sorted(h))) for d, h in by_degree.items())
-        object.__setattr__(self, "parts", {d: p for d, p in parts if p[1]})
+        object.__setattr__(self, "parts",
+                           {d: _primitive(*p) for d, p in parts if p[1]})
         object.__setattr__(self, "truncation_degree", truncation_degree)
 
     @classmethod
@@ -232,6 +234,12 @@ class Poly2:
         return {(d - r, r): _unscaled(den, x, y)
                 for d, (den, row) in self.parts.items() for r, x, y in row}
 
+    def scaled_terms(self) -> list[tuple[int, int, int, int, int]]:
+        """The nonzero coefficients (re + i im) / den of x^i y^j as
+        (i, j, re, im, den), sorted by (i, j); a degree shares its den."""
+        return sorted((d - r, r, x, y, den) for d, (den, row)
+                      in self.parts.items() for r, x, y in row)
+
     def coefficient(self, i: int, j: int) -> GaussianRational:
         den, row = self.parts.get(i + j, (1, []))
         return next((_unscaled(den, x, y) for r, x, y in row if r == j),
@@ -256,21 +264,10 @@ class Poly2:
     __hash__ = None
 
     def __repr__(self) -> str:
-        terms = self.terms
-        if not terms:
-            body = "0"
-        else:
-            pieces = []
-            for (i, j) in sorted(terms, key=lambda e: (e[0] + e[1], -e[0])):
-                c = terms[(i, j)]
-                mono = "".join(
-                    f"{v}^{e}" if e > 1 else v
-                    for v, e in (("x", i), ("y", j))
-                    if e > 0
-                )
-                pieces.append(f"({c}){mono}" if mono else f"({c})")
-            body = " + ".join(pieces)
-        return f"Poly2[{body}; N={self.truncation_degree}]"
+        body = " + ".join(f"({format_coefficient((x, y, den))})" + "".join(
+            f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e)
+            for i, j, x, y, den in self.scaled_terms())
+        return f"Poly2[{body or '0'}; N={self.truncation_degree}]"
 
     # -- truncation management ----------------------------------------
 
@@ -371,8 +368,7 @@ class Poly2:
         + m11 y, one `_accumulate` over the pairs (c l1^(d-r), l2^r) of
         `_extend` power lists, each c folded into the integers of l1^(d-r).
         """
-        rows = [_scaled(enumerate(map(GaussianRational.coerce, row)))
-                for row in m]
+        rows = [_scaled(enumerate(row)) for row in m]
         a, b = ({r: (x, y) for r, x, y in row} for _, row in rows)
         if _gdot([(a.get(0, (0, 0)), b.get(1, (0, 0)))]) == \
                 _gdot([(a.get(1, (0, 0)), b.get(0, (0, 0)))]):
@@ -395,9 +391,8 @@ def binary64(*polys: Poly2):
     tables = []
     for p in polys:
         real = p.real
-        tables.append(sorted(
-            (d - r, r, x / den if real else complex(x / den, y / den))
-            for d, (den, row) in p.parts.items() for r, x, y in row))
+        tables.append([(i, j, x / den if real else complex(x / den, y / den))
+                       for i, j, x, y, den in p.scaled_terms()])
     nx = max((i for t in tables for i, _, _ in t), default=0)
     ny = max((j for t in tables for _, j, _ in t), default=0)
 
@@ -489,14 +484,12 @@ class OneForm2:
 
 
 def _scaled(items) -> Scaled:
-    """The (key, c) pairs `items` over their least common denominator D:
-    (D, [(key, D re(c), D im(c)), ...]) for the nonzero c."""
-    items = list(items)
-    d = math.lcm(*(c.re.denominator for _, c in items),
-                 *(c.im.denominator for _, c in items))
-    out = [(k, c.re.numerator * (d // c.re.denominator),
-            c.im.numerator * (d // c.im.denominator)) for k, c in items]
-    return d, [t for t in out if t[1] or t[2]]
+    """The (key, c) pairs `items` over the least common denominator D of
+    the nonzero c: (D, [(key, D re(c), D im(c)), ...]) for those c."""
+    items = [(k, x, y, den) for k, c in items
+             for x, y, den in [parts_of(c)] if x or y]
+    d = math.lcm(*(den for *_, den in items))
+    return d, [(k, x * (d // den), y * (d // den)) for k, x, y, den in items]
 
 
 def _unscaled(d: int, re: int, im: int) -> GaussianRational:
@@ -527,11 +520,14 @@ def _sparse(re: list[int], im: list[int]) -> list[tuple[int, int, int]]:
 
 
 def _primitive(den: int, row: list[tuple[int, int, int]]) -> Scaled:
-    """(den, row), den > 0, divided by the gcd of den and the entries;
-    (1, []) for an empty row."""
-    g = math.gcd(den, *(v for _, x, y in row for v in (x, y)))
-    return (den, row) if g == 1 else \
-        (den // g, [(r, x // g, y // g) for r, x, y in row])
+    """(den, row), den > 0, divided by the gcd of den and the entries,
+    taken entry by entry up to the first 1; (1, []) for an empty row."""
+    g = den
+    for _, x, y in row:
+        g = math.gcd(g, x, y)
+        if g == 1:
+            return den, row
+    return den // g, [(r, x // g, y // g) for r, x, y in row]
 
 
 def _extend(powers: list[Scaled], top: int, n: int) -> list[Scaled]:
@@ -601,11 +597,12 @@ def substitution_root(f: Poly2, shift: int, n: int) -> Poly2:
     of s, grows by one degree per step: O(n^3) exact operations in all
     (Brent & Kung, J. ACM 25, 1978).  Row j is multiplied by t^j when D
     grows by t; its entries below degree j (shift + 1) are zero and never
-    formed.
+    formed.  With lead = l / C and R = r / (C D^top), s_k is -r conj(l)
+    / (D^top |l|^2) on Gaussian integers, reduced by one gcd.
     """
-    cden, cs = _common_terms(f)
+    _, cs = _common_terms(f)
     top, low = max(j for _, j, _, _ in cs), shift + 1
-    lead = f.coefficient(shift, 1)
+    lx, ly = next((x, y) for i, j, x, y in cs if (i, j) == (shift, 1))
     rows = [[(int(j == 0), 0)] + [(0, 0)] * n for j in range(top + 1)]
     den, dpow = 1, [1] * (top + 1)  # dpow[j] = D^(top - j)
     for d in range(1, n + 1):
@@ -615,17 +612,19 @@ def substitution_root(f: Poly2, shift: int, n: int) -> Poly2:
                                for e in range(low, d - (j - 1) * low + 1))
         if d <= 2 * shift:
             continue
-        c = -_unscaled(cden * dpow[0], *_gdot(
-            ((x * dpow[j], y * dpow[j]), rows[j][d - i])
-            for i, j, x, y in cs if i <= d - j * low)) / lead
-        t = math.lcm(den, c.re.denominator, c.im.denominator) // den
+        rx, ry = _gdot(((x * dpow[j], y * dpow[j]), rows[j][d - i])
+                       for i, j, x, y in cs if i <= d - j * low)
+        cx, cy = -rx * lx - ry * ly, rx * ly - ry * lx
+        q = dpow[0] * (lx * lx + ly * ly)
+        g = math.gcd(cx, cy, q)
+        q //= g  # the denominator of s_k in lowest terms
+        t = math.lcm(den, q) // den
         if t > 1:
             den *= t
             dpow = [p * t ** (top - j) for j, p in enumerate(dpow)]
             rows = [[(x * tj, y * tj) for x, y in row]
                     for j, row in enumerate(rows) for tj in [t ** j]]
-        rows[1][d - shift] = (c.re.numerator * (den // c.re.denominator),
-                              c.im.numerator * (den // c.im.denominator))
+        rows[1][d - shift] = (cx // g * (den // q), cy // g * (den // q))
     return Poly2._of([(k, (den, [(0, x, y)])) for k, (x, y)
                       in enumerate(rows[1]) if x or y], n - shift)
 

@@ -6,7 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from fractions import Fraction
+from hypothesis import example, given, strategies as st
 
+from centerfocus import cli
 from centerfocus.cli import (
     ParseError,
     ValidationError,
@@ -19,7 +22,7 @@ from centerfocus.cli import (
     render_report,
     run_pipeline,
 )
-from centerfocus.series import Poly2, gr
+from centerfocus.series import GaussianRational, Poly2, gr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,23 +42,91 @@ def normalize(report):
     return walk(report)
 
 
+def reference_format(c: GaussianRational) -> str:
+    """A coefficient as the reports printed it from a GaussianRational,
+    through str(Fraction)."""
+    if c.im == 0:
+        return str(c.re)
+    return f"{c.re}+{c.im} i"
+
+
+def reference_parse(text, where):
+    """A coefficient as parsing read it into a GaussianRational."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return gr(text)
+    m = cli._COMPLEX_RE.match(text)
+    try:
+        if m:
+            return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
+        return GaussianRational(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{where}: bad coefficient {text!r} ({exc})")
+
+
+def value(parts) -> GaussianRational:
+    """The Gaussian triple (re, im, den) as a GaussianRational."""
+    re, im, den = parts
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+BIG = 2 ** 200
+
+
 class TestCoefficientFormat:
     def test_real_round_trip(self):
         for text in ("1", "-3/4", "0", "12/7"):
             c = parse_coefficient(text, "t")
-            assert parse_coefficient(format_coefficient(c), "t") == c
+            assert value(parse_coefficient(format_coefficient(c), "t")) == \
+                value(c)
 
     def test_complex_round_trip(self):
         for text in ("1/2+-3/4 i", "0+1 i", "-2+5/3 i"):
             c = parse_coefficient(text, "t")
-            assert not c.is_real
-            assert parse_coefficient(format_coefficient(c), "t") == c
+            assert c[1]  # a nonzero imaginary part
+            assert value(parse_coefficient(format_coefficient(c), "t")) == \
+                value(c)
 
     def test_bad_coefficient(self):
         with pytest.raises(ValidationError):
             parse_coefficient("1/0", "t")
         with pytest.raises(ValidationError):
             parse_coefficient("one half", "t")
+
+    @given(st.one_of(st.integers(-99, 99), st.integers(-BIG * 8, BIG * 8)),
+           st.one_of(st.integers(-99, 99), st.integers(-BIG * 8, BIG * 8)),
+           st.one_of(st.integers(1, 99), st.integers(1, BIG * 8)))
+    @example(0, 0, 1)
+    @example(0, 0, 7)
+    @example(-6, 0, 4)
+    @example(0, -5, 10)
+    @example(0, 3, 1)
+    @example(BIG + 1, -BIG - 3, 1)
+    @example(-3 * BIG, 5 * BIG, 6 * BIG)
+    def test_parts_format_matches_fraction(self, re, im, den):
+        # one gcd per part prints what str(Fraction) printed, from the
+        # parts of a series row and from a GaussianRational alike
+        c = value((re, im, den))
+        assert format_coefficient((re, im, den)) == reference_format(c)
+        assert format_coefficient(c) == reference_format(c)
+
+    @pytest.mark.parametrize("text", [
+        "1", "-3/4", "0", "-0", "12/7", "6/8", " 3/4 ", "007/010", 5, -2, 0,
+        "0.5", "1e-3", "+3", "3 / 4", "1_000", "\u0663/\u0664",
+        "1/2+-3/4 i", "0+1 i", "-2+5/3 i", " 4/6 + -0/3 i ",
+        "1/0", "-3/0", "one half", "", "1/2+1/0 i", "1/0+1/0 i", "1/2 i",
+        "9" * 4301, "1/" + "9" * 4301])
+    def test_parse_matches_fraction(self, text):
+        # parsing straight into parts reads what Fraction read, and
+        # rejects what it rejected, with the same message
+        try:
+            want = reference_parse(text, "t")
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                parse_coefficient(text, "t")
+            assert str(got.value) == str(exc)
+        else:
+            re, im, den = got = parse_coefficient(text, "t")
+            assert den > 0 and value(got) == want
 
 
 class TestParseSpec:
@@ -244,6 +315,40 @@ def test_high_order_golden(report):
     spec = parse_spec(HIGH_ORDER / f"{fixture}.json")
     got = normalize(run_pipeline(spec, command=command))
     assert got == json.loads((HIGH_ORDER / report).read_text())
+
+
+def test_report_rows_build_no_fraction(monkeypatch):
+    # the rows of the dense order-24 `lyapunov` report are printed from
+    # the stored integers: no Fraction is built while they are formatted
+    # (two per coefficient when rows were read through `Poly2.terms`)
+    built, formatting, rows = [], [False], cli._poly_rows
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if formatting[0]:
+            built.append(1)
+        return new(cls, *args, **kwargs)
+
+    def poly_rows(p):
+        formatting[0] = True
+        try:
+            return rows(p)
+        finally:
+            formatting[0] = False
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(cli, "_poly_rows", poly_rows)
+    spec = parse_spec(HIGH_ORDER / "quartic_hamiltonian_dense.json")
+    report = run_pipeline(spec, command="lyapunov")
+    assert len(report["sections"]["lyapunov"]["first_integral"]) > 100
+    assert normalize(report) == json.loads(
+        (HIGH_ORDER / "quartic_hamiltonian_dense.lyapunov.report.json")
+        .read_text())
+    assert built == []
+    poly_rows(Poly2.constant(Fraction(1, 3), 0))
+    formatting[0] = True
+    Fraction(1, 3)  # the wrapper does see a construction
+    assert built == [1]
 
 
 # Schema 2 states each value once: these keys only repeated a parameter

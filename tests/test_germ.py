@@ -68,6 +68,46 @@ def qi_germs(draw, max_n=24):
     return Germ1({1: lam, **{k: draw(coeff) for k in degrees}}, n)
 
 
+def horner_evaluator(f: Germ1):
+    """The binary64 evaluator as it was: each coefficient read as a
+    GaussianRational and rounded by `to_complex`, then Horner's loop."""
+    coeffs = [f.coefficient(k).to_complex()
+              for k in range(f.truncation_degree, 0, -1)]
+
+    def evaluate(z: complex) -> complex:
+        acc = 0j
+        for c in coeffs:
+            acc = acc * z + c
+        return acc * z
+
+    return evaluate
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """The binary64 parts of z, telling -0.0 from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
+# numerators and denominators far past 2^53, so that rounding matters
+wide_part = st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90),
+                      st.integers(1, 2 ** 90))
+
+
+@st.composite
+def wide_germs(draw):
+    """Germs whose coefficients need correct rounding: wide parts, zero,
+    real and purely imaginary ones, gaps between degrees."""
+    n = draw(st.integers(1, 30))
+    coeff = st.one_of(st.builds(GaussianRational, wide_part, wide_part),
+                      st.builds(GaussianRational, wide_part),
+                      st.builds(GaussianRational, st.just(Fraction(0)),
+                                wide_part))
+    lam = draw(coeff.filter(bool))
+    degrees = draw(st.lists(st.integers(2, n), max_size=8, unique=True)
+                   if n > 1 else st.just([]))
+    return Germ1({1: lam, **{k: draw(coeff) for k in degrees}}, n)
+
+
 def count_compose(monkeypatch) -> list:
     calls = []
     compose_ = germ.compose
@@ -89,6 +129,18 @@ class TestGermBasics:
         f = Germ1({1: 2, 3: Fraction(1, 2)}, 4)
         z = 0.1 + 0.05j
         assert abs(f.evaluator()(z) - (2 * z + 0.5 * z**3)) < 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_germs(), st.complex_numbers(max_magnitude=0.5)
+           | st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+    def test_evaluator_matches_horner_on_fractions(self, f, z):
+        # rounding x / den from the stored parts gives the coefficients
+        # float(Fraction) gave, so iterates are bit-identical
+        new, old = f.evaluator(), horner_evaluator(f)
+        for _ in range(4):
+            w = new(z)
+            assert bits(w) == bits(old(z))
+            z = w if abs(w) < 0.5 else z / 2
 
 
 class TestCompose:

@@ -43,8 +43,9 @@ class TestGaussianRational:
         assert (1 / b) * b == gr(1)
 
     def test_reality(self):
-        assert gr(2).is_real
-        assert not gr(0, 1).is_real
+        # a scalar is real when its imaginary part is zero
+        assert gr(2).im == 0 and Poly2.constant(gr(2), 0).real
+        assert gr(0, 1).im != 0 and not Poly2.constant(gr(0, 1), 0).real
 
 
 class TestPoly2Basics:
@@ -471,6 +472,13 @@ def is_primitive(den, row):
             and [r for r, _, _ in row] == sorted({r for r, _, _ in row}))
 
 
+def full_gcd_primitive(den, row):
+    """`series._primitive` as one gcd over den and every entry."""
+    g = math.gcd(den, *(v for _, x, y in row for v in (x, y)))
+    return (den, row) if g == 1 else \
+        (den // g, [(r, x // g, y // g) for r, x, y in row])
+
+
 def in_lowest_terms(c):
     return all(math.gcd(f.numerator, f.denominator) == 1 and f.denominator > 0
                for f in (c.re, c.im))
@@ -579,6 +587,17 @@ class TestIntegerKernels:
         den, row = series._primitive(*series._accumulate(scaled, n))
         assert unscaled_row((den, row)) == naive_product_sum(pairs, n)
         assert is_primitive(den, row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 6), st.sampled_from([1, 2, 6, 35, 2 ** 70]),
+           st.lists(st.tuples(st.integers(-10 ** 30, 10 ** 30),
+                              st.integers(-99, 99)), max_size=8))
+    def test_primitive_matches_full_gcd(self, den, scale, entries):
+        # the gcd taken entry by entry, stopping at 1, divides by what one
+        # gcd over den and every entry divided by
+        row = [(r, x * scale, y * scale) for r, (x, y) in enumerate(entries)]
+        assert series._primitive(den * scale, row) == \
+            full_gcd_primitive(den * scale, row)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
