@@ -91,7 +91,6 @@ _ORDER_FLOORS = {"real_field": 3, "complex_form": 1}
 _COMPLEX_RE = re.compile(
     r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*i\s*$"
 )
-_RATIO_RE = re.compile(r"(-?\d+)(?:/(\d*[1-9]\d*))?")  # no zero den
 
 
 def _is_int(value) -> bool:
@@ -133,13 +132,6 @@ def _check_ranges(params: dict, kind: str) -> None:
                                   f"got {value!r}")
 
 
-def _ratio(text: str) -> tuple[int, int]:
-    """(n, d), d > 0, equal to Fraction(text); [-]n[/d] is read without one."""
-    m = _RATIO_RE.fullmatch(text)
-    return (int(m[1]), int(m[2] or 1)) if m else \
-        Fraction(text).as_integer_ratio()
-
-
 def parse_coefficient(text, where: str) -> Gaussian:
     """`text` as Gaussian integers over a denominator, not reduced."""
     if _is_int(text):
@@ -149,8 +141,10 @@ def parse_coefficient(text, where: str) -> Gaussian:
                               f"got {type(text).__name__}")
     m = _COMPLEX_RE.match(text)
     try:
-        (a, b), (c, d) = map(_ratio, m.groups()) if m else \
-            (_ratio(text.strip()), (0, 1))
+        if m:
+            (a, b), (c, d) = (Fraction(t).as_integer_ratio() for t in m.groups())
+        else:
+            (a, b), (c, d) = Fraction(text.strip()).as_integer_ratio(), (0, 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: bad coefficient {text!r} ({exc})")
     return a * d, c * b, b * d

@@ -103,7 +103,11 @@ class Germ1:
     __hash__ = None
 
     def __repr__(self):
-        return f"Germ1({self.series!r})"
+        body = " + ".join(
+            f"({c})z^{k}" if k > 1 else f"({c})z"
+            for k, c in sorted(self.coeffs.items())
+        )
+        return f"Germ1[{body or '0'}; N={self.truncation_degree}]"
 
     def evaluator(self):
         """Binary64 Horner evaluation of the truncated polynomial, as a

@@ -74,7 +74,11 @@ def _coerced(op):
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact element of Q(i): a pair of Fractions, each in lowest terms."""
+    """Exact element of Q(i): a pair of Fractions.
+
+    Fraction keeps numerators/denominators in lowest terms with positive
+    denominators, which is exactly the coefficient invariant we need.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -119,7 +123,9 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
-        return format_coefficient(self)
+        if self.im == 0:
+            return str(self.re)
+        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
 
 
 def gr(re: Scalar = 0, im: Scalar = 0) -> GaussianRational:
@@ -264,10 +270,21 @@ class Poly2:
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({format_coefficient((x, y, den))})" + "".join(
-            f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e)
-            for i, j, x, y, den in self.scaled_terms())
-        return f"Poly2[{body or '0'}; N={self.truncation_degree}]"
+        terms = self.terms
+        if not terms:
+            body = "0"
+        else:
+            pieces = []
+            for (i, j) in sorted(terms, key=lambda e: (e[0] + e[1], -e[0])):
+                c = terms[(i, j)]
+                mono = "".join(
+                    f"{v}^{e}" if e > 1 else v
+                    for v, e in (("x", i), ("y", j))
+                    if e > 0
+                )
+                pieces.append(f"({c}){mono}" if mono else f"({c})")
+            body = " + ".join(pieces)
+        return f"Poly2[{body}; N={self.truncation_degree}]"
 
     # -- truncation management ----------------------------------------
 
