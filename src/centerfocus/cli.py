@@ -1,6 +1,7 @@
 """Batch front end: JSON problem specs in, JSON reports out.
 
-Input format (all coefficients are exact rational strings):
+Input format (coefficients are JSON integers or strings that `Fraction`
+reads, such as "-2/7" or "5e-3", exponents below sys.get_int_max_str_digits()):
 
   real field      {"kind": "real_field", "truncation": 8,
                    "dx": [[i, j, "num/den"], ...],   # xdot component
@@ -8,8 +9,7 @@ Input format (all coefficients are exact rational strings):
                    "analysis": {"order": 10, "radii": [0.2, 0.1], ...}}
 
   complex 1-form  {"kind": "complex_form", ...} with "dx"/"dy" holding the
-                  dx/dy coefficients; complex entries are written
-                  "re_num/re_den+im_num/im_den i".
+                  dx/dy coefficients, complex ones as "a/b+c/d i".
 
   germ            {"kind": "germ", "truncation": 12,
                    "coeffs": [[degree, coeff], ...],
@@ -40,13 +40,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from . import center as center_mod
-from . import flow as flow_mod
-from . import foliation as fol_mod
 from .germ import ROOTS_OF_UNITY, Germ1, InconclusiveOrder, finite_order, \
     multiplier_order, pseudo_orbit
-from .series import Gaussian, InternalError, OneForm2, Poly2, \
-    VectorField2, format_coefficient, parts_of
+from .series import Gaussian, InternalError, NumericFailure, OneForm2, \
+    Poly2, VectorField2, format_coefficient, parts_of
 
 __all__ = ["ParseError", "ValidationError", "ProblemSpec", "parse_spec",
            "run_pipeline", "main"]
@@ -69,8 +66,8 @@ DEFAULT_ANALYSIS = {
     },
     "complex_form": {
         "order": 10,
-        "slice_radii": list(fol_mod.SliceGrid.radii),
-        "slice_angles": fol_mod.SliceGrid.n_angles,
+        "slice_radii": [0.05, 0.08, 0.12, 0.16, 0.2],  # foliation.SliceGrid
+        "slice_angles": 12,
         "tol": 1e-9,
     },
     "germ": {
@@ -88,9 +85,7 @@ _FLOORS = {"tol": 0, "rel_tol": 0, "escape_radius": 0, "radii": 0,
            "slice_radii": 0, "slice_angles": 0, "k_max": 0}
 _ORDER_FLOORS = {"real_field": 3, "complex_form": 1}
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*i\s*$"
-)
+_COMPLEX_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\+\s*(-?\d+(?:/\d+)?)\s*i\s*$")
 
 
 def _is_int(value) -> bool:
@@ -140,7 +135,10 @@ def parse_coefficient(text, where: str) -> Gaussian:
         raise ValidationError(f"{where}: coefficient must be a string, "
                               f"got {type(text).__name__}")
     m = _COMPLEX_RE.match(text)
+    e = re.search(r"[eE]([-+]?[\d_]+)", text)  # Fraction expands 10^e
     try:
+        if e and abs(int(e[1])) >= (sys.get_int_max_str_digits() or inf):
+            raise ValueError("exponent beyond the integer digit limit")
         if m:
             (a, b), (c, d) = (Fraction(t).as_integer_ratio() for t in m.groups())
         else:
@@ -292,15 +290,13 @@ def parse_spec(path) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# report assembly: one function per stage, each writing its own sections
-
-_NUMERIC_FAILURES = (flow_mod.NoReturn, flow_mod.StepUnderflow,
-                     fol_mod.NoSamples)
+# report assembly: one function per stage, each writing its own sections;
+# a stage imports the modules it calls, so a command loads only those
 
 # Why a real field has no exact normalization: status, verdict summary.
 _NO_NORMALIZATION = {
-    center_mod.NotARotation: ("not_a_rotation", "rotation hypothesis fails"),
-    center_mod.IrrationalRotationFrequency: (
+    "NotARotation": ("not_a_rotation", "rotation hypothesis fails"),
+    "IrrationalRotationFrequency": (
         "irrational_frequency", "exact normalization is unavailable"),
 }
 
@@ -311,11 +307,13 @@ def _poly_rows(p: Poly2) -> list:
 
 
 def _normalization(run):
+    from . import center as center_mod
     try:
         run.norm = norm = center_mod.normalize_rotation(
             run.spec.build_field(run.params["order"]))
-    except tuple(_NO_NORMALIZATION) as exc:
-        status, run.why_not = _NO_NORMALIZATION[type(exc)]
+    except (center_mod.NotARotation,
+            center_mod.IrrationalRotationFrequency) as exc:
+        status, run.why_not = _NO_NORMALIZATION[type(exc).__name__]
         run.sections["normalization"] = {"status": status,
                                          "summary": str(exc)}
         return
@@ -332,6 +330,7 @@ def _normalization(run):
 def _lyapunov(run):
     if run.norm is None:
         return
+    from . import center as center_mod
     order = run.params["order"]
     rep = center_mod.lyapunov_quantities(run.norm, order)
     morse = center_mod.morse_check(rep.first_integral)
@@ -358,6 +357,7 @@ def _lyapunov(run):
 def _return_maps(run):
     if run.norm is None:
         return
+    from . import flow as flow_mod
     params = run.params
     seg = flow_mod.TransverseSegment((1.0, 0.0), max(params["radii"]))
     seq = flow_mod.detect_periodic_sequence(
@@ -394,6 +394,7 @@ def _verdict(run):
 def _orbit_dumps(run):
     if run.norm is None or run.dump_dir is None:
         return
+    from . import flow as flow_mod
     dump_dir = Path(run.dump_dir)
     dump_dir.mkdir(parents=True, exist_ok=True)
     files = [f"orbit_r{r}.csv" for r in run.params["radii"]]
@@ -408,6 +409,7 @@ def _orbit_dumps(run):
 
 
 def _siegel(run):
+    from . import foliation as fol_mod
     # factorization verification loses three degrees
     run.form = run.spec.build_form(run.params["order"] + 3)
     is_siegel = fol_mod.siegel_check(run.form)
@@ -419,6 +421,7 @@ def _siegel(run):
 
 
 def _blowup(run):
+    from . import foliation as fol_mod
     try:
         res = fol_mod.blowup(run.form)
     except fol_mod.NotIsolated as exc:
@@ -455,6 +458,7 @@ def _blowup(run):
 
 def _formal_first_integral(run):
     """The first integral and its factorization F = f*g*unit."""
+    from . import foliation as fol_mod
     if not run.sections["siegel"]["is_siegel"]:
         run.sections["formal_first_integral"] = {
             "skipped": True,
@@ -489,6 +493,7 @@ def _formal_first_integral(run):
 def _real_slice(run):
     if run.pair is None:
         return
+    from . import foliation as fol_mod
     params = run.params
     grid = fol_mod.SliceGrid(tuple(params["slice_radii"]),
                              params["slice_angles"])
@@ -602,7 +607,7 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
     for stage in stages:
         try:
             stage(run)
-        except _NUMERIC_FAILURES as exc:
+        except NumericFailure as exc:
             name = stage.__name__.lstrip("_")
             report["sections"][name] = {
                 "error": {"type": type(exc).__name__, "message": str(exc),

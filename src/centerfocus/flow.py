@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .series import Poly2, VectorField2, binary64, gr
+from .series import NumericFailure, Poly2, VectorField2, binary64, gr
 
 __all__ = [
     "StepUnderflow",
@@ -42,11 +42,11 @@ _T_MAX = 50.0
 _TRANSVERSAL, _TRANSVERSAL_SAMPLES = 1e-6, 8
 
 
-class StepUnderflow(RuntimeError):
+class StepUnderflow(NumericFailure):
     """The adaptive step collapsed (near-singular passage)."""
 
 
-class NoReturn(RuntimeError):
+class NoReturn(NumericFailure):
     """No qualifying section crossing within the time budget."""
 
 

@@ -8,25 +8,28 @@ y exchanged.  `real_slice` returns its samples with their verification.
 
 All symbolic work stays exact; numerics appear only where a value is
 inherently a sample (divisor singularities, slice points, contact ranks).
-numpy and sympy are imported only inside the functions that use them.
+numpy and sympy are imported only inside the blow-up functions that use them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .center import RotationNormalization
 from .series import (
     GR_ZERO,
     GaussianRational,
     InternalError,
+    NumericFailure,
     OneForm2,
     Poly2,
     Scaled,
     VectorField2,
     _accumulate,
+    _gdot,
     _primitive,
     binary64,
     ensure,
@@ -37,6 +40,9 @@ from .series import (
     substitute,
     substitution_root,
 )
+
+if TYPE_CHECKING:  # an annotation only: `slice` runs without `center`
+    from .center import RotationNormalization
 
 __all__ = [
     "NotIsolated",
@@ -71,7 +77,7 @@ class BranchFailure(InternalError):
     """Order-by-order branch solve or unit division hit an unsolvable step."""
 
 
-class NoSamples(RuntimeError):
+class NoSamples(NumericFailure):
     """Slice refinement failed at every seed."""
 
 
@@ -104,10 +110,12 @@ class FactorPair:
 
     @property
     def general_position(self) -> bool:
-        """The degree-1 parts of f and g are linearly independent."""
-        f, g = self.f, self.g
-        return bool(f.coefficient(1, 0) * g.coefficient(0, 1)
-                    - f.coefficient(0, 1) * g.coefficient(1, 0))
+        """The degree-1 parts of f and g are linearly independent: read
+        off their Gaussian integers, as each part has one denominator."""
+        f1, g1 = ({r: (x, y) for r, x, y in p.parts.get(1, (1, []))[1]}
+                  for p in (self.f, self.g))
+        return _gdot([(f1.get(0, (0, 0)), g1.get(1, (0, 0)))]) \
+            != _gdot([(f1.get(1, (0, 0)), g1.get(0, (0, 0)))])
 
     def absorbed(self) -> tuple[Poly2, Poly2]:
         """(f*unit, g): a pair whose plain product equals F to truncation."""
@@ -439,44 +447,79 @@ _RESIDUAL_TOL, _STEP_TOL, _MAX_ITER = 1e-10, 1e-12, 60
 
 
 def _slice_residual(values, u):
-    import numpy as np
     v1, v2 = values(complex(u[0], u[1]), complex(u[2], u[3]))
-    return np.array([v1.real, v2.imag])
+    return (v1.real, v2.imag), math.hypot(v1.real, v2.imag)  # r and |r|
 
 
 def _slice_jacobian(partials, u):
-    import numpy as np
     d1x, d1y, d2x, d2y = partials(complex(u[0], u[1]), complex(u[2], u[3]))
     # for analytic h: d/d(Re x) = h_x, d/d(Im x) = i h_x
-    return np.array([
-        [d1x.real, -d1x.imag, d1y.real, -d1y.imag],
-        [d2x.imag, d2x.real, d2y.imag, d2y.real],
-    ])
+    return ((d1x.real, -d1x.imag, d1y.real, -d1y.imag),
+            (d2x.imag, d2x.real, d2y.imag, d2y.real))
+
+
+def _dot(a, b):  # of two vectors of R^4
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _off(t, q):
+    """t less its projection on the span of the orthonormal rows q."""
+    c = [_dot(v, t) for v in q]
+    return tuple(t[i] - sum(k * v[i] for k, v in zip(c, q)) for i in range(4))
+
+
+def _lq(a, b):
+    """Gram-Schmidt on the rows of M = (a; b) = L Q: L = (l11, l21, l22),
+    M's singular values s1 >= s2, and Q's orthonormal rows, or None when
+    s2 <= 4 eps s1 (the default cutoff of `numpy.linalg.lstsq`)."""
+    l11 = math.hypot(*a)
+    if not l11:
+        return (0.0, 0.0, 0.0), (math.hypot(*b), 0.0), None
+    q1 = tuple(x / l11 for x in a)
+    l21, v = _dot(q1, b), _off(b, [q1])
+    l22 = math.hypot(*v)
+    s1 = (math.hypot(l11 + l22, l21) + math.hypot(l11 - l22, l21)) / 2
+    s2 = l11 * l22 / s1
+    q = (q1, tuple(x / l22 for x in v)) if s2 > 2.0 ** -50 * s1 else None
+    return (l11, l21, l22), (s1, s2), q
+
+
+def _tangent_plane(q):
+    """Orthonormal rows spanning the complement of the orthonormal rows q
+    in R^4: the parts off q of the two coordinate axes that span most."""
+    p = [_off([float(i == k) for i in range(4)], q) for k in range(4)]
+    _, i, j = max((p[i][i] * p[j][j] - p[i][j] ** 2, i, j)
+                  for j in range(4) for i in range(j))
+    return _lq(p[i], p[j])[2]
 
 
 def _refine(values, partials, u0):
-    import numpy as np
-    u = np.asarray(u0, dtype=float)
-    r = _slice_residual(values, u)
-    for _ in range(_MAX_ITER):
-        if np.linalg.norm(r) <= _RESIDUAL_TOL:
-            return u
-        jac = _slice_jacobian(partials, u)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+    """Damped Gauss-Newton from u0: the sample (x, y) and the tangent plane
+    there (the complement of the Jacobian's rows), or None if it fails."""
+    u = tuple(u0)
+    r, norm = _slice_residual(values, u)
+    for it in range(_MAX_ITER + 1):
+        (l11, l21, l22), _, q = _lq(*_slice_jacobian(partials, u))
+        if norm <= _RESIDUAL_TOL and q:
+            return (complex(*u[:2]), complex(*u[2:])), _tangent_plane(q)
+        if q is None or it == _MAX_ITER:
+            return None
+        # the least-norm step: L z = -r, step = Q^T z
+        z1 = -r[0] / l11
+        z2 = (-r[1] - l21 * z1) / l22
+        step = tuple(z1 * a + z2 * b for a, b in zip(*q))
         lam = 1.0
         while lam > 2 ** -20:
-            trial = u + lam * step
-            rt = _slice_residual(values, trial)
-            if np.linalg.norm(rt) < np.linalg.norm(r):
-                u, r = trial, rt
+            trial = tuple(a + lam * s for a, s in zip(u, step))
+            rt, nt = _slice_residual(values, trial)
+            if nt < norm:
+                u, r, norm = trial, rt, nt
                 break
             lam /= 2
         else:
             return None
-        if np.linalg.norm(lam * step) < _STEP_TOL and \
-                np.linalg.norm(r) > _RESIDUAL_TOL:
+        if lam * math.hypot(*step) < _STEP_TOL and norm > _RESIDUAL_TOL:
             return None
-    return u if np.linalg.norm(r) <= _RESIDUAL_TOL else None
 
 
 def real_slice(
@@ -492,7 +535,6 @@ def real_slice(
     pair's checked product.  Evaluators at one point share its powers.
     Returns the samples (x, y) and their verification.
     """
-    import numpy as np
     if not pair.general_position:
         raise ValueError("branches must be in general position")
     fa, gb = pair.absorbed()
@@ -501,32 +543,23 @@ def real_slice(
     partials = binary64(h1.diff_x(), h1.diff_y(), h2.diff_x(), h2.diff_y())
     checks = binary64(fa, gb, pair.product.diff_x(), pair.product.diff_y())
     samples: list[tuple[complex, complex]] = []
-    bases = []
-    failed = 0
+    contact, failed, max_im, min_re = [], 0, 0.0, float("inf")
     for r in grid.radii:
         for kk in range(grid.n_angles):
-            theta = 2 * np.pi * kk / grid.n_angles
-            x0 = r * np.exp(1j * theta)
+            theta = 2 * math.pi * kk / grid.n_angles
+            x0 = r * cmath.exp(1j * theta)
             u0 = [x0.real, x0.imag, x0.real, -x0.imag]  # y = conj(x)
-            u = _refine(values, partials, u0)
-            if u is None:
+            found = _refine(values, partials, u0)
+            if found is None:
                 failed += 1
                 continue
-            samples.append((complex(u[0], u[1]), complex(u[2], u[3])))
-            jac = _slice_jacobian(partials, u)
-            _, _, vh = np.linalg.svd(jac)
-            bases.append(vh[2:])  # nullspace rows span the tangent plane
+            samples.append(found[0])
+            fv, gv, px, py = checks(*found[0])
+            max_im = max(max_im, abs((fv * gv).imag))
+            min_re = min(min_re, (fv * gv).real)
+            contact.append(_contact_order(px, py, *found))
     if not samples:
         raise NoSamples("no seed converged to the slice")
-    max_im = 0.0
-    min_re = float("inf")
-    contact = []
-    for (x, y), basis in zip(samples, bases):
-        fv, gv, px, py = checks(x, y)
-        val = fv * gv
-        max_im = max(max_im, abs(val.imag))
-        min_re = min(min_re, val.real)
-        contact.append(_contact_order(px, py, (x, y), (basis[0], basis[1])))
     return samples, SliceVerification(len(samples), failed, max_im, min_re,
                                       contact, _RESIDUAL_TOL)
 
@@ -547,20 +580,19 @@ def contact_order(form: OneForm2, point, tangent_basis) -> int:
 
 
 def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:
-    """`contact_order` from the values a, b of the form at the point."""
-    import numpy as np
+    """`contact_order` from the values a, b of the form at the point: 2
+    less the principal angles between line and plane whose sine exceeds
+    sqrt(2) 1e-8, as `matrix_rank(tol=1e-8)` counts on four unit rows."""
     x, y = complex(point[0]), complex(point[1])
     if x == 0 and y == 0:
         raise ValueError("contact order is defined away from the origin")
     if max(abs(av), abs(bv)) <= 1e-12:
         raise SingularPoint(f"form vanishes at {point}")
-    w = np.array([-bv, av], dtype=complex)
-    w1 = np.array([w[0].real, w[0].imag, w[1].real, w[1].imag])
-    iw = 1j * w
-    w2 = np.array([iw[0].real, iw[0].imag, iw[1].real, iw[1].imag])
-    rows = [w1 / np.linalg.norm(w1), w2 / np.linalg.norm(w2)]
-    for t in tangent_basis:
-        t = np.asarray(t, dtype=float)
-        rows.append(t / np.linalg.norm(t))
-    rank = np.linalg.matrix_rank(np.array(rows), tol=1e-8)
-    return 4 - rank
+    w = (-bv.real, -bv.imag, av.real, av.imag)  # the leaf line: w and iw
+    line = _lq(w, (-w[1], w[0], -w[3], w[2]))[2]
+    plane = _lq(*tangent_basis)[2]
+    if plane is None:
+        raise ValueError("the tangent basis does not span a plane")
+    # the plane's rows off the line: their singular values are the sines
+    sines = _lq(*(_off(t, line) for t in plane))[1]
+    return 2 - sum(s > math.sqrt(2) * 1e-8 for s in sines)

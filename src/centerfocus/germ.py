@@ -112,8 +112,9 @@ class Germ1:
     def evaluator(self):
         """Binary64 Horner evaluation of the truncated polynomial, as a
         function; coefficients are rounded once, here, as float(Fraction)."""
-        coeffs = [0j] * self.truncation_degree  # degrees N, ..., 1
-        for k, _, x, y, den in self.series.scaled_terms():
+        terms = self.series.scaled_terms()
+        coeffs = [0j] * terms[-1][0]  # top nonzero degree, ..., 1
+        for k, _, x, y, den in terms:
             coeffs[-k] = complex(x / den, y / den)
 
         def evaluate(z: complex) -> complex:

@@ -31,6 +31,7 @@ __all__ = [
     "OneForm2",
     "SingularMatrix",
     "InternalError",
+    "NumericFailure",
     "ensure",
     "gr",
     "parts_of",
@@ -50,6 +51,10 @@ class SingularMatrix(ValueError):
 
 class InternalError(RuntimeError):
     """An exact internal consistency check failed: a defect, not bad input."""
+
+
+class NumericFailure(RuntimeError):
+    """A numeric stage found no answer; reported under the stage's name."""
 
 
 def ensure(condition, message: str) -> None:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,29 @@ class TestMainExitCodes:
         assert section["error"]["type"] == "NoReturn"
         assert section["error"]["category"] == "numeric"
 
+    def test_numeric_failures_share_one_base(self):
+        from centerfocus.flow import NoReturn, StepUnderflow
+        from centerfocus.foliation import NoSamples
+        from centerfocus.series import InternalError, NumericFailure
+        for exc in (StepUnderflow, NoReturn, NoSamples):
+            assert issubclass(exc, NumericFailure)
+        assert not issubclass(InternalError, NumericFailure)
+
+    def test_no_samples_lands_under_real_slice(self, monkeypatch, tmp_path):
+        # every seed fails to refine, so `real_slice` raises NoSamples
+        from centerfocus import foliation
+        monkeypatch.setattr(foliation, "_refine", lambda *args: None)
+        out = tmp_path / "report.json"
+        code = main(["slice", str(FIXTURES / "product_form.json"),
+                     "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert report["numeric_failure"] is True
+        assert report["sections"]["factorization"]["general_position"]
+        assert report["sections"]["real_slice"]["error"] == {
+            "type": "NoSamples", "message": "no seed converged to the slice",
+            "category": "numeric"}
+
     def test_parser_is_built_once_and_keeps_no_options(self, tmp_path):
         # one parser serves every call in a process; an option given to
         # one call does not carry over to the next
@@ -582,6 +606,21 @@ def test_nonfinite_or_low_override_is_input_error(capsys, command, option,
 def test_order_four_is_accepted(capsys):
     assert main(["lyapunov", str(FIXTURES / "linear_center.json"),
                  "--truncation=4"]) == 0
+
+
+def test_huge_exponent_is_refused_before_it_is_expanded(tmp_path, capsys):
+    # 10^4000000 would have more digits than int allows; it is refused
+    # at once and named, while 10^4000 still parses
+    doc = {**REAL, "dx": [[0, 1, "-1"], [2, 0, "1e4000000"]]}
+    start = time.perf_counter()
+    assert main(["lyapunov", str(_write(tmp_path, doc))]) == 1
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == (
+        "error: dx[1]: bad coefficient '1e4000000' (exponent beyond the "
+        "integer digit limit)\n")
+    doc["dx"][1][2] = "1e4000"
+    assert parse_spec(_write(tmp_path, doc)).dx_terms[2, 0] == \
+        (10 ** 4000, 0, 1)
 
 
 class TestIrrationalFrequency:
@@ -739,8 +778,9 @@ class TestInternalError:
 
 
 # Imports `centerfocus`, runs the command line given after the script
-# (if any) with its report sent to a file, and prints the exit code and
-# which of numpy, scipy and sympy the interpreter then holds.
+# (if any) with its report sent to a file, and prints the exit code,
+# which of numpy, scipy and sympy the interpreter then holds, and which
+# centerfocus submodules.
 _LOADED_AFTER = """
 import json, sys
 import centerfocus
@@ -749,21 +789,29 @@ if len(sys.argv) > 2:
     from centerfocus.cli import main
     code = main(sys.argv[2:] + ["--out", sys.argv[1]])
 print(json.dumps([code, sorted(m for m in ("numpy", "scipy", "sympy")
-                               if m in sys.modules)]))
+                               if m in sys.modules),
+                  sorted(m.split(".", 1)[1] for m in sys.modules
+                         if m.startswith("centerfocus."))]))
 """
 
+_CLI = ["cli", "germ", "series"]  # what `import centerfocus.cli` loads
 
-@pytest.mark.parametrize("argv, loaded", [
-    ([], []),
-    (["lyapunov", "linear_center.json"], []),
-    (["germ", "germ_parabolic.json"], []),
-    (["slice", "product_form.json"], ["numpy"]),
-    (["returnmap", "linear_center.json"], ["numpy", "scipy"]),
-    (["blowup", "product_form.json"], ["numpy", "sympy"]),
+
+@pytest.mark.parametrize("argv, loaded, own", [
+    ([], [], []),
+    (["lyapunov", "linear_center.json"], [], _CLI + ["center"]),
+    (["germ", "germ_parabolic.json"], [], _CLI),
+    (["slice", "product_form.json"], [], _CLI + ["foliation"]),
+    (["returnmap", "linear_center.json"], ["numpy", "scipy"],
+     _CLI + ["center", "flow"]),
+    (["blowup", "product_form.json"], ["numpy", "sympy"],
+     _CLI + ["foliation"]),
 ], ids=["import", "lyapunov", "germ", "slice", "returnmap", "blowup"])
-def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded):
+def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded,
+                                                   own):
     """The exact stages run on the standard library alone; numpy, scipy
-    and sympy are imported by the stages that use them."""
+    and sympy are imported by the stages that use them, and each
+    centerfocus module by the first stage that calls it."""
     src = Path(__file__).resolve().parents[1] / "src"
     args = argv[:1] + [str(FIXTURES / name) for name in argv[1:]]
     proc = subprocess.run(
@@ -772,6 +820,36 @@ def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded):
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules, submodules = json.loads(proc.stdout)
     assert code == (0 if argv else None)
     assert modules == loaded
+    assert submodules == sorted(own)
+
+
+def test_slice_defaults_are_the_slice_grid():
+    from centerfocus.foliation import SliceGrid
+    defaults = cli.DEFAULT_ANALYSIS["complex_form"]
+    assert (tuple(defaults["slice_radii"]), defaults["slice_angles"]) == \
+        (SliceGrid().radii, SliceGrid().n_angles)
+
+
+def test_package_names_resolve():
+    """Every public name of the package loads from the module that
+    defines it, and README's library example runs as printed."""
+    import centerfocus
+    for name in centerfocus.__all__:
+        value = getattr(centerfocus, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        centerfocus.no_such_name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example")[1].split("```python\n")[1] \
+        .split("```")[0]
+    names = re.match(r"from centerfocus import (.+)\n", example).group(1)
+    assert set(names.split(", ")) <= set(centerfocus.__all__)
+    out = subprocess.run([sys.executable, "-c", example], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(
+                             Path(centerfocus.__file__).parents[1])})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == example.rsplit("# ", 1)[1]

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from centerfocus import foliation, series
@@ -36,6 +38,17 @@ from sympy_oracle import X, Y, dense_inverse
 def siegel_linear(n):
     """x dy + y dx at truncation n."""
     return OneForm2(Poly2.var_y(n), Poly2.var_x(n))
+
+
+def hand_built_contact_cases(x0, n=6):
+    """(form, point, tangent basis, contact order): a totally real slice
+    of the product foliation, an invariant line and a transverse one."""
+    slice_basis = (np.array([1.0, 0, 1.0, 0]), np.array([0, 1.0, 0, -1.0]))
+    line_basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
+    one, zero = Poly2.constant(1, n), Poly2.zero(n)
+    return [(siegel_linear(n), (x0, x0.conjugate()), slice_basis, 1),
+            (OneForm2(zero, one), (x0, 0j), line_basis, 2),
+            (OneForm2(one, zero), (x0, 0j), line_basis, 0)]
 
 
 def d_of(p: Poly2) -> OneForm2:
@@ -621,6 +634,35 @@ class TestRealSlice:
         with pytest.raises(ValueError):
             real_slice(pair)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.just(gr(0)), nonzero_gaussian),
+                    min_size=4, max_size=4), st.booleans())
+    def test_general_position_matches_the_determinant(self, c, dependent):
+        # f = c0 x + c1 y, g = c2 x + c3 y (+ y^2), or g a multiple of f
+        from centerfocus.foliation import FactorPair
+        n = 4
+        x, y = Poly2.var_x(n), Poly2.var_y(n)
+        f = x * c[0] + y * c[1]
+        g = f * c[2] if dependent else x * c[2] + y * c[3] + y * y
+        pair = FactorPair(f, g, Poly2.constant(1, n), product=f * g)
+        assert pair.general_position == bool(c[0] * g.coefficient(0, 1)
+                                             - c[1] * g.coefficient(1, 0))
+
+    def test_general_position_builds_no_fraction(self, monkeypatch):
+        # read off the stored Gaussian integers, not through `coefficient`
+        pair = factor_fg(generic_target(13), 10)
+        built, new = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        assert pair.general_position
+        assert built == []
+        Fraction(1, 3)
+        assert built == [1]  # the wrapper does see a construction
+
     def test_one_product(self, monkeypatch):
         # f * unit; the first integral's gradient comes from the pair's
         # product, which factor_fg has already formed and checked
@@ -641,6 +683,166 @@ class TestRealSlice:
         _, ver = real_slice(pair)
         assert ver.n_samples >= 50
         assert calls == []
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# The numpy kernels that `real_slice` and `_contact_order` ran before they
+# moved to binary64 tuples, kept as references: the least-norm step from
+# `lstsq`, the tangent plane from the SVD and the contact order from
+# `matrix_rank` on four unit rows.
+
+def reference_residual(values, u):
+    v1, v2 = values(complex(u[0], u[1]), complex(u[2], u[3]))
+    return np.array([v1.real, v2.imag])
+
+
+def reference_refine(values, partials, u0):
+    u = np.asarray(u0, dtype=float)
+    r = reference_residual(values, u)
+    for _ in range(foliation._MAX_ITER):
+        if np.linalg.norm(r) <= foliation._RESIDUAL_TOL:
+            return u
+        jac = np.array(foliation._slice_jacobian(partials, u))
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        lam = 1.0
+        while lam > 2 ** -20:
+            trial = u + lam * step
+            rt = reference_residual(values, trial)
+            if np.linalg.norm(rt) < np.linalg.norm(r):
+                u, r = trial, rt
+                break
+            lam /= 2
+        else:
+            return None
+        if np.linalg.norm(lam * step) < foliation._STEP_TOL and \
+                np.linalg.norm(r) > foliation._RESIDUAL_TOL:
+            return None
+    return u if np.linalg.norm(r) <= foliation._RESIDUAL_TOL else None
+
+
+def reference_contact_order(av, bv, tangent_basis):
+    w = np.array([-bv, av], dtype=complex)
+    w1 = np.array([w[0].real, w[0].imag, w[1].real, w[1].imag])
+    iw = 1j * w
+    w2 = np.array([iw[0].real, iw[0].imag, iw[1].real, iw[1].imag])
+    rows = [w1 / np.linalg.norm(w1), w2 / np.linalg.norm(w2)]
+    for t in tangent_basis:
+        t = np.asarray(t, dtype=float)
+        rows.append(t / np.linalg.norm(t))
+    return 4 - int(np.linalg.matrix_rank(np.array(rows), tol=1e-8))
+
+
+def reference_real_slice(pair, grid):
+    fa, gb = pair.absorbed()
+    h1, h2 = fa - gb, fa + gb
+    values = series.binary64(h1, h2)
+    partials = series.binary64(h1.diff_x(), h1.diff_y(), h2.diff_x(),
+                               h2.diff_y())
+    checks = series.binary64(fa, gb, pair.product.diff_x(),
+                             pair.product.diff_y())
+    samples, contact, failed, products = [], [], 0, []
+    for r in grid.radii:
+        for kk in range(grid.n_angles):
+            x0 = r * np.exp(1j * (2 * np.pi * kk / grid.n_angles))
+            u = reference_refine(values, partials,
+                                 [x0.real, x0.imag, x0.real, -x0.imag])
+            if u is None:
+                failed += 1
+                continue
+            x, y = complex(u[0], u[1]), complex(u[2], u[3])
+            samples.append((x, y))
+            _, _, vh = np.linalg.svd(foliation._slice_jacobian(partials, u))
+            fv, gv, px, py = checks(x, y)
+            products.append(fv * gv)
+            contact.append(reference_contact_order(px, py, vh[2:]))
+    return samples, failed, contact, max(abs(v.imag) for v in products), \
+        min(v.real for v in products)
+
+
+def affine_slice(jac, c):
+    """values and partials of linear h1, h2 whose slice residual at u is
+    jac u + c, with jac as `_slice_jacobian` builds it."""
+    (a, b, c1, d), (e, f, g, h) = jac
+    d1x, d1y = complex(a, -b), complex(c1, -d)
+    d2x, d2y = complex(f, e), complex(h, g)
+    return (lambda x, y: (d1x * x + d1y * y + c[0],
+                          d2x * x + d2y * y + 1j * c[1]),
+            lambda x, y: (d1x, d1y, d2x, d2y))
+
+
+unit_floats = st.floats(-1, 1, allow_subnormal=False)
+jacobians = st.lists(unit_floats, min_size=8, max_size=8).map(
+    lambda v: (tuple(v[:4]), tuple(v[4:])))
+
+
+class TestSliceKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(jacobians, st.tuples(unit_floats, unit_floats))
+    def test_step_is_the_least_norm_solution(self, jac, c):
+        # one Gauss-Newton step from 0 solves an affine residual, so the
+        # sample is the step itself: lstsq's least-norm solution
+        sv = np.linalg.svd(np.array(jac), compute_uv=False)
+        assume(sv[1] > 0.05 and math.hypot(*c) > 1e-3)
+        (x, y), _ = foliation._refine(*affine_slice(jac, c), (0.0,) * 4)
+        want, *_ = np.linalg.lstsq(np.array(jac), -np.array(c), rcond=None)
+        got = np.array([x.real, x.imag, y.real, y.imag])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(unit_floats, min_size=4, max_size=4),
+           st.sampled_from([0.0, 0.5, -1.0, 2.0, -4.0]))
+    def test_rank_deficient_jacobian_fails_the_seed(self, row, k):
+        # the rows are dependent, where lstsq would have taken a
+        # least-squares step on
+        jac = (tuple(row), tuple(k * v for v in row))
+        assert foliation._refine(*affine_slice(jac, (0.5, 0.25)),
+                                 (0.0,) * 4) is None
+        assert foliation._lq(*jac)[2] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(jacobians)
+    @example(((-1.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0)))  # y = conj(x)
+    @example(((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)))
+    def test_tangent_plane_is_the_orthonormal_complement(self, jac):
+        # for a well-conditioned Jacobian, as the slice's are
+        assume(np.linalg.svd(np.array(jac), compute_uv=False)[1] > 0.05)
+        q = foliation._lq(*jac)[2]
+        t = np.array(foliation._tangent_plane(q))
+        assert np.allclose(t @ t.T, np.eye(2), rtol=0, atol=1e-14)
+        assert np.allclose(np.array(q) @ t.T, 0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fixture", ["product_form",
+                                         "product_form_perturbed",
+                                         "radial_form"])
+    def test_fixture_slices_match_the_numpy_reference(self, monkeypatch,
+                                                      fixture):
+        from centerfocus.cli import parse_spec, run_pipeline
+        seen, real = [], foliation.real_slice
+        monkeypatch.setattr(foliation, "real_slice", lambda pair, grid: (
+            seen.append((pair, grid)) or real(pair, grid)))
+        report = run_pipeline(parse_spec(FIXTURES / f"{fixture}.json"),
+                              command="slice")
+        if fixture == "radial_form":  # not in Siegel shape: no slice runs
+            assert seen == [] and "real_slice" not in report["sections"]
+            return
+        (pair, grid), = seen
+        samples, ver = real(pair, grid)
+        ref, failed, contact, max_im, min_re = \
+            reference_real_slice(pair, grid)
+        assert report["sections"]["real_slice"]["n_samples"] == len(ref)
+        assert (len(samples), ver.n_failed_seeds, ver.contact_orders) == \
+            (len(ref), failed, contact)
+        assert max(abs(a - b) for p, q in zip(samples, ref)
+                   for u, v in zip(p, q)
+                   for a, b in ((u.real, v.real), (u.imag, v.imag))) <= 1e-16
+        assert abs(ver.min_re_fg - min_re) <= 1e-14 * abs(min_re)
+        assert abs(ver.max_abs_im_fg - max_im) <= 1e-16
+
+
+# both sides of the tolerance: sin 1e-8 < sqrt(2) 1e-8 < sin 2e-8
+PRINCIPAL_ANGLES = (0.0, 1e-12, 1e-8, 2e-8, 1e-6, 0.3, math.pi / 2)
 
 
 class TestContactOrder:
@@ -672,23 +874,55 @@ class TestContactOrder:
     def test_hand_built_cases_at_random_points(self, x0, scale):
         # the three cases above, anywhere off the origin and for any scaling
         # of the form; the binary64 values give the same rank as exact ones
-        n = 6
-        slice_basis = (np.array([1.0, 0, 1.0, 0]), np.array([0, 1.0, 0, -1.0]))
-        line_basis = (np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
-        one = Poly2.constant(1, n)
-        zero = Poly2.zero(n)
-        cases = [
-            (siegel_linear(n), (x0, x0.conjugate()), slice_basis, 1),
-            (OneForm2(zero, one), (x0, 0j), line_basis, 2),
-            (OneForm2(one, zero), (x0, 0j), line_basis, 0),
-        ]
-        for form, point, basis, expected in cases:
+        for form, point, basis, expected in hand_built_contact_cases(x0):
             form = form.scale(scale)
             assert contact_order(form, point, basis) == expected
             exact = foliation._contact_order(form.a.evaluate(point),
                                              form.b.evaluate(point),
                                              point, basis)
             assert exact == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.complex_numbers(min_magnitude=0.01, max_magnitude=1),
+           nonzero_gaussian, st.floats(0, 2 * math.pi))
+    def test_principal_angles_count_what_matrix_rank_counts(self, x0, scale,
+                                                             phi):
+        # the same cases against the numpy reference, with the tangent
+        # basis as given and rotated within its plane by phi
+        c, s = math.cos(phi), math.sin(phi)
+        for form, point, (t1, t2), expected in hand_built_contact_cases(x0):
+            av, bv = series.binary64(form.a, form.b)(*point)
+            av, bv = av * scale.to_complex(), bv * scale.to_complex()
+            for basis in ((t1, t2), (c * t1 + s * t2, c * t2 - s * t1)):
+                assert foliation._contact_order(av, bv, point, basis) == \
+                    reference_contact_order(av, bv, basis) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.complex_numbers(max_magnitude=1), st.complex_numbers(
+        max_magnitude=1), st.sampled_from(PRINCIPAL_ANGLES),
+        st.sampled_from(PRINCIPAL_ANGLES))
+    def test_counts_the_angles_whose_sine_exceeds_the_tolerance(
+            self, av, bv, theta, phi):
+        # a plane at principal angles theta and phi to the leaf line,
+        # on both sides of the tolerance
+        assume(max(abs(av), abs(bv)) > 0.1)
+        w = np.array([-bv, av])
+        line = [np.concatenate([[z.real, z.imag] for z in v])
+                for v in (w, 1j * w)]
+        line = [v / np.linalg.norm(v) for v in line]
+        normal = np.linalg.svd(np.array(line))[2][2:]
+        basis = (math.cos(theta) * line[0] + math.sin(theta) * normal[0],
+                 math.cos(phi) * line[1] + math.sin(phi) * normal[1])
+        expected = 2 - sum(math.sin(a) > math.sqrt(2) * 1e-8
+                           for a in (theta, phi))
+        assert foliation._contact_order(av, bv, (0.1, 0.1), basis) == \
+            reference_contact_order(av, bv, basis) == expected
+
+    def test_dependent_tangent_basis_rejected(self):
+        form = siegel_linear(6)
+        t = np.array([1.0, 0, 1.0, 0])
+        with pytest.raises(ValueError, match="plane"):
+            contact_order(form, (0.1, 0.1), (t, 2 * t))
 
     def test_singular_point_detected(self):
         # d(x^2) vanishes along x = 0 away from the origin
