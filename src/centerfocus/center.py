@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import cache
 
 from .series import (
-    GR_ZERO,
     GaussianRational,
     Poly2,
     Scaled,
@@ -140,9 +139,7 @@ def normalize_rotation(field: VectorField2) -> RotationNormalization:
     pulled = field.dual_form().pullback_linear(t)
     c = 1 / a21.re  # 1 / (omega det T)
     normalized = VectorField2(pulled.b * -c, pulled.a * c)
-    lin = normalized.linear_part_matrix()
-    ensure(lin == [[GR_ZERO, gr(-1)], [gr(1), GR_ZERO]],
-           "normalization failed")
+    ensure(normalized.standard_rotation, "normalization failed")
     return RotationNormalization(t, gr(1 / omega), normalized)
 
 
@@ -278,13 +275,13 @@ def lyapunov_quantities(norm: RotationNormalization, n: int) -> LyapunovReport:
 
 def morse_check(f: Poly2) -> MorseReport:
     """Nondegeneracy and definiteness of the quadratic-part Hessian."""
-    if f.coefficient(0, 0) or f.coefficient(1, 0) or f.coefficient(0, 1):
+    if 0 in f.parts or 1 in f.parts:
         raise ValueError("Morse check expects no constant or linear terms")
     if not f.real:
         raise ValueError("Morse definiteness is defined for real series")
-    a = f.coefficient(2, 0).re
-    b = f.coefficient(1, 1).re
-    c = f.coefficient(0, 2).re
+    # 4ac - b^2 on the quadratic part's integers: den^2 > 0 keeps its sign
+    h = {r: x for r, x, _ in f.parts.get(2, (1, []))[1]}
+    a, b, c = (h.get(r, 0) for r in range(3))
     disc = 4 * a * c - b * b
     return MorseReport(nondegenerate=disc != 0, definite=disc > 0)
 

@@ -43,7 +43,7 @@ from . import __version__
 from .germ import ROOTS_OF_UNITY, Germ1, InconclusiveOrder, finite_order, \
     multiplier_order, pseudo_orbit
 from .series import Gaussian, InternalError, NumericFailure, OneForm2, \
-    Poly2, VectorField2, format_coefficient, parts_of
+    Poly2, VectorField2, format_coefficient
 
 __all__ = ["ParseError", "ValidationError", "ProblemSpec", "parse_spec",
            "run_pipeline", "main"]
@@ -154,7 +154,7 @@ def _root_of_unity(p: int, q: int, where: str) -> Gaussian:
     g = gcd(p, q)
     p, q = (p // g) % (q // g), q // g
     if (p, q) in ROOTS_OF_UNITY:
-        return parts_of(ROOTS_OF_UNITY[p, q])
+        return ROOTS_OF_UNITY[p, q]
     raise ValidationError(
         f"{where}: exp(2 pi i {p}/{q}) is not a Gaussian rational; "
         "exactly representable multiplier orders are 1, 2 and 4"
@@ -518,7 +518,7 @@ def _real_slice(run):
 
 def _finite_order(run):
     run.germ = g = run.spec.build_germ()
-    m, k_max = multiplier_order(g.multiplier), run.params["k_max"]
+    m, k_max = multiplier_order(g), run.params["k_max"]
     section = {"multiplier": format_coefficient(g.multiplier),
                "multiplier_order": m}
     try:

@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .series import NumericFailure, Poly2, VectorField2, binary64, gr
+from .series import NumericFailure, Poly2, VectorField2, binary64
 
 __all__ = [
     "StepUnderflow",
@@ -177,7 +177,7 @@ def integrate(
 
 
 def _require_normalized_rotation(fld: VectorField2) -> None:
-    if fld.linear_part_matrix() != [[gr(0), gr(-1)], [gr(1), gr(0)]]:
+    if not fld.standard_rotation:
         raise ValueError(
             "return maps expect a field normalized to -y d/dx + x d/dy"
         )

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .series import (
-    GR_ZERO,
     GaussianRational,
     InternalError,
     NumericFailure,
@@ -29,6 +28,7 @@ from .series import (
     Scaled,
     VectorField2,
     _accumulate,
+    _bilinear,
     _gdot,
     _primitive,
     binary64,
@@ -163,16 +163,11 @@ def complexify(norm: RotationNormalization) -> OneForm2:
 
 
 def siegel_check(form: OneForm2) -> bool:
-    """True iff the linear part is exactly x dy + y dx with no constants."""
-    a, b = form.a, form.b
-    return (
-        not a.coefficient(0, 0)
-        and not b.coefficient(0, 0)
-        and a.coefficient(0, 1) == gr(1)
-        and not a.coefficient(1, 0)
-        and b.coefficient(1, 0) == gr(1)
-        and not b.coefficient(0, 1)
-    )
+    """True iff the linear part is exactly x dy + y dx with no constants:
+    a's degree-1 part is y and b's is x, each in its primitive form."""
+    a, b = form.a.parts, form.b.parts
+    return 0 not in a and 0 not in b and a.get(1) == (1, [(1, 1, 0)]) \
+        and b.get(1) == (1, [(0, 1, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +178,9 @@ def _poly_to_sympy(p: Poly2):
     import sympy as sp
     sx, sy = sp.symbols("x y")
     expr = sp.Integer(0)
-    for (i, j), c in p.terms.items():
-        expr += (sp.Rational(c.re) + sp.Rational(c.im) * sp.I) * sx**i * sy**j
+    for i, j, x, y, den in p.scaled_terms():
+        expr += (sp.Rational(x, den) + sp.Rational(y, den) * sp.I) \
+            * sx**i * sy**j
     return sp.Poly(expr, sx, sy, domain="QQ_I")
 
 
@@ -202,30 +198,19 @@ def _check_isolated(form: OneForm2) -> None:
 def _chart_components(form: OneForm2) -> tuple[Poly2, Poly2, int]:
     """Chart t components and the power of x divided out.
 
-    y = t x gives [a(x,tx) + t b(x,tx)] dx + x b(x,tx) dt, then the
-    maximal common power of x is removed.
+    y = t x takes x^(d-r) y^r to x^d t^r and gives [a(x,tx) + t b(x,tx)]
+    dx + x b(x,tx) dt, read off the stored integers of x a + y b (over x)
+    and b; then the maximal common power of x is removed.
     """
     n = form.truncation_degree
-    first: dict[tuple[int, int], GaussianRational] = {}
-    second: dict[tuple[int, int], GaussianRational] = {}
-
-    def add(acc, key, val):
-        acc[key] = acc.get(key, GR_ZERO) + val
-
-    for (i, j), c in form.a.terms.items():
-        add(first, (i + j, j), c)          # a(x, tx) dx
-    for (i, j), c in form.b.terms.items():
-        add(first, (i + j, j + 1), c)      # t b(x, tx) dx
-        add(second, (i + j + 1, j), c)     # x b(x, tx) dt
-    first = {k: v for k, v in first.items() if v}
-    second = {k: v for k, v in second.items() if v}
-    m = min(i for i, _ in list(first) + list(second))
-
-    def divided(part):
-        return Poly2({(i - m, j): v for (i, j), v in part.items()
-                      if i + j <= n}, n - m)
-
-    return divided(first), divided(second), m
+    x, y = Poly2.var_x(1), Poly2.var_y(1)
+    # each component with the power of x its degree-d part gains: x^(d+s)
+    comps = ((_bilinear([(form.a, x), (form.b, y)], n + 1), -1), (form.b, 1))
+    m = min(d + s for p, s in comps for d in p.parts)
+    return (*(Poly2({(i + j + s - m, j): (re, im, den)
+                     for i, j, re, im, den in p.scaled_terms()
+                     if i + 2 * j + s <= n}, n - m)
+              for p, s in comps), m)
 
 
 def _on_divisor(p: Poly2) -> Poly2:
@@ -244,8 +229,10 @@ def _divisor_singularities(comp_a: Poly2,
     base, other = (b0, a0) if a0.is_zero() else (a0, b0)
     value = other.binary64()
     candidates: list[complex] = []
-    for r in np.roots([base.coefficient(0, k).to_complex()
-                       for k in range(max(base.parts), -1, -1)]):
+    coeffs = [0j] * (max(base.parts) + 1)  # of t^top, ..., t^0
+    for _, k, re, im, den in base.scaled_terms():
+        coeffs[-1 - k] = complex(re / den, im / den)
+    for r in np.roots(coeffs):
         scale = 1.0 + abs(r) ** max(other.parts, default=0)
         if other.is_zero() or abs(value(0.0, r)) <= 1e-8 * scale:
             candidates.append(complex(r))
@@ -282,7 +269,7 @@ def blowup(form: OneForm2) -> BlowupResult:
     chart t cannot see, linearized in (s, y), since the exchange reverses
     the sign of the eigenvalues.
     """
-    if form.a.coefficient(0, 0) or form.b.coefficient(0, 0):
+    if 0 in form.a.parts or 0 in form.b.parts:
         raise ValueError("1-form does not vanish at the origin")
     _check_isolated(form)
     at, bt, mt = _chart_components(form)
@@ -295,7 +282,7 @@ def blowup(form: OneForm2) -> BlowupResult:
     ensure(invariant_t == _on_divisor(ds).is_zero(),
            "charts disagree on divisor invariance")
     sings = _divisor_singularities(at, bt)
-    if not as_.coefficient(0, 0) and not bs.coefficient(0, 0):
+    if 0 not in as_.parts and 0 not in bs.parts:
         sings.append(_linearize("s", as_, bs, 0j))
     return BlowupResult(
         chart_t=OneForm2(at, bt),
@@ -419,9 +406,7 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     f * g * unit check the result exactly.  Requires F to be known to
     degree n + 3 (lift exact polynomials first).
     """
-    if (F.coefficient(0, 0) or F.coefficient(1, 0) or F.coefficient(0, 1)
-            or F.coefficient(2, 0) or F.coefficient(0, 2)
-            or F.coefficient(1, 1) != gr(1)):
+    if 0 in F.parts or 1 in F.parts or F.parts.get(2) != (1, [(1, 1, 0)]):
         raise ValueError("F must be xy + higher order terms")
     m = F.truncation_degree
     if m < n + 3:

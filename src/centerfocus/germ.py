@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .series import (GaussianRational, Poly2, Scalar, gr, power_rows,
-                     substitute, substitution_root)
+from .series import (GaussianRational, Poly2, Scalar, power_rows, substitute,
+                     substitution_root)
 
 __all__ = [
     "Germ1",
@@ -24,11 +24,11 @@ __all__ = [
     "pseudo_orbit",
 ]
 
-# The Gaussian-rational roots of unity exp(2 pi i p/q), keyed by (p, q) in
-# lowest terms with 0 <= p < q; nothing else in Q(i) lies on the unit
-# circle and has finite multiplicative order.
-ROOTS_OF_UNITY = {(0, 1): gr(1), (1, 2): gr(-1), (1, 4): gr(0, 1),
-                  (3, 4): gr(0, -1)}
+# The Gaussian-rational roots of unity exp(2 pi i p/q) as (re, im, den),
+# keyed by (p, q) in lowest terms with 0 <= p < q; nothing else in Q(i)
+# lies on the unit circle and has finite multiplicative order.
+ROOTS_OF_UNITY = {(0, 1): (1, 0, 1), (1, 2): (-1, 0, 1), (1, 4): (0, 1, 1),
+                  (3, 4): (0, -1, 1)}
 
 
 class InconclusiveOrder(Exception):
@@ -162,10 +162,10 @@ def power(f: Germ1, k: int) -> Germ1:
     return Germ1._of(out)
 
 
-def multiplier_order(lam: GaussianRational) -> int | None:
-    """Multiplicative order of lam when it is a root of unity, else None."""
-    return next((q for (_, q), root in ROOTS_OF_UNITY.items() if root == lam),
-                None)
+def multiplier_order(f: Germ1) -> int | None:
+    """Order of f's multiplier, read off its part, if a root of unity."""
+    return next((q for (_, q), (re, im, den) in ROOTS_OF_UNITY.items()
+                 if f.series.parts[1] == (den, [(0, re, im)])), None)
 
 
 def finite_order(f: Germ1, k_max: int) -> int | None:
@@ -179,7 +179,7 @@ def finite_order(f: Germ1, k_max: int) -> int | None:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    m = multiplier_order(f.multiplier)
+    m = multiplier_order(f)
     if m is None or m > k_max:
         return None
     fm = power(f, m)

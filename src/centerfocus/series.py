@@ -455,7 +455,13 @@ class VectorField2:
 
     @property
     def singular_at_origin(self) -> bool:
-        return not self.p.coefficient(0, 0) and not self.q.coefficient(0, 0)
+        return 0 not in self.p.parts and 0 not in self.q.parts
+
+    @property
+    def standard_rotation(self) -> bool:
+        """The linear part is exactly -y d/dx + x d/dy."""
+        return self.p.parts.get(1) == (1, [(1, -1, 0)]) \
+            and self.q.parts.get(1) == (1, [(0, 1, 0)])
 
     def linear_part_matrix(self) -> list[list[GaussianRational]]:
         return [
