@@ -125,6 +125,9 @@ def _check_ranges(params: dict, kind: str) -> None:
             what = "a nonempty list of values" if many else "a value"
             raise ValidationError(f"{key}: expected {what} above {floor}, "
                                   f"got {value!r}")
+    for k, point in enumerate(params.get("points", [])):
+        if abs(complex(*point)) >= params["escape_radius"]:
+            raise ValidationError(f"points[{k}]: not inside the escape radius")
 
 
 def parse_coefficient(text, where: str) -> Gaussian:
@@ -577,8 +580,9 @@ _STAGES = {
 
 def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
                  dump_dir=None, command: str = "analyze") -> dict:
-    """Run the stages `command` lists for the spec's kind; a numeric
-    failure is embedded under the stage's name and later stages still run."""
+    """Run the stages `command` lists for the spec's kind; a numeric failure
+    goes under the stage's name, later stages running, and a ValueError is
+    an input error that names the stage."""
     stages = _STAGES.get(command, {}).get(spec.kind)
     if stages is None:
         raise ValidationError(f"command {command!r} does not apply to kind "
@@ -605,10 +609,12 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
                           sections=report["sections"], norm=None, form=None,
                           pair=None, germ=None, why_not=None)
     for stage in stages:
+        name = stage.__name__.lstrip("_")
         try:
             stage(run)
+        except ValueError as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
         except NumericFailure as exc:
-            name = stage.__name__.lstrip("_")
             report["sections"][name] = {
                 "error": {"type": type(exc).__name__, "message": str(exc),
                           "category": "numeric"},

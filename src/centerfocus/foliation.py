@@ -31,6 +31,7 @@ from .series import (
     _bilinear,
     _gdot,
     _primitive,
+    _rounded,
     binary64,
     ensure,
     gr,
@@ -229,10 +230,8 @@ def _divisor_singularities(comp_a: Poly2,
     base, other = (b0, a0) if a0.is_zero() else (a0, b0)
     value = other.binary64()
     candidates: list[complex] = []
-    coeffs = [0j] * (max(base.parts) + 1)  # of t^top, ..., t^0
-    for _, k, re, im, den in base.scaled_terms():
-        coeffs[-1 - k] = complex(re / den, im / den)
-    for r in np.roots(coeffs):
+    c = {k: _rounded(x, y, d) for _, k, x, y, d in base.scaled_terms()}
+    for r in np.roots([c.get(k, 0j) for k in range(max(c), -1, -1)]):
         scale = 1.0 + abs(r) ** max(other.parts, default=0)
         if other.is_zero() or abs(value(0.0, r)) <= 1e-8 * scale:
             candidates.append(complex(r))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .series import (GaussianRational, Poly2, Scalar, power_rows, substitute,
-                     substitution_root)
+from .series import (GaussianRational, Poly2, Scalar, _rounded, power_rows,
+                     substitute, substitution_root)
 
 __all__ = [
     "Germ1",
@@ -115,7 +115,7 @@ class Germ1:
         terms = self.series.scaled_terms()
         coeffs = [0j] * terms[-1][0]  # top nonzero degree, ..., 1
         for k, _, x, y, den in terms:
-            coeffs[-k] = complex(x / den, y / den)
+            coeffs[-k] = _rounded(x, y, den)
 
         def evaluate(z: complex) -> complex:
             acc = 0j

@@ -124,8 +124,7 @@ class GaussianRational:
     __rtruediv__ = _coerced(lambda self, other: other / self)
 
     def to_complex(self) -> complex:
-        # float() rounds the exact fraction to the nearest binary64
-        return complex(float(self.re), float(self.im))
+        return _rounded(*parts_of(self))  # each part as float() rounds it
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -408,12 +407,11 @@ def binary64(*polys: Poly2):
     """The polynomials as one binary64 function of (x, y) that returns
     their values, summing c x^i y^j over each one's sorted terms with each
     x**i and y**j raised once per point for all.  Coefficients are rounded
-    once, here, by correctly rounded int / int division (the binary64 of
-    float(Fraction)): to float when all are real, to complex otherwise."""
+    once, here (`_rounded`), to float when all of p's are real."""
     tables = []
     for p in polys:
         real = p.real
-        tables.append([(i, j, x / den if real else complex(x / den, y / den))
+        tables.append([(i, j, _rounded(x, y, den, real))
                        for i, j, x, y, den in p.scaled_terms()])
     nx = max((i for t in tables for i, _, _ in t), default=0)
     ny = max((j for t in tables for _, j, _ in t), default=0)
@@ -424,6 +422,14 @@ def binary64(*polys: Poly2):
         return [sum(c * xp[i] * yp[j] for i, j, c in t) for t in tables]
 
     return evaluate
+
+
+def _rounded(re: int, im: int, den: int, real: bool = False):
+    """(re + i im) / den as float(Fraction) rounds it, a float if `real`."""
+    try:
+        return re / den if real else complex(re / den, im / den)
+    except OverflowError:
+        raise NumericFailure("exact value beyond the binary64 range") from None
 
 
 def _powers(one, base, n: int) -> list:

@@ -572,6 +572,11 @@ OUT_OF_RANGE = {
                         {**FORM, "analysis": {"slice_radii": [float("nan")]}}),
     "point-nan": ("points",
                   {**GERM, "analysis": {"points": [[float("nan"), 0.0]]}}),
+    # a starting point is named by its index; the radius itself is open
+    "point-outside-escape_radius": (
+        "points[0]", {**GERM, "analysis": {"escape_radius": 0.01}}),
+    "point-on-escape_radius": ("points[1]", {**GERM, "analysis": {
+        "escape_radius": 0.1, "points": [[0.01, 0.0], [0.0, 0.1]]}}),
 }
 MALFORMED.update({name: doc for name, (_, doc) in OUT_OF_RANGE.items()})
 
@@ -621,6 +626,57 @@ def test_huge_exponent_is_refused_before_it_is_expanded(tmp_path, capsys):
     doc["dx"][1][2] = "1e4000"
     assert parse_spec(_write(tmp_path, doc)).dx_terms[2, 0] == \
         (10 ** 4000, 0, 1)
+
+
+def test_stage_value_error_names_the_stage(tmp_path, capsys):
+    # 10^4000 parses, but a first-integral coefficient built from it has
+    # more digits than an int may print: an input error of the stage
+    doc = {**REAL, "dx": [[0, 1, "-1"], [1, 1, "1e4000"]]}
+    assert main(["lyapunov", str(_write(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lyapunov: Exceeds the limit")
+    assert "Traceback" not in err
+
+
+# A coefficient beyond the binary64 range (1e400), and the stage that
+# rounds it: the return maps, the pseudo-orbits, the slice, and the
+# blow-up's divisor roots (a huge linear part) or Jacobian (a huge
+# y^2 dx, which the exact chart Jacobian sums before it rounds)
+HUGE_REAL = {**REAL, "dy": [[1, 0, "1"], [2, 0, "1e400"]]}
+HUGE = {
+    "returnmap": ("returnmap", HUGE_REAL, "return_maps"),
+    "analyze": ("analyze", HUGE_REAL, "return_maps"),
+    "germ": ("germ", {**GERM, "coeffs": [[1, "0+1 i"], [3, "1e400"]]},
+             "pseudo_orbits"),
+    "slice": ("slice", {**FORM, "truncation": 3,
+                        "dx": [[0, 1, "1"], [2, 1, "1e400"]]}, "real_slice"),
+    "blowup-roots": ("blowup", {**FORM, "dx": [[0, 1, "1e400"]],
+                                "dy": [[1, 0, "1"], [0, 1, "2"]]}, "blowup"),
+    "blowup-jacobian": ("blowup", {**FORM, "dx": [[0, 1, "1"],
+                                                  [0, 2, "1e400"]],
+                                   "dy": [[1, 0, "1"], [0, 1, "2"]]},
+                        "blowup"),
+}
+
+
+@pytest.mark.parametrize("command, doc, stage", list(HUGE.values()),
+                         ids=list(HUGE))
+def test_coefficient_beyond_binary64_is_a_numeric_failure(tmp_path, command,
+                                                          doc, stage):
+    out = tmp_path / "report.json"
+    assert main([command, str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["sections"][stage]["error"] == {
+        "type": "NumericFailure", "category": "numeric",
+        "message": "exact value beyond the binary64 range"}
+
+
+def test_lyapunov_runs_on_a_coefficient_beyond_binary64(tmp_path):
+    # the exact stages round nothing
+    out = tmp_path / "report.json"
+    assert main(["lyapunov", str(_write(tmp_path, HUGE_REAL)),
+                 "--out", str(out)]) == 0
+    assert "numeric_failure" not in json.loads(out.read_text())
 
 
 class TestIrrationalFrequency:
