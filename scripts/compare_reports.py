@@ -13,11 +13,13 @@ checkout:
     `slice` document under `blowup` and `analyze` too, since no workload
     runs the blow-up.
 
-A run matches when the exit code, stderr (with the checkout root written
-as <root>) and the report (with its timestamp blanked) are the same in
-both checkouts.  A run that takes longer than TIMEOUT_S seconds in
-either checkout is stopped and counts as a mismatch.  Each mismatch is
-printed; the exit status is 1 if there is any, 0 otherwise.
+The two processes of a run, one per checkout, run side by side, each
+writing its own report file.  A run matches when the exit code, stderr
+(with the checkout root written as <root>) and the report (with its
+timestamp blanked) are the same in both checkouts.  A run that takes
+longer than TIMEOUT_S seconds in either checkout is stopped and counts
+as a mismatch.  Each mismatch is printed; the exit status is 1 if there
+is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 COMMANDS = ("analyze", "lyapunov", "returnmap", "blowup", "germ", "slice")
@@ -58,21 +61,42 @@ def runs(head: Path, seeds: list[int], work: Path) -> list[tuple]:
     return out
 
 
-def run(root: Path, command: str, doc: Path, out: Path) -> tuple | None:
-    """(exit code, stderr, report text or None) of one cold run, or None
-    when it timed out."""
+def start(root: Path, command: str, doc: Path,
+          out: Path) -> subprocess.Popen:
+    """A cold `centerfocus.cli` process of `root` on one run, writing its
+    report to `out`."""
     out.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.Popen(
+        [sys.executable, "-m", "centerfocus.cli", command, str(doc),
+         "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def finish(proc: subprocess.Popen, root: Path, out: Path,
+           deadline: float) -> tuple | None:
+    """(exit code, stderr, report text or None) of a started run, or None
+    when it is still running at `deadline` (then it is stopped)."""
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "centerfocus.cli", command, str(doc),
-             "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
+        _, stderr = proc.communicate(
+            timeout=max(deadline - time.monotonic(), 0))
     except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
         return None
     report = TIMESTAMP.sub('"timestamp": ""', out.read_text()) \
         if out.exists() else None
-    return proc.returncode, proc.stderr.replace(str(root), "<root>"), report
+    return proc.returncode, stderr.replace(str(root), "<root>"), report
+
+
+def run_pair(roots: tuple[Path, Path], command: str, doc: Path,
+             work: Path) -> list:
+    """The results of one run in each checkout, run side by side."""
+    outs = [work / f"report-{k}.json" for k in range(len(roots))]
+    procs = [start(root, command, doc, out) for root, out in zip(roots, outs)]
+    deadline = time.monotonic() + TIMEOUT_S
+    return [finish(proc, root, out, deadline)
+            for proc, root, out in zip(procs, roots, outs)]
 
 
 def differences(base: tuple | None, head: tuple | None) -> list[str]:
@@ -98,9 +122,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         todo = runs(head, args.seeds, work)
         for label, command, doc in todo:
-            got = [run(root, command, doc, work / "report.json")
-                   for root in (base, head)]
-            lines = differences(*got)
+            lines = differences(*run_pair((base, head), command, doc, work))
             mismatches += bool(lines)
             for line in lines:
                 print(f"MISMATCH {label}: {line}", flush=True)
