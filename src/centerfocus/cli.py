@@ -580,9 +580,9 @@ _STAGES = {
 
 def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
                  dump_dir=None, command: str = "analyze") -> dict:
-    """Run the stages `command` lists for the spec's kind; a numeric failure
-    goes under the stage's name, later stages running, and a ValueError is
-    an input error that names the stage."""
+    """Run the stages `command` lists for the spec's kind.  A stage's numeric
+    failure is embedded under its name and later stages still run; its
+    ValueError is raised as an input error that names the stage."""
     stages = _STAGES.get(command, {}).get(spec.kind)
     if stages is None:
         raise ValidationError(f"command {command!r} does not apply to kind "
