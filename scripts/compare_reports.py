@@ -18,8 +18,10 @@ writing its own report file.  A run matches when the exit code, stderr
 (with the checkout root written as <root>) and the report (with its
 timestamp blanked) are the same in both checkouts.  A run that takes
 longer than TIMEOUT_S seconds in either checkout is stopped and counts
-as a mismatch.  Each mismatch is printed; the exit status is 1 if there
-is any, 0 otherwise.
+as a mismatch.  Each mismatch is printed, a report mismatch with the
+first JSON path at which the two reports differ and both values there
+(floats compared by repr, so that the sign of a zero shows); the exit
+status is 1 if there is any mismatch, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 TIMEOUT_S = 600
 # commands run on a workload document besides its own
 ALSO = {"slice": ("blowup", "analyze")}
+ABSENT = object()  # a key or list item that one report does not have
 
 
 def runs(head: Path, seeds: list[int], work: Path) -> list[tuple]:
@@ -99,14 +102,46 @@ def run_pair(roots: tuple[Path, Path], command: str, doc: Path,
             for proc, root, out in zip(procs, roots, outs)]
 
 
+def first_difference(base, head, path: str = "") -> tuple | None:
+    """(JSON path, base value, head value) at the first place, in document
+    order, where two parsed reports differ, or None; a key or item only
+    one side has is ABSENT on the other, and leaves compare by repr."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        items = [(f"{path}.{key}" if path else key, base.get(key, ABSENT),
+                  head.get(key, ABSENT)) for key in {**base, **head}]
+    elif isinstance(base, list) and isinstance(head, list):
+        pad = [ABSENT] * abs(len(base) - len(head))  # to the longer one
+        items = [(f"{path}[{k}]", b, h)
+                 for k, (b, h) in enumerate(zip(base + pad, head + pad))]
+    else:
+        return None if repr(base) == repr(head) else (path, base, head)
+    return next(filter(None, (first_difference(b, h, at)
+                              for at, b, h in items)), None)
+
+
+def report_difference(base: str | None, head: str | None) -> str:
+    """' at PATH: B != H' for the first difference of two report texts,
+    or '' when either is missing or no parsed value differs."""
+    try:
+        found = first_difference(json.loads(base), json.loads(head))
+    except (TypeError, ValueError):
+        return ""
+    if found is None:
+        return ""
+    path, b, h = found
+    b, h = ("absent" if v is ABSENT else json.dumps(v) for v in (b, h))
+    return f" at {path}: {b} != {h}"
+
+
 def differences(base: tuple | None, head: tuple | None) -> list[str]:
     if base is None or head is None:
         return [f"{name} timed out after {TIMEOUT_S} s"
                 for name, got in (("base", base), ("head", head))
                 if got is None]
     names = ("exit code", "stderr", "report")
-    return [f"{name} differs" + (f": {b} != {h}" if name == "exit code"
-                                 else "")
+    details = {"exit code": lambda b, h: f": {b} != {h}",
+               "stderr": lambda b, h: "", "report": report_difference}
+    return [f"{name} differs" + details[name](b, h)
             for name, b, h in zip(names, base, head) if b != h]
 
 

@@ -6,9 +6,9 @@ field itself; the change of coordinates is the constant SIEGEL_CHANGE.
 `blowup` computes one chart and reads the other off the form with x and
 y exchanged.  `real_slice` returns its samples with their verification.
 
-All symbolic work stays exact; numerics appear only where a value is
-inherently a sample (divisor singularities, slice points, contact ranks).
-numpy and sympy are imported only inside the blow-up functions that use them.
+All symbolic work stays exact, down to which points lie on the blow-up
+divisor and which root is multiple; numerics appear only where a value is a
+sample (slice points, contact ranks).  sympy is imported where it is used.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .series import (
     _bilinear,
     _gdot,
     _primitive,
-    _rounded,
     binary64,
     ensure,
     gr,
@@ -223,35 +222,35 @@ def _on_divisor(p: Poly2) -> Poly2:
 
 def _divisor_singularities(comp_a: Poly2,
                            comp_b: Poly2) -> list[DivisorSingularity]:
-    import numpy as np
-    a0, b0 = _on_divisor(comp_a), _on_divisor(comp_b)
-    if a0.is_zero() and b0.is_zero():
-        return []
-    base, other = (b0, a0) if a0.is_zero() else (a0, b0)
-    value = other.binary64()
-    candidates: list[complex] = []
-    c = {k: _rounded(x, y, d) for _, k, x, y, d in base.scaled_terms()}
-    for r in np.roots([c.get(k, 0j) for k in range(max(c), -1, -1)]):
-        scale = 1.0 + abs(r) ** max(other.parts, default=0)
-        if other.is_zero() or abs(value(0.0, r)) <= 1e-8 * scale:
-            candidates.append(complex(r))
-    # dedupe numerically coincident roots
-    unique: list[complex] = []
-    for c in candidates:
-        if all(abs(c - u) > 1e-7 * (1 + abs(c)) for u in unique):
-            unique.append(c)
-    return [_linearize("t", comp_a, comp_b, loc) for loc in unique]
+    """One point per distinct root of h = gcd(a0, b0), a0 and b0 the
+    components on E (b0 = 0 when E is invariant): `nroots` of each
+    square-free factor of h, above binary64 precision, rounded once."""
+    a0, b0 = (_poly_to_sympy(_on_divisor(p)) for p in (comp_a, comp_b))
+    sings = []
+    for factor, k in a0.gcd(b0).sqf_list()[1]:
+        for root in factor.exclude().nroots(n=17):
+            loc = complex(root)
+            if not cmath.isfinite(loc):
+                raise NumericFailure("exact value beyond the binary64 range")
+            sings.append(_linearize("t", comp_a, comp_b, loc, k > 1))
+    return sings
 
 
-def _linearize(chart, comp_a, comp_b, loc: complex) -> DivisorSingularity:
-    import numpy as np
-    # dual field of A dx + B dt is (B, -A); its Jacobian at the point
+def _linearize(chart, comp_a, comp_b, loc: complex,
+               multiple: bool = False) -> DivisorSingularity:
+    # dual field of A dx + B dt is (B, -A); its Jacobian at the point.  On
+    # E, dt B and dt A are b0' and a0', both 0 at a multiple root of h
     point = (0.0, loc)
     j11 = comp_b.diff_x().evaluate(point)
-    j12 = comp_b.diff_y().evaluate(point)
     j21 = -comp_a.diff_x().evaluate(point)
-    j22 = -comp_a.diff_y().evaluate(point)
-    eig = np.linalg.eigvals(np.array([[j11, j12], [j21, j22]], dtype=complex))
+    j12, j22 = (0j, 0j) if multiple else (comp_b.diff_y().evaluate(point),
+                                          -comp_a.diff_y().evaluate(point))
+    if j12 == 0 or j21 == 0:  # triangular, as on an invariant E
+        eig = (j11, j22)
+    else:
+        mean = (j11 + j22) / 2
+        root = cmath.sqrt(((j11 - j22) / 2) ** 2 + j12 * j21)
+        eig = (mean - root, mean + root)
     e1, e2 = sorted(eig, key=abs)
     ratio = None if abs(e2) < 1e-12 else complex(e1 / e2)
     return DivisorSingularity(chart, loc, (complex(e1), complex(e2)), ratio)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -679,6 +680,60 @@ def test_lyapunov_runs_on_a_coefficient_beyond_binary64(tmp_path):
     assert "numeric_failure" not in json.loads(out.read_text())
 
 
+class TestDivisorPoints:
+    """The points on E are the distinct roots of gcd(a0, b0), a0 and b0
+    the chart t components on E (b0 = 0 when E is invariant), and a
+    multiple root has the eigenvalue 0 exactly: a saddle-node."""
+
+    def blowup(self, tmp_path, dx, dy):
+        out = tmp_path / "report.json"
+        doc = {**FORM, "truncation": 6, "dx": dx, "dy": dy}
+        assert main(["blowup", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["sections"]["blowup"]
+
+    def test_triple_root_is_one_point(self, tmp_path):
+        # -x^2 dx + (3x^2 - 3xy + y^2) dy: a0 = (t - 1)^3
+        section = self.blowup(tmp_path, [[2, 0, "-1"]],
+                              [[2, 0, "3"], [1, 1, "-3"], [0, 2, "1"]])
+        assert section["summary"] == \
+            "divisor invariant; 1 singular point(s) on E"
+        (point,) = section["singularities"]
+        assert (point["chart"], point["location"], point["eigenvalues"]) == \
+            ("t", [1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]])
+
+    def test_double_root_is_a_saddle_node(self, tmp_path):
+        # -2x^2 dx + (5x^2 - 4xy + y^2) dy: a0 = (t - 1)^2 (t - 2)
+        points = self.blowup(tmp_path, [[2, 0, "-2"]],
+                             [[2, 0, "5"], [1, 1, "-4"], [0, 2, "1"]]
+                             )["singularities"]
+        assert sorted(p["location"] for p in points) == \
+            [[1.0, 0.0], [2.0, 0.0]]
+        (double,) = [p for p in points if p["location"] == [1.0, 0.0]]
+        assert [0.0, 0.0] in double["eigenvalues"]
+
+    def test_irrational_double_roots_are_saddle_nodes(self, tmp_path):
+        # a0 = (t^2 - 2)^2: the eigenvalue -a0' is 0 at the exact root,
+        # not at its binary64 rounding
+        points = self.blowup(
+            tmp_path, [[0, 4, "1"], [2, 2, "-4"], [3, 1, "-1"], [4, 0, "4"]],
+            [[4, 0, "1"]])["singularities"]
+        on_t = [p for p in points if p["chart"] == "t"]
+        assert sorted(p["location"] for p in on_t) == \
+            [[-math.sqrt(2), 0.0], [math.sqrt(2), 0.0]]
+        assert all(p["eigenvalues"][0] == [0.0, 0.0] for p in on_t)
+
+    def test_dicritical_points_are_the_shared_roots(self, tmp_path):
+        # a0 = (t - 1)(t - 2) and b0 = 1 - t share only t = 1
+        section = self.blowup(
+            tmp_path, [[1, 1, "-1"], [0, 2, "1"], [1, 2, "1"], [2, 1, "-4"],
+                       [3, 0, "2"]],
+            [[2, 0, "1"], [1, 1, "-1"], [3, 0, "1"]])
+        assert not section["divisor_invariant"]
+        assert [(p["chart"], p["location"])
+                for p in section["singularities"]] == [("t", [1.0, 0.0])]
+
+
 class TestIrrationalFrequency:
     """det 2 is a rotation whose frequency sqrt(2) is not rational."""
 
@@ -860,7 +915,7 @@ _CLI = ["cli", "germ", "series"]  # what `import centerfocus.cli` loads
     (["slice", "product_form.json"], [], _CLI + ["foliation"]),
     (["returnmap", "linear_center.json"], ["numpy", "scipy"],
      _CLI + ["center", "flow"]),
-    (["blowup", "product_form.json"], ["numpy", "sympy"],
+    (["blowup", "product_form.json"], ["sympy"],
      _CLI + ["foliation"]),
 ], ids=["import", "lyapunov", "germ", "slice", "returnmap", "blowup"])
 def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded,

@@ -284,6 +284,96 @@ class TestBlowup:
                 assert abs(s.ratio - (-0.5)) < 1e-9
 
 
+# The numpy path `blowup` took before its points on E were decided by
+# one exact factorization, kept as a reference: `np.roots` of the rounded
+# coefficients of a0 (of b0 when a0 = 0), the roots at which the other
+# component is below 1e-8, deduplicated at 1e-7, and `eigvals` of the
+# chart Jacobian at each.
+
+def reference_divisor_singularities(comp_a, comp_b):
+    a0, b0 = foliation._on_divisor(comp_a), foliation._on_divisor(comp_b)
+    if a0.is_zero() and b0.is_zero():
+        return []
+    base, other = (b0, a0) if a0.is_zero() else (a0, b0)
+    value = other.binary64()
+    candidates = []
+    c = {k: series._rounded(x, y, d) for _, k, x, y, d in base.scaled_terms()}
+    for r in np.roots([c.get(k, 0j) for k in range(max(c), -1, -1)]):
+        scale = 1.0 + abs(r) ** max(other.parts, default=0)
+        if other.is_zero() or abs(value(0.0, r)) <= 1e-8 * scale:
+            candidates.append(complex(r))
+    unique = []
+    for c in candidates:
+        if all(abs(c - u) > 1e-7 * (1 + abs(c)) for u in unique):
+            unique.append(c)
+    return [(loc, reference_eigenvalues(comp_a, comp_b, loc))
+            for loc in unique]
+
+
+def reference_eigenvalues(comp_a, comp_b, loc):
+    point = (0.0, loc)
+    jac = [[p.evaluate(point) for p in (comp_b.diff_x(), comp_b.diff_y())],
+           [-p.evaluate(point) for p in (comp_a.diff_x(), comp_a.diff_y())]]
+    return sorted(np.linalg.eigvals(np.array(jac, dtype=complex)), key=abs)
+
+
+# Gaussian halves (p + q i) / 2 with |p|, |q| <= 3: distinct ones are at
+# least 1/2 apart, so np.roots separates them and the 1e-8 filter keeps
+# exactly the shared ones
+ROOT_GRID = [gr(Fraction(p, 2), Fraction(q, 2))
+             for p in range(-3, 4) for q in range(-3, 4)]
+
+
+@st.composite
+def chart_forms_with_squarefree_h(draw):
+    """Chart t components A = a0 + x P and B = b0 + x Q at truncation 8,
+    with a0 = la prod (t - r) and b0 = lb prod (t - s) over distinct
+    roots of ROOT_GRID, or b0 = 0 (E invariant): h = gcd(a0, b0) is the
+    product over the shared roots (over a0's when E is invariant), and so
+    square-free."""
+    n = 8
+    roots = draw(st.lists(st.sampled_from(ROOT_GRID), min_size=1,
+                          max_size=5, unique=True))
+    shared = draw(st.integers(0, len(roots)))
+    a_only = draw(st.integers(shared, len(roots)))
+    x, t = Poly2.var_x(n), Poly2.var_y(n)
+    rest = st.dictionaries(
+        st.sampled_from([(i, j) for i in (0, 1) for j in range(3)]),
+        nonzero_gaussian, max_size=4)
+
+    def on_divisor(rs):
+        prod = Poly2.constant(draw(nonzero_gaussian), n)
+        for r in rs:
+            prod = prod * (t - r)
+        return prod
+
+    a0 = on_divisor(roots[:a_only])
+    b0 = Poly2.zero(n) if draw(st.booleans()) else \
+        on_divisor(roots[:shared] + roots[a_only:])
+    return (a0 + x * Poly2(draw(rest), n), b0 + x * Poly2(draw(rest), n))
+
+
+def rounded(z: complex) -> tuple[float, float]:
+    return round(z.real, 6), round(z.imag, 6)
+
+
+class TestDivisorPoints:
+    @settings(max_examples=100, deadline=None)
+    @given(chart_forms_with_squarefree_h())
+    def test_points_match_the_numpy_reference(self, comps):
+        # on invariant and dicritical chart forms alike; a dicritical point
+        # takes the closed form, as its Jacobian is not triangular
+        got = foliation._divisor_singularities(*comps)
+        want = reference_divisor_singularities(*comps)
+        assert len(got) == len(want)
+        for s, (loc, eig) in zip(
+                sorted(got, key=lambda s: rounded(s.location)),
+                sorted(want, key=lambda w: rounded(w[0]))):
+            assert s.chart == "t" and abs(s.location - loc) <= 1e-9
+            assert min(max(abs(e - f) for e, f in zip(s.eigenvalues, pair))
+                       for pair in (eig, eig[::-1])) <= 1e-9
+
+
 def oracle_obstructions(form: OneForm2, n: int):
     """Dense sympy linear solve of dF ^ form = 0 on the full monomial space."""
     a_expr = sum((sp.Rational(c.re) + sp.Rational(c.im) * sp.I) * X**i * Y**j
