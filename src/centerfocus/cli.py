@@ -30,9 +30,9 @@ import hashlib
 import json
 import re
 import sys
+import time
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 from math import gcd, inf, isfinite
@@ -214,21 +214,30 @@ def _parse_term_list(raw, truncation, key, real_only) -> dict:
     return terms
 
 
+def _as_pathlib(exc: OSError, path) -> OSError:
+    """exc naming `path` as a `Path` method's error would.  Files are read
+    and written with `open`: a `Path` per document would intern its parts
+    anew, churning the interpreter's table of interned names."""
+    if exc.filename is not None:
+        exc.filename = str(Path(path))
+    return exc
+
+
 def parse_spec(path) -> ProblemSpec:
     """Load and validate a problem document."""
-    path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}")
+        raise ParseError(f"{Path(path)}: {_as_pathlib(exc, path)}")
     sha = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}")
+        raise ParseError(f"{Path(path)}: line {exc.lineno}, column "
+                         f"{exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top level must be an object")
+        raise ValidationError(f"{Path(path)}: top level must be an object")
     kind = doc.get("kind")
     if kind not in DEFAULT_ANALYSIS:
         raise ValidationError(
@@ -578,6 +587,13 @@ _STAGES = {
 }
 
 
+def _timestamp() -> str:
+    """Now, as `datetime.now(timezone.utc).isoformat()` writes it."""
+    s, us = divmod(time.time_ns() // 1000, 10 ** 6)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(s)) \
+        + (f".{us:06d}" if us else "") + "+00:00"
+
+
 def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
                  dump_dir=None, command: str = "analyze") -> dict:
     """Run the stages `command` lists for the spec's kind.  A stage's numeric
@@ -599,7 +615,7 @@ def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
             "tool": "centerfocus",
             "version": __version__,
             "input_sha256": spec.input_sha256,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "timestamp": _timestamp(),
             "parameters": params,
         },
         "sections": {},
@@ -688,7 +704,11 @@ def main(argv=None) -> int:
         return 3
     text = render_report(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _as_pathlib(exc, args.out)
     else:
         sys.stdout.write(text)
     return 2 if report.get("numeric_failure") else 0

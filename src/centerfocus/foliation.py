@@ -223,24 +223,33 @@ def _on_divisor(p: Poly2) -> Poly2:
 def _divisor_singularities(comp_a: Poly2,
                            comp_b: Poly2) -> list[DivisorSingularity]:
     """One point per distinct root of h = gcd(a0, b0), a0 and b0 the
-    components on E (b0 = 0 when E is invariant): `nroots` of each
-    square-free factor of h, above binary64 precision, rounded once."""
+    components on E (b0 = 0 when E is invariant): the roots of each
+    square-free factor of h (over QQ if its coefficients are rational),
+    rounded once from `nroots` at a precision doubled from 17 digits until
+    two in a row round alike, as clustered roots need.  Each point is
+    linearized at its root to that precision, not at its rounding."""
+    import sympy as sp
     a0, b0 = (_poly_to_sympy(_on_divisor(p)) for p in (comp_a, comp_b))
     sings = []
     for factor, k in a0.gcd(b0).sqf_list()[1]:
-        for root in factor.exclude().nroots(n=17):
-            loc = complex(root)
-            if not cmath.isfinite(loc):
-                raise NumericFailure("exact value beyond the binary64 range")
-            sings.append(_linearize("t", comp_a, comp_b, loc, k > 1))
+        factor, locs = factor.exclude().retract(), None
+        for n in (17, 34, 68, 136, 272):
+            roots, last = factor.nroots(n=n), locs
+            locs = [complex(r) for r in roots]
+            if locs == last:
+                break
+        for root in roots:
+            at = gr(*map(sp.Rational, root.as_real_imag()))
+            sings.append(_linearize("t", comp_a, comp_b, at, k > 1))
     return sings
 
 
-def _linearize(chart, comp_a, comp_b, loc: complex,
+def _linearize(chart, comp_a, comp_b, at: GaussianRational,
                multiple: bool = False) -> DivisorSingularity:
-    # dual field of A dx + B dt is (B, -A); its Jacobian at the point.  On
-    # E, dt B and dt A are b0' and a0', both 0 at a multiple root of h
-    point = (0.0, loc)
+    # dual field of A dx + B dt is (B, -A); its Jacobian at the exact point
+    # (0, at), each entry rounded once.  On E, dt B and dt A are b0' and
+    # a0', both 0 at a multiple root of h
+    loc, point = at.to_complex(), (0.0, at)
     j11 = comp_b.diff_x().evaluate(point)
     j21 = -comp_a.diff_x().evaluate(point)
     j12, j22 = (0j, 0j) if multiple else (comp_b.diff_y().evaluate(point),
@@ -281,7 +290,7 @@ def blowup(form: OneForm2) -> BlowupResult:
            "charts disagree on divisor invariance")
     sings = _divisor_singularities(at, bt)
     if 0 not in as_.parts and 0 not in bs.parts:
-        sings.append(_linearize("s", as_, bs, 0j))
+        sings.append(_linearize("s", as_, bs, gr(0)))
     return BlowupResult(
         chart_t=OneForm2(at, bt),
         chart_s=OneForm2(as_, bs),
@@ -311,7 +320,7 @@ def _siegel_inverse(k: int, rhs: Scaled) -> tuple[Scaled, Scaled]:
     the part eta (xy)^(k/2).
     """
     den, row = rhs
-    w = math.lcm(*(k - 2 * r for r, _, _ in row if 2 * r != k))
+    w = math.lcm(*[k - 2 * r for r, _, _ in row if 2 * r != k])
     return (den * w, [(r, x * (w // (k - 2 * r)), y * (w // (k - 2 * r)))
                       for r, x, y in row if 2 * r != k]), \
         (den, [(r, -x, -y) for r, x, y in row if 2 * r == k])
@@ -448,7 +457,8 @@ def _dot(a, b):  # of two vectors of R^4
 def _off(t, q):
     """t less its projection on the span of the orthonormal rows q."""
     c = [_dot(v, t) for v in q]
-    return tuple(t[i] - sum(k * v[i] for k, v in zip(c, q)) for i in range(4))
+    return tuple([t[i] - sum(k * v[i] for k, v in zip(c, q))
+                  for i in range(4)])
 
 
 def _lq(a, b):
@@ -458,12 +468,12 @@ def _lq(a, b):
     l11 = math.hypot(*a)
     if not l11:
         return (0.0, 0.0, 0.0), (math.hypot(*b), 0.0), None
-    q1 = tuple(x / l11 for x in a)
+    q1 = tuple([x / l11 for x in a])
     l21, v = _dot(q1, b), _off(b, [q1])
     l22 = math.hypot(*v)
     s1 = (math.hypot(l11 + l22, l21) + math.hypot(l11 - l22, l21)) / 2
     s2 = l11 * l22 / s1
-    q = (q1, tuple(x / l22 for x in v)) if s2 > 2.0 ** -50 * s1 else None
+    q = (q1, tuple([x / l22 for x in v])) if s2 > 2.0 ** -50 * s1 else None
     return (l11, l21, l22), (s1, s2), q
 
 
@@ -490,10 +500,10 @@ def _refine(values, partials, u0):
         # the least-norm step: L z = -r, step = Q^T z
         z1 = -r[0] / l11
         z2 = (-r[1] - l21 * z1) / l22
-        step = tuple(z1 * a + z2 * b for a, b in zip(*q))
+        step = tuple([z1 * a + z2 * b for a, b in zip(*q)])
         lam = 1.0
         while lam > 2 ** -20:
-            trial = tuple(a + lam * s for a, s in zip(u, step))
+            trial = tuple([a + lam * s for a, s in zip(u, step)])
             rt, nt = _slice_residual(values, trial)
             if nt < norm:
                 u, r, norm = trial, rt, nt
@@ -577,5 +587,5 @@ def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:
     if plane is None:
         raise ValueError("the tangent basis does not span a plane")
     # the plane's rows off the line: their singular values are the sines
-    sines = _lq(*(_off(t, line) for t in plane))[1]
+    sines = _lq(*[_off(t, line) for t in plane])[1]
     return 2 - sum(s > math.sqrt(2) * 1e-8 for s in sines)

@@ -275,20 +275,10 @@ class Poly2:
 
     def __repr__(self) -> str:
         terms = self.terms
-        if not terms:
-            body = "0"
-        else:
-            pieces = []
-            for (i, j) in sorted(terms, key=lambda e: (e[0] + e[1], -e[0])):
-                c = terms[(i, j)]
-                mono = "".join(
-                    f"{v}^{e}" if e > 1 else v
-                    for v, e in (("x", i), ("y", j))
-                    if e > 0
-                )
-                pieces.append(f"({c}){mono}" if mono else f"({c})")
-            body = " + ".join(pieces)
-        return f"Poly2[{body}; N={self.truncation_degree}]"
+        body = " + ".join(f"({terms[i, j]})" + "".join(
+            f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e)
+            for i, j in sorted(terms, key=lambda e: (e[0] + e[1], -e[0])))
+        return f"Poly2[{body or 0}; N={self.truncation_degree}]"
 
     # -- truncation management ----------------------------------------
 
@@ -363,18 +353,18 @@ class Poly2:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Evaluate at a binary64 point, rounding only the final value.
+    def evaluate(self, point: Sequence) -> complex:
+        """Evaluate at a point of binary64 or GaussianRational components,
+        rounding only the final value.
 
-        The point components are converted to exact rationals (floats are
-        dyadic rationals), the sum is accumulated exactly, and the result
-        is rounded to binary64 once.
+        Floats are converted to exact rationals (they are dyadic), the sum
+        is accumulated exactly, and the result is rounded to binary64 once.
         """
         terms = self.terms
         nx, ny = (max((e[k] for e in terms), default=0) for k in (0, 1))
-        x, y = map(complex, point)
-        xp = _powers(GR_ONE, gr(x.real, x.imag), nx)
-        yp = _powers(GR_ONE, gr(y.real, y.imag), ny)
+        x, y = (c if isinstance(c, GaussianRational)
+                else gr(complex(c).real, complex(c).imag) for c in point)
+        xp, yp = _powers(GR_ONE, x, nx), _powers(GR_ONE, y, ny)
         return sum((c * xp[i] * yp[j] for (i, j), c in terms.items()),
                    GR_ZERO).to_complex()
 
@@ -522,7 +512,7 @@ def _scaled(items) -> Scaled:
     the nonzero c: (D, [(key, D re(c), D im(c)), ...]) for those c."""
     items = [(k, x, y, den) for k, c in items
              for x, y, den in [parts_of(c)] if x or y]
-    d = math.lcm(*(den for *_, den in items))
+    d = math.lcm(*[den for *_, den in items])
     return d, [(k, x * (d // den), y * (d // den)) for k, x, y, den in items]
 
 
@@ -535,7 +525,7 @@ def _accumulate(pairs: list[tuple[Scaled, Scaled]], n: int) -> Scaled:
     """sum a b over the scaled series pairs (a, b), keys adding and
     products beyond n dropped, scaled over the least common denominator
     of the products: Gaussian integers, not reduced."""
-    den = math.lcm(*(da * db for (da, _), (db, _) in pairs))
+    den = math.lcm(*[da * db for (da, _), (db, _) in pairs])
     re, im = [0] * (n + 1), [0] * (n + 1)
     for (da, a), (db, b) in pairs:
         w = den // (da * db)
@@ -592,7 +582,7 @@ def _gdot(pairs) -> tuple[int, int]:
 def _common_terms(p: Poly2) -> tuple[int, list]:
     """The terms of p over one denominator D: (D, [(i, j, re, im), ...])
     for the nonzero coefficients (re + i im) / D of x^i y^j."""
-    den = math.lcm(*(d for d, _ in p.parts.values()))
+    den = math.lcm(*[d for d, _ in p.parts.values()])
     return den, [(d - r, r, x * (den // pd), y * (den // pd))
                  for d, (pd, row) in p.parts.items() for r, x, y in row]
 

@@ -734,6 +734,25 @@ class TestDivisorPoints:
                 for p in section["singularities"]] == [("t", [1.0, 0.0])]
 
 
+    @pytest.mark.parametrize("eps, near", [
+        ("1/100000", 1.00001), ("1/10000000000", 1.0000000001),
+        ("1/1000000000000000", 1.000000000000001)])
+    def test_clustered_roots_are_real_points(self, tmp_path, eps, near):
+        # (c0 x^3 + c1 x^2 y + c2 x y^2 + y^3) dx + x^4 dy: a0 = (t - 1)
+        # (t - 1 - eps)(t - 3), where -a0' is -2 eps and 2 eps - eps^2
+        e = Fraction(eps)
+        dx = [[3, 0, str(-3 * (1 + e))], [2, 1, str(7 + 4 * e)],
+              [1, 2, str(-5 - e)], [0, 3, "1"]]
+        points = self.blowup(tmp_path, dx, [[4, 0, "1"]])["singularities"]
+        assert [(p["chart"], p["location"]) for p in points] == [
+            ("t", [1.0, 0.0]), ("t", [near, 0.0]), ("t", [3.0, 0.0]),
+            ("s", [0.0, 0.0])]
+        for point, eig in zip(points, (-2 * e, 2 * e)):
+            zero, (re, im) = point["eigenvalues"]
+            assert zero == [0.0, 0.0] and im == 0.0
+            assert abs(re - eig) <= 1e-5 * abs(eig)
+
+
 class TestIrrationalFrequency:
     """det 2 is a rotation whose frequency sqrt(2) is not rational."""
 
@@ -964,3 +983,20 @@ def test_package_names_resolve():
                              Path(centerfocus.__file__).parents[1])})
     assert out.returncode == 0, out.stderr
     assert out.stdout == example.rsplit("# ", 1)[1]
+
+
+@pytest.mark.parametrize("ns", [
+    0, 1_700_000_000_000_000_000, 1_700_000_000_000_000_999,
+    1_709_210_096_123_456_789, 1_767_225_599_999_999_999])
+def test_timestamp_is_what_datetime_writes(monkeypatch, ns):
+    """The report's timestamp, taken from `time`, reads as
+    `datetime.isoformat` in UTC: microseconds floored, and left out when
+    they are 0."""
+    from datetime import datetime, timezone
+    monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+    s, us = divmod(ns // 1000, 10 ** 6)
+    expected = datetime.fromtimestamp(s, timezone.utc).replace(
+        microsecond=us).isoformat()
+    report = run_pipeline(parse_spec(FIXTURES / "germ_parabolic.json"),
+                          command="germ")
+    assert report["provenance"]["timestamp"] == expected
