@@ -5,8 +5,8 @@ Two things made the peak grow with every document in CPython 3.11:
 * `f(*<generator>)` and `tuple(<generator>)` allocate a 10-slot tuple and
   shrink it; freed, the shrunk tuple parks on the free list of its true
   size, which nothing drains, until every list holds 2000 tuples.  The
-  program builds such tuples from lists or literals (`test_no_tuple_
-  from_a_generator`).
+  program builds such tuples from lists or literals instead
+  (`test_no_tuple_from_a_generator`).
 * a `pathlib.Path` per document interns its components anew once the
   last one died, and the interpreter's table of interned names, filled
   with deleted slots, is rebuilt at about 400 KiB a time.  The command
