@@ -108,26 +108,33 @@ def _check_shape(value, default, where: str, pair: bool = False) -> None:
                               f"{type(default).__name__}, got {value!r}")
 
 
-def _check_ranges(params: dict, kind: str) -> None:
-    for key, value in params.items():
-        items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not isfinite(v) for item in items
+def _check_params(given: dict, params: dict, kind: str) -> None:
+    """Check `given`, the analysis values and then the flags that were
+    set, for keys, shapes and ranges; `params` is `given` over the
+    defaults."""
+    defaults = DEFAULT_ANALYSIS[kind]
+    unknown = given.keys() - defaults.keys()
+    if unknown:
+        raise ValidationError(f"analysis: unknown keys {sorted(unknown)} "
+                              f"for kind {kind}")
+    for key, value in given.items():
+        _check_shape(value, defaults[key], f"analysis.{key}")
+        many = isinstance(value, list)
+        values = value if many else [value]
+        if any(isinstance(v, float) and not isfinite(v) for item in values
                for v in (item if isinstance(item, list) else [item])):
             raise ValidationError(f"{key}: expected finite numbers, "
                                   f"got {value!r}")
-    # a germ's order (`analyze --truncation`) drives nothing
-    floors = dict(_FLOORS, order=_ORDER_FLOORS.get(kind, -inf))
-    for key, floor in floors.items():
-        value = params.get(key)
-        many = isinstance(value, list)
-        values = value if many else [value]
-        if key in params and (not values or min(values) <= floor):
+        floor = _ORDER_FLOORS[kind] if key == "order" else _FLOORS.get(key)
+        if floor is not None and (not values or min(values) <= floor):
             what = "a nonempty list of values" if many else "a value"
             raise ValidationError(f"{key}: expected {what} above {floor}, "
                                   f"got {value!r}")
-    for k, point in enumerate(params.get("points", [])):
-        if abs(complex(*point)) >= params["escape_radius"]:
-            raise ValidationError(f"points[{k}]: not inside the escape radius")
+    if given.keys() & {"points", "escape_radius"}:
+        for k, point in enumerate(params["points"]):
+            if abs(complex(*point)) >= params["escape_radius"]:
+                raise ValidationError(f"points[{k}]: not inside the escape "
+                                      "radius")
 
 
 def parse_coefficient(text, where: str) -> Gaussian:
@@ -214,30 +221,23 @@ def _parse_term_list(raw, truncation, key, real_only) -> dict:
     return terms
 
 
-def _as_pathlib(exc: OSError, path) -> OSError:
-    """exc naming `path` as a `Path` method's error would.  Files are read
-    and written with `open`: a `Path` per document would intern its parts
-    anew, churning the interpreter's table of interned names."""
-    if exc.filename is not None:
-        exc.filename = str(Path(path))
-    return exc
-
-
 def parse_spec(path) -> ProblemSpec:
-    """Load and validate a problem document."""
+    """Load and validate a problem document; `run_pipeline` checks its
+    analysis values.  It is read with `open`, as a `Path` per document
+    churns the interpreter's table of interned names."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ParseError(f"{Path(path)}: {_as_pathlib(exc, path)}")
+        raise ParseError(f"{path}: {exc}")
     sha = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{Path(path)}: line {exc.lineno}, column "
+        raise ParseError(f"{path}: line {exc.lineno}, column "
                          f"{exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
-        raise ValidationError(f"{Path(path)}: top level must be an object")
+        raise ValidationError(f"{path}: top level must be an object")
     kind = doc.get("kind")
     if kind not in DEFAULT_ANALYSIS:
         raise ValidationError(
@@ -249,12 +249,6 @@ def parse_spec(path) -> ProblemSpec:
     analysis = doc.get("analysis", {})
     if not isinstance(analysis, dict):
         raise ValidationError("analysis: expected an object")
-    unknown = set(analysis) - set(DEFAULT_ANALYSIS[kind])
-    if unknown:
-        raise ValidationError(f"analysis: unknown keys {sorted(unknown)} "
-                              f"for kind {kind}")
-    for key, value in analysis.items():
-        _check_shape(value, DEFAULT_ANALYSIS[kind][key], f"analysis.{key}")
     dx_terms = dy_terms = germ_coeffs = None
     if kind in ("real_field", "complex_form"):
         for key in ("dx", "dy"):
@@ -596,18 +590,22 @@ def _timestamp() -> str:
 
 def run_pipeline(spec: ProblemSpec, overrides: dict | None = None,
                  dump_dir=None, command: str = "analyze") -> dict:
-    """Run the stages `command` lists for the spec's kind.  A stage's numeric
-    failure is embedded under its name and later stages still run; its
-    ValueError is raised as an input error that names the stage."""
+    """Run the stages `command` lists for the spec's kind on the defaults,
+    overridden by the spec's analysis and then by the non-None `overrides`.
+    A stage's numeric failure is embedded under its name and later stages
+    still run; its ValueError becomes an input error that names the stage."""
     stages = _STAGES.get(command, {}).get(spec.kind)
     if stages is None:
         raise ValidationError(f"command {command!r} does not apply to kind "
                               f"{spec.kind!r}")
-    params = dict(DEFAULT_ANALYSIS[spec.kind])
-    params.update(spec.analysis)
+    if dump_dir is not None and _orbit_dumps not in stages:
+        raise ValidationError(f"--dump-orbits: {command} dumps no orbits "
+                              f"for kind {spec.kind}")
+    given = dict(spec.analysis)
     if overrides:
-        params.update({k: v for k, v in overrides.items() if v is not None})
-    _check_ranges(params, spec.kind)
+        given.update({k: v for k, v in overrides.items() if v is not None})
+    params = {**DEFAULT_ANALYSIS[spec.kind], **given}
+    _check_params(given, params, spec.kind)
     report = {
         "schema_version": 2,
         "kind": spec.kind,
@@ -647,9 +645,14 @@ def render_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # command line
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @cache  # built on first use, then shared by every call
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="centerfocus",
         description="center-focus analysis of planar rotational "
                     "singularities",
@@ -662,17 +665,21 @@ def _build_parser():
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
+    def radii(text):  # argparse names a bad value by this function's name
+        return [float(v) for v in text.split(",") if v]
+
     p = command("analyze", "run the full pipeline for the kind")
     p.add_argument("--truncation", type=int, dest="order",
                    help="series order for the symbolic stages")
-    p.add_argument("--radii", help="comma-separated return-map radii")
+    p.add_argument("--radii", type=radii,
+                   help="comma-separated return-map radii")
     p.add_argument("--tol", type=float, help="integrator / slice tolerance")
     p.add_argument("--dump-orbits", dest="dump_dir",
                    help="directory for CSV orbit dumps (real fields)")
     p = command("lyapunov", "symbolic stages only (real field)")
     p.add_argument("--truncation", type=int, dest="order")
     p = command("returnmap", "return-map table only (real field)")
-    p.add_argument("--radii")
+    p.add_argument("--radii", type=radii)
     p.add_argument("--tol", type=float)
     command("blowup", "blow-up report (complex form)")
     p = command("germ", "finite order and pseudo-orbits")
@@ -683,34 +690,24 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        spec = parse_spec(args.spec)
-        overrides = {key: getattr(args, key, None)
-                     for key in ("order", "tol", "k_max")}
-        if getattr(args, "radii", None):
-            try:
-                overrides["radii"] = [float(v)
-                                      for v in args.radii.split(",") if v]
-            except ValueError as exc:
-                raise ValidationError(f"--radii: {exc}")
-        report = run_pipeline(spec, overrides,
-                              getattr(args, "dump_dir", None), args.command)
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
+    try:  # every input error, usage and unwritable --out too, exits 1
+        args = vars(_build_parser().parse_args(argv))
+        # the options left in `args` are the analysis overrides
+        command, path, out, dump_dir = [args.pop(key, None) for key in (
+            "command", "spec", "out", "dump_dir")]
+        report = run_pipeline(parse_spec(path), args, dump_dir, command)
+        text = render_report(report)
+        if out:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = render_report(report)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _as_pathlib(exc, args.out)
-    else:
-        sys.stdout.write(text)
     return 2 if report.get("numeric_failure") else 0
 
 

@@ -492,9 +492,6 @@ class OneForm2:
     def real(self) -> bool:
         return self.a.real and self.b.real
 
-    def lift(self, degree: int) -> "OneForm2":
-        return OneForm2(self.a.lift(degree), self.b.lift(degree))
-
     def scale(self, c: Scalar) -> "OneForm2":
         return OneForm2(self.a * c, self.b * c)
 

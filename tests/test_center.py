@@ -516,3 +516,48 @@ class TestCertifyCenter:
         verdict = certify_center(VectorField2(-2 * y, x), 8)
         assert verdict.status == "NOT_APPLICABLE"
         assert "not a rational square" in verdict.message
+
+
+def quadratic_field(a, b, c, n):
+    """z' = iz + A z^2 + B z zbar + C zbar^2, z = x + iy, as the real
+    field (p, q) = (Re z', Im z'); A, B, C are (re, im) pairs."""
+    (a1, a2), (b1, b2), (c1, c2) = a, b, c
+    p = {(0, 1): -1, (2, 0): a1 + b1 + c1, (1, 1): 2 * (c2 - a2),
+         (0, 2): b1 - a1 - c1}
+    q = {(1, 0): 1, (2, 0): a2 + b2 + c2, (1, 1): 2 * (a1 - c1),
+         (0, 2): b2 - a2 - c2}
+    return VectorField2(Poly2(p, n), Poly2(q, n))
+
+
+F = Fraction
+# Bautin's quadratic center variety: (A, B, C) on one of its components,
+# or off all of them with the degree of the first nonzero obstruction
+# (4 when Im(AB) != 0, else 6 or 8)
+BAUTIN = {
+    "B=0": ((F(1, 2), F(1, 3)), (0, 0), (F(-3, 4), F(1, 5)), None),
+    "2A+conj(B)=0": ((F(1, 2), F(1, 3)), (-1, F(2, 3)),
+                     (F(2, 7), F(-1, 5)), None),
+    "A=2conj(B),|C|=|B|": ((F(4, 3), -1), (F(2, 3), F(1, 2)),
+                           (F(1, 2), F(2, 3)), None),
+    "real": ((F(1, 2), 0), (F(-2, 3), 0), (F(3, 5), 0), None),
+    "Im(AB)=22/105": ((F(1, 2), F(1, 3)), (F(1, 5), F(2, 7)),
+                      (F(1, 3), F(-1, 4)), 4),
+    "Im(AB)=0": ((1, 1), (1, -1), (F(1, 3), F(-1, 4)), 6),
+}
+
+
+@pytest.mark.parametrize("a, b, c, focus_degree", list(BAUTIN.values()),
+                         ids=list(BAUTIN))
+def test_quadratic_center_variety(a, b, c, focus_degree):
+    # the real sweep and the Siegel route on the complexified field find
+    # the first nonzero obstruction at the same degree, or none to 12
+    from centerfocus.foliation import (complexify,
+                                       formal_first_integral_siegel)
+    field = quadratic_field(a, b, c, 12)
+    verdict = certify_center(field, 12)
+    _, siegel = formal_first_integral_siegel(
+        complexify(normalize_rotation(field)), 12)
+    first = next((d for d, e in siegel if e), None)
+    assert (verdict.status, verdict.focus_degree, first) == (
+        "CENTER_TO_ORDER_N" if focus_degree is None else "FOCUS",
+        focus_degree, focus_degree)

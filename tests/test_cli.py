@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -492,9 +493,7 @@ class TestMainExitCodes:
         assert (first["provenance"]["parameters"]["k_max"],
                 second["provenance"]["parameters"]["k_max"]) == (3, 200)
         assert second["sections"]["finite_order"]["order"] == 4
-        with pytest.raises(SystemExit) as exc:
-            main(["germ", str(path), "--kmax", "three"])
-        assert exc.value.code == 2
+        assert main(["germ", str(path), "--kmax", "three"]) == 1
         assert _build_parser() is _build_parser()
 
     def test_lyapunov_subcommand_sections(self, tmp_path):
@@ -581,6 +580,38 @@ OUT_OF_RANGE = {
 }
 MALFORMED.update({name: doc for name, (_, doc) in OUT_OF_RANGE.items()})
 
+# Malformed documents, with what the message says
+REFUSED = {
+    "kind-unknown": ("kind: expected one of", {**REAL, "kind": "field"}),
+    "top-level-list": ("top level must be an object", [REAL]),
+    "analysis-list": ("analysis: expected an object",
+                      {**REAL, "analysis": [10]}),
+    "analysis-unknown-key": (
+        "analysis: unknown keys ['k_max', 'slice_angles'] for kind "
+        "real_field", {**REAL, "analysis": {"slice_angles": 1, "k_max": 1}}),
+    "dx-missing": ("dx: required for kind real_field",
+                   {k: v for k, v in REAL.items() if k != "dx"}),
+    "dx-not-a-list": ("dx: expected a list of [i, j, coeff] rows",
+                      {**REAL, "dx": {"0": "-1"}}),
+    "dx-row-of-two": ("dx[0]: expected [i, j, coeff]",
+                      {**REAL, "dx": [[0, 1]]}),
+    "coeffs-missing": ("coeffs: required list for kind germ",
+                       {k: v for k, v in GERM.items() if k != "coeffs"}),
+    "coeffs-row-of-three": ("coeffs[0]: expected [degree, coeff]",
+                            {**GERM, "coeffs": [[1, "0+1 i", 2]]}),
+    "degree-above-truncation": (
+        "coeffs[1]: degree 5 exceeds the declared truncation 4",
+        {**GERM, "coeffs": [[1, "0+1 i"], [5, "1"]]}),
+    "degree-duplicate": ("coeffs[1]: duplicate degree 1",
+                         {**GERM, "coeffs": [[1, "0+1 i"], [1, "1"]]}),
+    "degree-1-missing": ("coeffs: nonzero degree-1 coefficient",
+                         {**GERM, "coeffs": [[2, "1"]]}),
+    "multiplier_root-order-zero": ("multiplier_root: root order must be "
+                                   "positive",
+                                   {**GERM, "multiplier_root": [1, 0]}),
+}
+MALFORMED.update({name: doc for name, (_, doc) in REFUSED.items()})
+
 
 @pytest.mark.parametrize("name", list(MALFORMED), ids=list(MALFORMED))
 def test_malformed_values_are_input_errors(tmp_path, capsys, name):
@@ -589,6 +620,71 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, name):
     assert err.startswith("error:") and "Traceback" not in err
     if name in OUT_OF_RANGE:
         assert err.startswith(f"error: {OUT_OF_RANGE[name][0]}:")
+    if name in REFUSED:
+        assert REFUSED[name][0] in err
+
+
+# Command lines that are input errors, with the whole of stderr; {real},
+# {germ} and {form} stand for REAL, GERM and FORM written to files, {tmp}
+# for the test's directory
+REFUSED_ARGV = {
+    "radii-on-germ": ("analyze {germ} --radii 0.1", "analysis: unknown keys "
+                      "['radii'] for kind germ"),
+    "radii-on-form": ("analyze {form} --radii 0.1", "analysis: unknown keys "
+                      "['radii'] for kind complex_form"),
+    "truncation-on-germ": ("analyze {germ} --truncation 7", "analysis: "
+                           "unknown keys ['order'] for kind germ"),
+    "dump-orbits-on-germ": ("analyze {germ} --dump-orbits {tmp}/orbits",
+                            "--dump-orbits: analyze dumps no orbits for "
+                            "kind germ"),
+    "radii-not-numbers": ("returnmap {real} --radii 0.1,x", "centerfocus "
+                          "returnmap: argument --radii: invalid radii value: "
+                          "'0.1,x'"),
+    "kmax-not-a-number": ("germ {germ} --kmax three", "centerfocus germ: "
+                          "argument --kmax: invalid int value: 'three'"),
+    "out-in-missing-directory": ("germ {germ} --out {tmp}/missing/r.json",
+                                 "[Errno 2] No such file or directory: "
+                                 "'{tmp}/missing/r.json'"),
+    "spec-missing": ("germ", "centerfocus germ: the following arguments are "
+                             "required: spec"),
+    "command-missing": ("", "centerfocus: the following arguments are "
+                            "required: command"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(REFUSED_ARGV.values()),
+                         ids=list(REFUSED_ARGV))
+def test_refused_command_lines_are_input_errors(tmp_path, capsys, argv,
+                                                message):
+    names = {"tmp": tmp_path}
+    for name, doc in (("real", REAL), ("germ", GERM), ("form", FORM)):
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(doc))
+    assert main([word.format(**names) for word in argv.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(**names)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["form.json", "germ.json", "real.json"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["germ", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: centerfocus germ")
+
+
+def test_every_option_sets_an_analysis_key():
+    # an option drives a stage only through a key of the analysis of a
+    # kind its command accepts; the rest name files
+    exempt = {"spec", "out", "help", "dump_dir"}
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_STAGES)
+    for command, parser in subparsers.choices.items():
+        keys = {key for kind in _STAGES[command]
+                for key in cli.DEFAULT_ANALYSIS[kind]}
+        dests = {a.dest for a in parser._actions} - exempt
+        assert dests <= keys, (command, dests - keys)
 
 
 def test_out_of_range_override_is_input_error(capsys):
@@ -811,6 +907,34 @@ class TestStagesPerCommand:
                      "--out", str(out)]) == 0
         assert set(json.loads(out.read_text())["sections"]) == {
             "siegel", "formal_first_integral", "factorization", "real_slice"}
+
+    def test_blowup_of_a_form_with_a_common_factor(self, tmp_path):
+        # x y dx + x^2 dy: both components vanish along x = 0
+        doc = {"kind": "complex_form", "truncation": 2,
+               "dx": [[1, 1, "1"]], "dy": [[2, 0, "1"]]}
+        out = tmp_path / "report.json"
+        assert main(["blowup", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        section = json.loads(out.read_text())["sections"]["blowup"]
+        assert section["error"] == {
+            "type": "NotIsolated", "category": "input",
+            "message": "components share the common factor x to truncation"}
+
+    def test_slice_of_a_complexified_focus(self, tmp_path):
+        # the Siegel route finds the focus's nonzero obstruction
+        from centerfocus.center import normalize_rotation
+        from centerfocus.foliation import complexify
+        spec = parse_spec(FIXTURES / "cubic_focus.json")
+        form = complexify(normalize_rotation(spec.build_field(3)))
+        doc = {"kind": "complex_form", "truncation": 3,
+               "dx": cli._poly_rows(form.a), "dy": cli._poly_rows(form.b)}
+        out = tmp_path / "report.json"
+        assert main(["slice", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        section = json.loads(out.read_text())["sections"][
+            "formal_first_integral"]
+        assert section["summary"] == \
+            "nonzero resonant obstructions; no formal first integral"
 
 
 def corrupted(inverse):
