@@ -673,7 +673,8 @@ def _build_parser():
                    help="series order for the symbolic stages")
     p.add_argument("--radii", type=radii,
                    help="comma-separated return-map radii")
-    p.add_argument("--tol", type=float, help="integrator / slice tolerance")
+    p.add_argument("--tol", type=float, help="return-map integrator tolerance "
+                   "(real field), return tolerance (germ); slices ignore it")
     p.add_argument("--dump-orbits", dest="dump_dir",
                    help="directory for CSV orbit dumps (real fields)")
     p = command("lyapunov", "symbolic stages only (real field)")

@@ -103,9 +103,7 @@ class TransverseSegment:
         for k in range(1, _TRANSVERSAL_SAMPLES + 1):
             r = self.length * k / _TRANSVERSAL_SAMPLES
             p = (r * self.direction[0], r * self.direction[1])
-            vx, vy = rhs(0.0, p)
-            speed = math.hypot(vx, vy)
-            if speed == 0 or abs(vx * nx + vy * ny) < _TRANSVERSAL * speed:
+            if not _transversal(*rhs(0.0, p), nx, ny):
                 raise ValueError(
                     f"field is not transverse to the segment at radius {r}"
                 )
@@ -136,6 +134,11 @@ class PointOrderScan:
     budget_exhausted: bool
 
 
+def _transversal(vx, vy, nx, ny) -> bool:
+    speed = math.hypot(vx, vy)
+    return speed > 0 and abs(vx * nx + vy * ny) >= _TRANSVERSAL * speed
+
+
 def solve_ivp(*args, **kwargs):
     """`scipy.integrate.solve_ivp`, imported on the first call."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
@@ -143,6 +146,7 @@ def solve_ivp(*args, **kwargs):
 
 
 def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
+    """DOP853 over (0, t_max), backward if t_max < 0; and the end status."""
     def domain_exit(t, s):
         return domain_radius**2 - (s[0] ** 2 + s[1] ** 2)
 
@@ -154,7 +158,7 @@ def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
     )
     if sol.status == -1:
         raise StepUnderflow(sol.message)
-    return sol
+    return sol, "left_domain" if sol.status == 1 else "reached_t_max"
 
 
 def integrate(
@@ -171,8 +175,7 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    sol = _solve(_NumericField(fld), x0, t_max, tol, domain_radius)
-    status = "left_domain" if sol.status == 1 else "reached_t_max"
+    sol, status = _solve(_NumericField(fld), x0, t_max, tol, domain_radius)
     return Trajectory(sol.t, sol.y.T, status)
 
 
@@ -183,33 +186,20 @@ def _require_normalized_rotation(fld: VectorField2) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _Crossing:
-    time: float
-    param: float  # signed coordinate along the segment direction
-    transversal: bool
-
-
 def _section_crossings(rhs, seg: TransverseSegment, x0, t_max, tol,
-                       domain_radius) -> tuple[list[_Crossing], str]:
+                       domain_radius) -> tuple[list[tuple[float, float]], str]:
+    """(t, offset along seg) of each transversal crossing at |t| > 1e-9."""
     nx, ny = seg.normal
+    dx, dy = seg.direction
 
     def section(t, s):
         return s[0] * nx + s[1] * ny
 
-    sol = _solve(rhs, x0, t_max, tol, domain_radius, extra_events=(section,))
-    crossings = []
-    dx, dy = seg.direction
-    for te, (px, py) in zip(sol.t_events[1], sol.y_events[1]):
-        if te <= 1e-9:
-            continue
-        vx, vy = rhs(te, (px, py))
-        speed = math.hypot(vx, vy)
-        transversal = speed > 0 and \
-            abs(vx * nx + vy * ny) >= _TRANSVERSAL * speed
-        crossings.append(_Crossing(float(te), float(px * dx + py * dy),
-                                   transversal))
-    status = "left_domain" if sol.status == 1 else "reached_t_max"
+    sol, status = _solve(rhs, x0, t_max, tol, domain_radius,
+                         extra_events=(section,))
+    crossings = [(float(t), float(px * dx + py * dy))
+                 for t, (px, py) in zip(sol.t_events[1], sol.y_events[1])
+                 if abs(t) > 1e-9 and _transversal(*rhs(t, (px, py)), nx, ny)]
     return crossings, status
 
 
@@ -221,10 +211,9 @@ def _return_sample(fld, seg, r, tol, want_half) -> ReturnMapSample:
     rhs = _NumericField(fld)
     x0 = (r * seg.direction[0], r * seg.direction[1])
     crossings, _ = _section_crossings(rhs, seg, x0, _T_MAX, tol, 2.0)
-    for c in crossings:
-        if c.transversal and (c.param > 0) != want_half:
-            return ReturnMapSample(r, -c.param if want_half else c.param,
-                                   c.time)
+    for time, param in crossings:
+        if (param > 0) != want_half:
+            return ReturnMapSample(r, -param if want_half else param, time)
     raise NoReturn(
         f"no {'half' if want_half else 'full'} return from r={r} "
         f"within t={_T_MAX}"
@@ -296,8 +285,9 @@ def bounded_order_scan(
 ) -> list[PointOrderScan]:
     """Count distinct transversal meetings of each orbit with the segment.
 
-    Orbits are followed forward and backward within the time budget; the
-    count is over distinct points of the orbit set (crossing positions are
+    Orbits are followed forward and backward within the time budget, on
+    the one field (backward over (0, -t_budget)); the count is over
+    distinct points of the orbit set (crossing positions are
     deduplicated), and it is a lower bound whenever the budget ran out
     before the orbit left the domain.
     """
@@ -305,22 +295,16 @@ def bounded_order_scan(
         raise ValueError("k must be at least 1")
     seg.check_transversality(fld)
     rhs = _NumericField(fld)
-    neg = VectorField2(-fld.p, -fld.q)
-    rhs_back = _NumericField(neg)
     dx, dy = seg.direction
     nx, ny = seg.normal
     out = []
     for pt in points:
         pt = (float(pt[0]), float(pt[1]))
-        params: list[float] = []
-        exhausted = False
-        for direction_rhs in (rhs, rhs_back):
-            crossings, status = _section_crossings(
-                direction_rhs, seg, pt, t_budget, tol, domain_radius
-            )
-            exhausted = exhausted or status == "reached_t_max"
-            params.extend(c.param for c in crossings
-                          if c.transversal and 0 < c.param <= seg.length)
+        legs = [_section_crossings(rhs, seg, pt, t_max, tol, domain_radius)
+                for t_max in (t_budget, -t_budget)]
+        exhausted = any(status == "reached_t_max" for _, status in legs)
+        params = [p for crossings, _ in legs for _, p in crossings
+                  if 0 < p <= seg.length]
         on_section = abs(pt[0] * nx + pt[1] * ny) <= 1e-12
         start_param = pt[0] * dx + pt[1] * dy
         if on_section and 0 < start_param <= seg.length:

@@ -535,6 +535,13 @@ def _accumulate(pairs: list[tuple[Scaled, Scaled]], n: int) -> Scaled:
     return den, _sparse(re, im)
 
 
+def _accumulate_x(pairs: list[tuple[Scaled, Scaled]], n: int) -> Scaled:
+    """`_accumulate` for series in x, buffers ending at the largest key sum."""
+    reach = max([max(a)[0] + max(b)[0] for (_, a), (_, b) in pairs
+                 if a and b], default=0)
+    return _accumulate(pairs, min(n, reach))
+
+
 def _sparse(re: list[int], im: list[int]) -> list[tuple[int, int, int]]:
     """The row [(r, re[r], im[r]), ...] of the nonzero entries."""
     return [(r, x, y) for r, (x, y) in enumerate(zip(re, im)) if x or y]
@@ -556,7 +563,7 @@ def _extend(powers: list[Scaled], top: int, n: int) -> list[Scaled]:
     through s^top, keys beyond n dropped: row j + 1 is the Gaussian-
     integer product of rows j and 1, reduced by its gcd."""
     while len(powers) <= top:
-        powers.append(_primitive(*_accumulate([(powers[-1], powers[1])], n)))
+        powers.append(_primitive(*_accumulate_x([(powers[-1], powers[1])], n)))
     return powers
 
 
@@ -599,9 +606,9 @@ def substitute(f: Poly2, powers: list[Scaled], n: int) -> Poly2:
     q^k sits over q^(jn)), and is kept as is."""
     _extend(powers, max((r for _, row in f.parts.values()
                          for r, _, _ in row), default=0), n)
-    den, row = _accumulate([((pd, [(d - r, x, y)]), powers[r])
-                            for d, (pd, part) in f.parts.items()
-                            for r, x, y in part], n)
+    den, row = _accumulate_x([((pd, [(d - r, x, y)]), powers[r])
+                              for d, (pd, part) in f.parts.items()
+                              for r, x, y in part], n)
     return Poly2._of([(k, (den, [(0, x, y)])) for k, x, y in row], n)
 
 

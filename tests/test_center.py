@@ -546,17 +546,39 @@ BAUTIN = {
 }
 
 
-@pytest.mark.parametrize("a, b, c, focus_degree", list(BAUTIN.values()),
-                         ids=list(BAUTIN))
-def test_quadratic_center_variety(a, b, c, focus_degree):
+# x = u + 2v/3, y = 3v/5: det T = 3/5 > 0 keeps the orientation, so the
+# conjugate field has the same verdict, and its linear part is no longer
+# the standard rotation
+SHEAR = ((F(1), F(2, 3)), (F(0), F(3, 5)))
+
+
+def conjugated(field, t):
+    """T^-1 X(T w), the field in the coordinates w with (x, y) = T w."""
+    (a, b), (c, d) = t
+    det = a * d - b * c
+    p, q = field.p.substitute_linear(t), field.q.substitute_linear(t)
+    return VectorField2((p * d - q * b) * (1 / det),
+                        (q * a - p * c) * (1 / det))
+
+
+@pytest.mark.parametrize(
+    "a, b, c, focus_degree, t, n",
+    [(*case, None, 12) for case in BAUTIN.values()]
+    + [(*case, SHEAR, 16) for case in BAUTIN.values()],
+    ids=list(BAUTIN) + [f"conjugated:{name}" for name in BAUTIN])
+def test_quadratic_center_variety(a, b, c, focus_degree, t, n):
     # the real sweep and the Siegel route on the complexified field find
-    # the first nonzero obstruction at the same degree, or none to 12
+    # the first nonzero obstruction at the same degree, or none to n,
+    # also after a rational change of coordinates
     from centerfocus.foliation import (complexify,
                                        formal_first_integral_siegel)
-    field = quadratic_field(a, b, c, 12)
-    verdict = certify_center(field, 12)
+    field = quadratic_field(a, b, c, n)
+    if t is not None:
+        field = conjugated(field, t)
+        assert not field.standard_rotation
+    verdict = certify_center(field, n)
     _, siegel = formal_first_integral_siegel(
-        complexify(normalize_rotation(field)), 12)
+        complexify(normalize_rotation(field)), n)
     first = next((d for d, e in siegel if e), None)
     assert (verdict.status, verdict.focus_degree, first) == (
         "CENTER_TO_ORDER_N" if focus_degree is None else "FOCUS",

@@ -1,4 +1,6 @@
 import argparse
+import importlib
+import inspect
 import json
 import math
 import os
@@ -1080,11 +1082,23 @@ def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded,
     assert submodules == sorted(own)
 
 
-def test_slice_defaults_are_the_slice_grid():
-    from centerfocus.foliation import SliceGrid
-    defaults = cli.DEFAULT_ANALYSIS["complex_form"]
-    assert (tuple(defaults["slice_radii"]), defaults["slice_angles"]) == \
-        (SliceGrid().radii, SliceGrid().n_angles)
+@pytest.mark.parametrize("kind, keys, module, name, params", [
+    ("complex_form", ["slice_radii", "slice_angles"], "foliation",
+     "SliceGrid", ["radii", "n_angles"]),
+    ("real_field", ["tol", "rel_tol"], "flow", "detect_periodic_sequence",
+     ["tol", "rel_tol"]),
+    ("germ", ["escape_radius", "tol"], "germ", "pseudo_orbit",
+     ["escape_radius", "return_tolerance"]),
+], ids=["complex_form", "real_field", "germ"])
+def test_cli_defaults_are_the_library_defaults(kind, keys, module, name,
+                                               params):
+    # the command line copies these defaults so that it loads no stage
+    # module before it needs one; each copy equals its source
+    target = getattr(importlib.import_module(f"centerfocus.{module}"), name)
+    signature = inspect.signature(target).parameters
+    library = [signature[param].default for param in params]
+    assert [cli.DEFAULT_ANALYSIS[kind][key] for key in keys] == \
+        [list(v) if isinstance(v, tuple) else v for v in library]
 
 
 def test_package_names_resolve():

@@ -235,6 +235,36 @@ class TestBoundedOrder:
             assert s.count <= 2
             assert not s.budget_exhausted
 
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8)])
+    @pytest.mark.parametrize("make", [cusp, hamiltonian_cubic, cubic_focus,
+                                      lambda: cubic_focus(-1), rotation],
+                             ids=["cusp", "hamiltonian_cubic", "focus_out",
+                                  "focus_in", "rotation"])
+    def test_backward_leg_equals_negated_field_forward(self, make, direction,
+                                                       monkeypatch):
+        # reference: the backward leg as the forward run of -X; the same
+        # crossings at negated times, bit for bit, and the same end status
+        fld, seg = make(), TransverseSegment(direction, 1.0)
+        dx, dy = seg.direction
+        rhs = flow._NumericField(fld)
+        neg = flow._NumericField(VectorField2(-fld.p, -fld.q))
+        raw = []
+        solve = flow.solve_ivp
+        monkeypatch.setattr(flow, "solve_ivp", lambda *a, **k:
+                            raw.append(solve(*a, **k)) or raw[-1])
+        points = [(0.3 * dx, 0.3 * dy), (0.0, 0.3), (-0.2, 0.15),
+                  (0.5, -0.4), (-1.2, 0.9)]
+        for pt in points:
+            back, status = flow._section_crossings(rhs, seg, pt, -20.0, 1e-9,
+                                                   3.0)
+            ref, ref_status = flow._section_crossings(neg, seg, pt, 20.0,
+                                                      1e-9, 3.0)
+            assert ([(-t, p) for t, p in back], status) == (ref, ref_status)
+            assert all(t < -1e-9 for t, _ in back)
+        # the first point starts on the section: its event at t = -0.0 is
+        # found and dropped
+        assert any(abs(t) <= 1e-9 for t in raw[0].t_events[1])
+
     def test_focus_spiral_exceeds_bound(self):
         scans = bounded_order_scan(cubic_focus(), SEG, [(0.1, 0.0)], k=3,
                                    t_budget=300.0)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,18 @@ class TestFiniteOrder:
         assert finite_order(conj, 8) == 4
         assert finite_order(Germ1({1: -1, 3: 1}, n), 8) is None
         assert calls == []
+
+    def test_memory_follows_degree_not_truncation(self):
+        # f^4 of a degree-2 germ reaches degree 16; buffers sized by the
+        # truncation made this peak at 1.5 MB at truncation 10^5
+        f = Germ1({1: (0, 1, 1), 2: (1, 0, 8)}, 10**5)
+        tracemalloc.start()
+        try:
+            assert finite_order(f, 8) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25e6
 
     def test_scaled_calls_on_a_mobius_germ_at_n40(self, monkeypatch):
         # building the germ scales each of its 40 degrees once; f^4 of the
