@@ -96,18 +96,6 @@ class TransverseSegment:
     def normal(self) -> tuple[float, float]:
         return (-self.direction[1], self.direction[0])
 
-    def check_transversality(self, fld: VectorField2) -> None:
-        """Sampled invariant: |X . normal| stays away from 0 off the origin."""
-        rhs = _NumericField(fld)
-        nx, ny = self.normal
-        for k in range(1, _TRANSVERSAL_SAMPLES + 1):
-            r = self.length * k / _TRANSVERSAL_SAMPLES
-            p = (r * self.direction[0], r * self.direction[1])
-            if not _transversal(*rhs(0.0, p), nx, ny):
-                raise ValueError(
-                    f"field is not transverse to the segment at radius {r}"
-                )
-
 
 @dataclass(frozen=True)
 class ReturnMapSample:
@@ -130,13 +118,24 @@ class PeriodicSequenceReport:
 @dataclass(frozen=True)
 class PointOrderScan:
     count: int
-    within_bound: bool
     budget_exhausted: bool
 
 
 def _transversal(vx, vy, nx, ny) -> bool:
     speed = math.hypot(vx, vy)
     return speed > 0 and abs(vx * nx + vy * ny) >= _TRANSVERSAL * speed
+
+
+def _check_transversality(seg: TransverseSegment, rhs) -> None:
+    """Sampled invariant: |X . normal| stays away from 0 off the origin."""
+    nx, ny = seg.normal
+    for k in range(1, _TRANSVERSAL_SAMPLES + 1):
+        r = seg.length * k / _TRANSVERSAL_SAMPLES
+        p = (r * seg.direction[0], r * seg.direction[1])
+        if not _transversal(*rhs(0.0, p), nx, ny):
+            raise ValueError(
+                f"field is not transverse to the segment at radius {r}"
+            )
 
 
 def solve_ivp(*args, **kwargs):
@@ -147,6 +146,11 @@ def solve_ivp(*args, **kwargs):
 
 def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
     """DOP853 over (0, t_max), backward if t_max < 0; and the end status."""
+    if not tol > 0:  # NaN too
+        raise ValueError("tolerance must be positive")
+    if not math.isfinite(t_max):  # a periodic orbit never leaves the domain
+        raise ValueError("time span must be finite")
+
     def domain_exit(t, s):
         return domain_radius**2 - (s[0] ** 2 + s[1] ** 2)
 
@@ -173,8 +177,6 @@ def integrate(
     Stops at t_max or on leaving the disc of the given radius; raises
     StepUnderflow when the step size collapses.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     sol, status = _solve(_NumericField(fld), x0, t_max, tol, domain_radius)
     return Trajectory(sol.t, sol.y.T, status)
 
@@ -188,7 +190,7 @@ def _require_normalized_rotation(fld: VectorField2) -> None:
 
 def _section_crossings(rhs, seg: TransverseSegment, x0, t_max, tol,
                        domain_radius) -> tuple[list[tuple[float, float]], str]:
-    """(t, offset along seg) of each transversal crossing at |t| > 1e-9."""
+    """(t, offset along seg) of each transversal crossing, x0's included."""
     nx, ny = seg.normal
     dx, dy = seg.direction
 
@@ -199,7 +201,7 @@ def _section_crossings(rhs, seg: TransverseSegment, x0, t_max, tol,
                          extra_events=(section,))
     crossings = [(float(t), float(px * dx + py * dy))
                  for t, (px, py) in zip(sol.t_events[1], sol.y_events[1])
-                 if abs(t) > 1e-9 and _transversal(*rhs(t, (px, py)), nx, ny)]
+                 if _transversal(*rhs(t, (px, py)), nx, ny)]
     return crossings, status
 
 
@@ -207,12 +209,12 @@ def _return_sample(fld, seg, r, tol, want_half) -> ReturnMapSample:
     _require_normalized_rotation(fld)
     if not 0 < r <= seg.length:
         raise ValueError("radius must lie inside the segment")
-    seg.check_transversality(fld)
     rhs = _NumericField(fld)
+    _check_transversality(seg, rhs)
     x0 = (r * seg.direction[0], r * seg.direction[1])
     crossings, _ = _section_crossings(rhs, seg, x0, _T_MAX, tol, 2.0)
-    for time, param in crossings:
-        if (param > 0) != want_half:
+    for time, param in crossings:  # x0 is on the segment: skip its event
+        if abs(time) > 1e-9 and (param > 0) != want_half:
             return ReturnMapSample(r, -param if want_half else param, time)
     raise NoReturn(
         f"no {'half' if want_half else 'full'} return from r={r} "
@@ -278,7 +280,7 @@ def bounded_order_scan(
     fld: VectorField2,
     seg: TransverseSegment,
     points,
-    k: int,
+    *,
     t_budget: float = 1e3,
     tol: float = 1e-9,
     domain_radius: float = 2.0,
@@ -288,33 +290,24 @@ def bounded_order_scan(
     Orbits are followed forward and backward within the time budget, on
     the one field (backward over (0, -t_budget)); the count is over
     distinct points of the orbit set (crossing positions are
-    deduplicated), and it is a lower bound whenever the budget ran out
-    before the orbit left the domain.
+    deduplicated, so a start on the segment counts once), and it is a
+    lower bound whenever the budget ran out before the orbit left the
+    domain.  The caller compares the count with its bound.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    seg.check_transversality(fld)
     rhs = _NumericField(fld)
-    dx, dy = seg.direction
-    nx, ny = seg.normal
+    _check_transversality(seg, rhs)
     out = []
     for pt in points:
-        pt = (float(pt[0]), float(pt[1]))
         legs = [_section_crossings(rhs, seg, pt, t_max, tol, domain_radius)
                 for t_max in (t_budget, -t_budget)]
         exhausted = any(status == "reached_t_max" for _, status in legs)
         params = [p for crossings, _ in legs for _, p in crossings
                   if 0 < p <= seg.length]
-        on_section = abs(pt[0] * nx + pt[1] * ny) <= 1e-12
-        start_param = pt[0] * dx + pt[1] * dy
-        if on_section and 0 < start_param <= seg.length:
-            params.append(start_param)
         distinct: list[float] = []
         for p in sorted(params):
             if all(abs(p - q) > 1e-7 * (1 + abs(p)) for q in distinct):
                 distinct.append(p)
-        out.append(PointOrderScan(len(distinct), len(distinct) <= k,
-                                  exhausted))
+        out.append(PointOrderScan(len(distinct), exhausted))
     return out
 
 

@@ -162,7 +162,7 @@ def test_criterion_06_cusp_fixture():
     exact = lie_derivative(cusp, h).is_zero()
     seg = TransverseSegment((0.0, 1.0), 1.0)
     points = [(0.0, 0.05 + 0.05 * i) for i in range(10)]
-    scans = bounded_order_scan(cusp, seg, points, k=2, t_budget=100.0,
+    scans = bounded_order_scan(cusp, seg, points, t_budget=100.0,
                                domain_radius=3.0)
     _check(
         "criterion 6: X(x^2 - y^3) = 0 exactly and all 10 cusp orbits meet "

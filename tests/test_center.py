@@ -543,6 +543,7 @@ BAUTIN = {
     "Im(AB)=22/105": ((F(1, 2), F(1, 3)), (F(1, 5), F(2, 7)),
                       (F(1, 3), F(-1, 4)), 4),
     "Im(AB)=0": ((1, 1), (1, -1), (F(1, 3), F(-1, 4)), 6),
+    "A=2conj(B),|C|!=|B|": ((F(4, 3), -1), (F(2, 3), F(1, 2)), (1, 0), 8),
 }
 
 
@@ -583,3 +584,43 @@ def test_quadratic_center_variety(a, b, c, focus_degree, t, n):
     assert (verdict.status, verdict.focus_degree, first) == (
         "CENTER_TO_ORDER_N" if focus_degree is None else "FOCUS",
         focus_degree, focus_degree)
+
+
+def first_obstruction_degrees(a, b, c, n):
+    """Degree of the first nonzero obstruction, or None through n, by the
+    real sweep and by the Siegel route on the complexified field."""
+    from centerfocus.foliation import (complexify,
+                                       formal_first_integral_siegel)
+    field = quadratic_field(a, b, c, n)
+    _, siegel = formal_first_integral_siegel(
+        complexify(normalize_rotation(field)), n)
+    return (certify_center(field, n).focus_degree,
+            next((d for d, e in siegel if e), None))
+
+
+bautin_part = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
+bautin_pair = st.tuples(bautin_part, bautin_part)
+
+
+@st.composite
+def bautin_coefficients(draw):
+    """(A, B, C) with parts p/q; B = t conj(A), so Im(AB) = 0, one time in
+    three."""
+    a, c = draw(bautin_pair), draw(bautin_pair)
+    if draw(st.integers(0, 2)) == 0:
+        t = draw(bautin_part)
+        return a, (t * a[0], -t * a[1]), c
+    return a, draw(bautin_pair), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(bautin_coefficients())
+def test_quadratic_first_obstruction_degree(abc):
+    # Bautin: the first nonzero obstruction of a quadratic field sits at
+    # degree 4, 6 or 8, or every obstruction vanishes; it is at 4 exactly
+    # when Im(AB) != 0, and both routes agree
+    (a1, a2), (b1, b2), _ = abc
+    real, siegel = first_obstruction_degrees(*abc, 16)
+    assert real in (4, 6, 8, None)
+    assert (real == 4) == (a1 * b2 + a2 * b1 != 0)
+    assert siegel == real

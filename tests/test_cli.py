@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import inspect
 import json
@@ -997,6 +998,17 @@ class TestInternalError:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 3, proc.stderr
         assert message in proc.stderr
+
+    def test_src_holds_no_assert(self):
+        # lint: `python -O` strips assert statements, so every check in the
+        # program raises instead
+        import centerfocus
+        root = Path(centerfocus.__file__).resolve().parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(root.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
     def test_failed_siegel_check_exits_3(self, monkeypatch, capsys):
         from centerfocus import foliation

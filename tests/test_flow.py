@@ -218,17 +218,17 @@ class TestPeriodicSequence:
 
 class TestBoundedOrder:
     def test_rotation_orbit_meets_ray_once(self):
-        scans = bounded_order_scan(rotation(), SEG, [(0.1, 0.0)], k=1,
+        scans = bounded_order_scan(rotation(), SEG, [(0.1, 0.0)],
                                    t_budget=50.0)
         assert scans[0].count == 1
-        assert scans[0].within_bound
+        assert scans[0].count <= 1
         assert scans[0].budget_exhausted  # periodic orbit never leaves
 
     def test_cusp_orbits_bounded_by_two(self):
         # cusp levels meet the vertical axis a bounded number of times
         seg = TransverseSegment((0.0, 1.0), 1.0)
         points = [(0.0, 0.05 + 0.05 * i) for i in range(10)]
-        scans = bounded_order_scan(cusp(), seg, points, k=2, t_budget=100.0,
+        scans = bounded_order_scan(cusp(), seg, points, t_budget=100.0,
                                    domain_radius=3.0)
         assert len(scans) == 10
         for s in scans:
@@ -260,15 +260,59 @@ class TestBoundedOrder:
             ref, ref_status = flow._section_crossings(neg, seg, pt, 20.0,
                                                       1e-9, 3.0)
             assert ([(-t, p) for t, p in back], status) == (ref, ref_status)
-            assert all(t < -1e-9 for t, _ in back)
         # the first point starts on the section: its event at t = -0.0 is
-        # found and dropped
+        # found
         assert any(abs(t) <= 1e-9 for t in raw[0].t_events[1])
 
+    @pytest.mark.parametrize("x0", [0.0, 1e-13, 5e-11, 5e-10, 1e-6])
+    def test_start_on_or_near_section_counts_once(self, x0):
+        # the cusp orbit through (x0, 0.3) meets x = 0 once, at the start
+        # or within |t| of about 1e-9 of it; both legs may report it
+        seg = TransverseSegment((0.0, 1.0), 1.0)
+        [scan] = bounded_order_scan(cusp(), seg, [(x0, 0.3)], t_budget=100.0,
+                                    domain_radius=3.0)
+        assert (scan.count, scan.budget_exhausted) == (1, False)
+
     def test_focus_spiral_exceeds_bound(self):
-        scans = bounded_order_scan(cubic_focus(), SEG, [(0.1, 0.0)], k=3,
+        scans = bounded_order_scan(cubic_focus(), SEG, [(0.1, 0.0)],
                                    t_budget=300.0)
         assert scans[0].count > 3
+
+
+# every solve entry point, as a function of (tol, time span); the return
+# maps run on their fixed budget
+ENTRY_POINTS = {
+    "integrate": lambda tol, t: integrate(rotation(), (0.1, 0.0), t, tol=tol),
+    "return_map": lambda tol, t: return_map(rotation(), SEG, 0.1, tol=tol),
+    "half_return_map": lambda tol, t: half_return_map(rotation(), SEG, 0.1,
+                                                      tol=tol),
+    "detect_periodic_sequence": lambda tol, t: detect_periodic_sequence(
+        rotation(), SEG, (0.1,), tol=tol),
+    "bounded_order_scan": lambda tol, t: bounded_order_scan(
+        rotation(), SEG, [(0.1, 0.0)], t_budget=t, tol=tol),
+    "level_set_conservation": lambda tol, t: level_set_conservation(
+        rotation(), Poly2({(2, 0): 1, (0, 2): 1}, N), (0.1, 0.0), t, tol=tol),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_tolerance_not_positive_refused(self, name, tol):
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            ENTRY_POINTS[name](tol, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["integrate", "bounded_order_scan",
+                                      "level_set_conservation"])
+    def test_time_span_not_finite_refused(self, name, t):
+        with pytest.raises(ValueError, match="^time span must be finite$"):
+            ENTRY_POINTS[name](1e-9, t)
+
+    def test_order_scan_bound_is_not_an_argument(self):
+        # an old positional bound must not bind to the time budget
+        with pytest.raises(TypeError):
+            bounded_order_scan(rotation(), SEG, [(0.1, 0.0)], 1, 50.0)
 
 
 class TestLevelSetConservation:
