@@ -243,6 +243,11 @@ def parse_spec(path) -> ProblemSpec:
         raise ValidationError(
             f"kind: expected one of {sorted(DEFAULT_ANALYSIS)}, got {kind!r}"
         )
+    unknown = doc.keys() - {"kind", "truncation", "analysis", *(
+        ("coeffs", "multiplier_root") if kind == "germ" else ("dx", "dy"))}
+    if unknown:
+        raise ValidationError(f"unknown keys {sorted(unknown)} for kind "
+                              f"{kind}")
     truncation = doc.get("truncation")
     if not _is_int(truncation) or truncation < 1:
         raise ValidationError("truncation: expected a positive integer")

@@ -144,12 +144,16 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
-    """DOP853 over (0, t_max), backward if t_max < 0; and the end status."""
+def _check_span(t_max, tol) -> None:
     if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     if not math.isfinite(t_max):  # a periodic orbit never leaves the domain
         raise ValueError("time span must be finite")
+
+
+def _solve(rhs, x0, t_max, tol, domain_radius, extra_events=()):
+    """DOP853 over (0, t_max), backward if t_max < 0; and the end status."""
+    _check_span(t_max, tol)
 
     def domain_exit(t, s):
         return domain_radius**2 - (s[0] ** 2 + s[1] ** 2)
@@ -266,6 +270,8 @@ def detect_periodic_sequence(
     radii = tuple(radii)
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
+    if not rel_tol > 0:  # NaN too
+        raise ValueError("relative tolerance must be positive")
     samples = []
     residuals = []
     for r in radii:
@@ -294,6 +300,7 @@ def bounded_order_scan(
     lower bound whenever the budget ran out before the orbit left the
     domain.  The caller compares the count with its bound.
     """
+    _check_span(t_budget, tol)
     rhs = _NumericField(fld)
     _check_transversality(seg, rhs)
     out = []

@@ -106,7 +106,6 @@ class FactorPair:
     f: Poly2  # y - a(x)
     g: Poly2  # x - b(y)
     unit: Poly2
-    product: Poly2  # f * g * unit, equal to F through factor_fg's degree n
 
     @property
     def general_position(self) -> bool:
@@ -423,31 +422,15 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
     g = Poly2.var_x(m - 1) - _solve_branch(F.swapped()).swapped()  # x = b(y)
     prod = f * g
     unit = _solve_unit(F, prod)
-    product = prod * unit
-    if product.truncate(n) != F.truncate(n):
+    if (prod * unit).truncate(n) != F.truncate(n):
         raise BranchFailure("f * g * unit fails to reconstruct F")
-    return FactorPair(f, g, unit, product)
+    return FactorPair(f, g, unit)
 
 
 # ---------------------------------------------------------------------------
 # totally real slice sampling
 
-# Gauss-Newton on the slice stops at a residual norm of _RESIDUAL_TOL,
-# gives a seed up when a step falls below _STEP_TOL before that, or after
-# _MAX_ITER steps.
-_RESIDUAL_TOL, _STEP_TOL, _MAX_ITER = 1e-10, 1e-12, 60
-
-
-def _slice_residual(values, u):
-    v1, v2 = values(complex(u[0], u[1]), complex(u[2], u[3]))
-    return (v1.real, v2.imag), math.hypot(v1.real, v2.imag)  # r and |r|
-
-
-def _slice_jacobian(partials, u):
-    d1x, d1y, d2x, d2y = partials(complex(u[0], u[1]), complex(u[2], u[3]))
-    # for analytic h: d/d(Re x) = h_x, d/d(Im x) = i h_x
-    return ((d1x.real, -d1x.imag, d1y.real, -d1y.imag),
-            (d2x.imag, d2x.real, d2y.imag, d2y.real))
+_RESIDUAL_TOL, _MAX_ITER = 1e-10, 60  # of Newton on the slice
 
 
 def _dot(a, b):  # of two vectors of R^4
@@ -462,95 +445,77 @@ def _off(t, q):
 
 
 def _lq(a, b):
-    """Gram-Schmidt on the rows of M = (a; b) = L Q: L = (l11, l21, l22),
-    M's singular values s1 >= s2, and Q's orthonormal rows, or None when
-    s2 <= 4 eps s1 (the default cutoff of `numpy.linalg.lstsq`)."""
+    """Gram-Schmidt on M = (a; b): its singular values s1 >= s2 and an
+    orthonormal basis of its rows, or None if s2 <= 4 eps s1 (`lstsq`)."""
     l11 = math.hypot(*a)
     if not l11:
-        return (0.0, 0.0, 0.0), (math.hypot(*b), 0.0), None
+        return (math.hypot(*b), 0.0), None
     q1 = tuple([x / l11 for x in a])
     l21, v = _dot(q1, b), _off(b, [q1])
     l22 = math.hypot(*v)
     s1 = (math.hypot(l11 + l22, l21) + math.hypot(l11 - l22, l21)) / 2
     s2 = l11 * l22 / s1
     q = (q1, tuple([x / l22 for x in v])) if s2 > 2.0 ** -50 * s1 else None
-    return (l11, l21, l22), (s1, s2), q
+    return (s1, s2), q
 
 
-def _tangent_plane(q):
-    """Orthonormal rows spanning the complement of the orthonormal rows q
-    in R^4: the parts off q of the two coordinate axes that span most."""
-    p = [_off([float(i == k) for i in range(4)], q) for k in range(4)]
-    _, i, j = max((p[i][i] * p[j][j] - p[i][j] ** 2, i, j)
-                  for j in range(4) for i in range(j))
-    return _lq(p[i], p[j])[2]
+def _cramer(d, r1, r2):
+    """J^-1 (r1, r2) by Cramer's rule for J = ((d[2], d[3]), (d[4], d[5])),
+    or None if J is singular to working precision."""
+    det = d[2] * d[5] - d[3] * d[4]
+    if not abs(det) > 2.0 ** -50 * max(map(abs, d[2:])) ** 2:
+        return None
+    return (d[5] * r1 - d[3] * r2) / det, (d[2] * r2 - d[4] * r1) / det
 
 
-def _refine(values, partials, u0):
-    """Damped Gauss-Newton from u0: the sample (x, y) and the tangent plane
-    there (the complement of the Jacobian's rows), or None if it fails."""
-    u = tuple(u0)
-    r, norm = _slice_residual(values, u)
-    for it in range(_MAX_ITER + 1):
-        (l11, l21, l22), _, q = _lq(*_slice_jacobian(partials, u))
-        if norm <= _RESIDUAL_TOL and q:
-            return (complex(*u[:2]), complex(*u[2:])), _tangent_plane(q)
-        if q is None or it == _MAX_ITER:
+def _refine(evaluate, w):
+    """Newton on Phi = (f*unit, g) = (conj w, w) from (x, y) = (w, conj w)
+    to a residual norm of _RESIDUAL_TOL: the sample and the values d there
+    (`evaluate`), or None at a singular J or after _MAX_ITER steps."""
+    x, y = w, w.conjugate()
+    for _ in range(_MAX_ITER + 1):
+        d = evaluate(x, y)
+        r = (w.conjugate() - d[0], w - d[1])
+        step = _cramer(d, *r)
+        if step is None:
             return None
-        # the least-norm step: L z = -r, step = Q^T z
-        z1 = -r[0] / l11
-        z2 = (-r[1] - l21 * z1) / l22
-        step = tuple([z1 * a + z2 * b for a, b in zip(*q)])
-        lam = 1.0
-        while lam > 2 ** -20:
-            trial = tuple([a + lam * s for a, s in zip(u, step)])
-            rt, nt = _slice_residual(values, trial)
-            if nt < norm:
-                u, r, norm = trial, rt, nt
-                break
-            lam /= 2
-        else:
-            return None
-        if lam * math.hypot(*step) < _STEP_TOL and norm > _RESIDUAL_TOL:
-            return None
+        if math.hypot(abs(r[0]), abs(r[1])) <= _RESIDUAL_TOL:
+            return (x, y), d
+        x, y = x + step[0], y + step[1]
+    return None
 
 
 def real_slice(
     pair: FactorPair, grid: SliceGrid = SliceGrid(),
 ) -> tuple[list[tuple[complex, complex]], SliceVerification]:
-    """Sample V2 = (Re f = Re g) cap (Im f = -Im g), a totally real surface.
-
-    The unit is absorbed into f so that the product of the pair equals the
-    first integral; damped Gauss-Newton refinement is run from a polar
-    seed grid around the model slice y = conj(x).  Each converged sample
-    is checked for a real, nonnegative product and for contact order one
-    of the level foliation with the slice, whose gradient is that of the
-    pair's checked product.  Evaluators at one point share its powers.
-    Returns the samples (x, y) and their verification.
-    """
+    """Sample V2 = {f*unit = conj(g)}, a totally real surface: Newton
+    (`_refine`) from a polar grid of w solves Phi = (conj w, w) for the
+    local biholomorphism Phi = (f*unit, g) of `FactorPair.absorbed`.  Each
+    sample is checked for a real, nonnegative product P of the pair and for
+    contact order one of dP = g d(f*unit) + f*unit dg with V2, whose
+    tangent plane is spanned by J^-1 (1, 1) and J^-1 (-i, i), J = Phi'.
+    Returns the samples (x, y) and their verification."""
     if not pair.general_position:
         raise ValueError("branches must be in general position")
     fa, gb = pair.absorbed()
-    h1, h2 = fa - gb, fa + gb
-    values = binary64(h1, h2)
-    partials = binary64(h1.diff_x(), h1.diff_y(), h2.diff_x(), h2.diff_y())
-    checks = binary64(fa, gb, pair.product.diff_x(), pair.product.diff_y())
-    samples: list[tuple[complex, complex]] = []
-    contact, failed, max_im, min_re = [], 0, 0.0, float("inf")
-    for r in grid.radii:
-        for kk in range(grid.n_angles):
-            theta = 2 * math.pi * kk / grid.n_angles
-            x0 = r * cmath.exp(1j * theta)
-            u0 = [x0.real, x0.imag, x0.real, -x0.imag]  # y = conj(x)
-            found = _refine(values, partials, u0)
-            if found is None:
-                failed += 1
-                continue
-            samples.append(found[0])
-            fv, gv, px, py = checks(*found[0])
-            max_im = max(max_im, abs((fv * gv).imag))
-            min_re = min(min_re, (fv * gv).real)
-            contact.append(_contact_order(px, py, *found))
+    evaluate = binary64(fa, gb, fa.diff_x(), fa.diff_y(), gb.diff_x(),
+                        gb.diff_y())
+    samples, contact, failed, max_im, min_re = [], [], 0, 0.0, float("inf")
+    for w in [r * cmath.exp(2j * math.pi * k / grid.n_angles)
+              for r in grid.radii for k in range(grid.n_angles)]:
+        found = _refine(evaluate, w)
+        if found is None:
+            failed += 1
+            continue
+        point, d = found
+        fv, gv, ax, ay, bx, by = d
+        samples.append(point)
+        max_im = max(max_im, abs((fv * gv).imag))
+        min_re = min(min_re, (fv * gv).real)
+        basis = [[c for z in _cramer(d, *v) for c in (z.real, z.imag)]
+                 for v in ((1, 1), (-1j, 1j))]
+        contact.append(_contact_order(gv * ax + fv * bx, gv * ay + fv * by,
+                                      point, basis))
     if not samples:
         raise NoSamples("no seed converged to the slice")
     return samples, SliceVerification(len(samples), failed, max_im, min_re,
@@ -582,10 +547,10 @@ def _contact_order(av: complex, bv: complex, point, tangent_basis) -> int:
     if max(abs(av), abs(bv)) <= 1e-12:
         raise SingularPoint(f"form vanishes at {point}")
     w = (-bv.real, -bv.imag, av.real, av.imag)  # the leaf line: w and iw
-    line = _lq(w, (-w[1], w[0], -w[3], w[2]))[2]
-    plane = _lq(*tangent_basis)[2]
+    line = _lq(w, (-w[1], w[0], -w[3], w[2]))[1]
+    plane = _lq(*tangent_basis)[1]
     if plane is None:
         raise ValueError("the tangent basis does not span a plane")
     # the plane's rows off the line: their singular values are the sines
-    sines = _lq(*[_off(t, line) for t in plane])[1]
+    sines = _lq(*[_off(t, line) for t in plane])[0]
     return 2 - sum(s > math.sqrt(2) * 1e-8 for s in sines)

@@ -624,3 +624,28 @@ def test_quadratic_first_obstruction_degree(abc):
     assert real in (4, 6, 8, None)
     assert (real == 4) == (a1 * b2 + a2 * b1 != 0)
     assert siegel == real
+
+
+def _rotation(n=6):
+    x, y = Poly2.var_x(n), Poly2.var_y(n)
+    return VectorField2(-y + x * x, x)
+
+
+# Each refusal of `center`: the call, the exception type and its message
+REFUSALS = {
+    "order-below-four": (
+        lambda: lyapunov_quantities(normalize_rotation(_rotation()), 3),
+        ValueError, "truncation order must be at least 4"),
+    "complex-field": (
+        lambda: normalize_rotation(VectorField2(
+            _rotation().p + Poly2.monomial(2, 0, gr(0, 1), 6), _rotation().q)),
+        ValueError, "normalization expects a real vector field"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -592,6 +592,11 @@ REFUSED = {
     "analysis-unknown-key": (
         "analysis: unknown keys ['k_max', 'slice_angles'] for kind "
         "real_field", {**REAL, "analysis": {"slice_angles": 1, "k_max": 1}}),
+    "top-level-unknown-key": (
+        "unknown keys ['analysys'] for kind real_field",
+        {**REAL, "analysys": {"order": 12}}),
+    "top-level-key-of-another-kind": (
+        "unknown keys ['dx'] for kind germ", {**GERM, "dx": []}),
     "dx-missing": ("dx: required for kind real_field",
                    {k: v for k, v in REAL.items() if k != "dx"}),
     "dx-not-a-list": ("dx: expected a list of [i, j, coeff] rows",

@@ -17,7 +17,7 @@ from centerfocus.flow import (
     return_map,
     trajectory_to_csv,
 )
-from centerfocus.series import Poly2, VectorField2
+from centerfocus.series import Poly2, VectorField2, gr
 
 N = 8
 
@@ -309,6 +309,24 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^time span must be finite$"):
             ENTRY_POINTS[name](1e-9, t)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan])
+    def test_relative_tolerance_not_positive_refused(self, rel_tol):
+        # the rotation is periodic at every radius, so no residual test
+        # could tell a bad threshold apart from a verdict
+        with pytest.raises(ValueError,
+                           match="^relative tolerance must be positive$"):
+            detect_periodic_sequence(rotation(), SEG, (0.1,), rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("tol,t_budget,message", [
+        (math.nan, 1.0, "tolerance must be positive"),
+        (-1.0, 1.0, "tolerance must be positive"),
+        (1e-9, math.inf, "time span must be finite")])
+    def test_order_scan_checks_its_inputs_with_no_points(self, tol, t_budget,
+                                                         message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bounded_order_scan(rotation(), SEG, [], t_budget=t_budget,
+                               tol=tol)
+
     def test_order_scan_bound_is_not_an_argument(self):
         # an old positional bound must not bind to the time budget
         with pytest.raises(TypeError):
@@ -347,3 +365,38 @@ class TestCsvDump:
         for row, (t, x, y) in zip(lines[1:], traj.samples):
             ft, fx, fy = map(float, row.split(","))
             assert (ft, fx, fy) == (t, x, y)
+
+
+# Each refusal of `flow`: the call, the exception type and its message
+REFUSALS = {
+    "complex-field": (
+        lambda: integrate(VectorField2(rotation().p, rotation().q
+                                       + Poly2.monomial(2, 0, gr(0, 1), N)),
+                          (0.1, 0.0), 1.0),
+        ValueError, "numeric integration expects a real field"),
+    "segment-without-direction": (
+        lambda: TransverseSegment((0.0, 0.0), 0.1), ValueError,
+        "segment needs a direction and positive length"),
+    "segment-of-length-zero": (
+        lambda: TransverseSegment((1.0, 0.0), 0.0), ValueError,
+        "segment needs a direction and positive length"),
+    "radii-empty": (lambda: detect_periodic_sequence(rotation(), SEG, ()),
+                    ValueError, "radii must be positive"),
+    "radius-negative": (
+        lambda: detect_periodic_sequence(rotation(), SEG, (0.1, -0.1)),
+        ValueError, "radii must be positive"),
+    # x' = x^2 from x = 1 blows up at t = 1, inside a domain it never leaves
+    "step-underflow": (
+        lambda: integrate(VectorField2(Poly2.var_x(N) ** 2, Poly2.zero(N)),
+                          (1.0, 0.0), 2.0, domain_radius=1e150),
+        flow.StepUnderflow,
+        "Required step size is less than spacing between numbers."),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

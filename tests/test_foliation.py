@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -652,10 +653,6 @@ class TestFactorFg:
             with pytest.raises(BranchFailure):
                 factor_fg(generic_target(11), 8)
 
-    def test_product_is_the_checked_reconstruction(self):
-        pair = factor_fg(generic_target(11), 8)
-        assert pair.product == pair.f * pair.g * pair.unit
-
     def test_two_products_at_n14(self, monkeypatch):
         # f * g and the reconstruction; every degree of the branches and
         # the unit is one new coefficient, not a new product
@@ -719,7 +716,7 @@ class TestRealSlice:
         from centerfocus.foliation import FactorPair
         n = 6
         y = Poly2.var_y(n)
-        pair = FactorPair(y, y, Poly2.constant(1, n), product=y * y)
+        pair = FactorPair(y, y, Poly2.constant(1, n))
         assert not pair.general_position
         with pytest.raises(ValueError):
             real_slice(pair)
@@ -734,7 +731,7 @@ class TestRealSlice:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         f = x * c[0] + y * c[1]
         g = f * c[2] if dependent else x * c[2] + y * c[3] + y * y
-        pair = FactorPair(f, g, Poly2.constant(1, n), product=f * g)
+        pair = FactorPair(f, g, Poly2.constant(1, n))
         assert pair.general_position == bool(c[0] * g.coefficient(0, 1)
                                              - c[1] * g.coefficient(1, 0))
 
@@ -754,8 +751,8 @@ class TestRealSlice:
         assert built == [1]  # the wrapper does see a construction
 
     def test_one_product(self, monkeypatch):
-        # f * unit; the first integral's gradient comes from the pair's
-        # product, which factor_fg has already formed and checked
+        # f * unit; the gradient of the pair's product comes from the
+        # values of f * unit, g and their partials at the sample
         pair = factor_fg(generic_target(13), 10)
         calls = count_products(monkeypatch)
         real_slice(pair, SliceGrid(radii=(0.05,), n_angles=4))
@@ -776,40 +773,25 @@ class TestRealSlice:
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+HIGH_ORDER = Path(__file__).parent / "high_order"
+BENCH = Path(__file__).parents[1] / "perfbench"
 
 
-# The numpy kernels that `real_slice` and `_contact_order` ran before they
-# moved to binary64 tuples, kept as references: the least-norm step from
-# `lstsq`, the tangent plane from the SVD and the contact order from
-# `matrix_rank` on four unit rows.
+# A numpy reference of `real_slice`: each Newton step and the tangent
+# plane from `np.linalg.solve`, and the contact order from `matrix_rank`
+# on four unit rows, as `_contact_order` ran it before it moved to
+# binary64 tuples.
 
-def reference_residual(values, u):
-    v1, v2 = values(complex(u[0], u[1]), complex(u[2], u[3]))
-    return np.array([v1.real, v2.imag])
-
-
-def reference_refine(values, partials, u0):
-    u = np.asarray(u0, dtype=float)
-    r = reference_residual(values, u)
-    for _ in range(foliation._MAX_ITER):
+def reference_refine(evaluate, w):
+    x, y = w, w.conjugate()
+    for _ in range(foliation._MAX_ITER + 1):
+        d = evaluate(x, y)
+        r = np.array([w.conjugate() - d[0], w - d[1]])
         if np.linalg.norm(r) <= foliation._RESIDUAL_TOL:
-            return u
-        jac = np.array(foliation._slice_jacobian(partials, u))
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam = 1.0
-        while lam > 2 ** -20:
-            trial = u + lam * step
-            rt = reference_residual(values, trial)
-            if np.linalg.norm(rt) < np.linalg.norm(r):
-                u, r = trial, rt
-                break
-            lam /= 2
-        else:
-            return None
-        if np.linalg.norm(lam * step) < foliation._STEP_TOL and \
-                np.linalg.norm(r) > foliation._RESIDUAL_TOL:
-            return None
-    return u if np.linalg.norm(r) <= foliation._RESIDUAL_TOL else None
+            return (x, y), d
+        dx, dy = np.linalg.solve(np.reshape(d[2:], (2, 2)), r)
+        x, y = x + complex(dx), y + complex(dy)
+    return None
 
 
 def reference_contact_order(av, bv, tangent_basis):
@@ -826,82 +808,143 @@ def reference_contact_order(av, bv, tangent_basis):
 
 def reference_real_slice(pair, grid):
     fa, gb = pair.absorbed()
-    h1, h2 = fa - gb, fa + gb
-    values = series.binary64(h1, h2)
-    partials = series.binary64(h1.diff_x(), h1.diff_y(), h2.diff_x(),
-                               h2.diff_y())
-    checks = series.binary64(fa, gb, pair.product.diff_x(),
-                             pair.product.diff_y())
+    evaluate = series.binary64(fa, gb, fa.diff_x(), fa.diff_y(),
+                               gb.diff_x(), gb.diff_y())
     samples, contact, failed, products = [], [], 0, []
     for r in grid.radii:
         for kk in range(grid.n_angles):
-            x0 = r * np.exp(1j * (2 * np.pi * kk / grid.n_angles))
-            u = reference_refine(values, partials,
-                                 [x0.real, x0.imag, x0.real, -x0.imag])
-            if u is None:
+            w = r * np.exp(1j * (2 * np.pi * kk / grid.n_angles))
+            found = reference_refine(evaluate, complex(w))
+            if found is None:
                 failed += 1
                 continue
-            x, y = complex(u[0], u[1]), complex(u[2], u[3])
-            samples.append((x, y))
-            _, _, vh = np.linalg.svd(foliation._slice_jacobian(partials, u))
-            fv, gv, px, py = checks(x, y)
+            samples.append(found[0])
+            fv, gv, ax, ay, bx, by = found[1]
+            basis = [np.linalg.solve([[ax, ay], [bx, by]], v)
+                     for v in ([1, 1], [-1j, 1j])]
             products.append(fv * gv)
-            contact.append(reference_contact_order(px, py, vh[2:]))
+            contact.append(reference_contact_order(
+                gv * ax + fv * bx, gv * ay + fv * by,
+                [[t[0].real, t[0].imag, t[1].real, t[1].imag]
+                 for t in basis]))
     return samples, failed, contact, max(abs(v.imag) for v in products), \
         min(v.real for v in products)
 
 
-def affine_slice(jac, c):
-    """values and partials of linear h1, h2 whose slice residual at u is
-    jac u + c, with jac as `_slice_jacobian` builds it."""
-    (a, b, c1, d), (e, f, g, h) = jac
-    d1x, d1y = complex(a, -b), complex(c1, -d)
-    d2x, d2y = complex(f, e), complex(h, g)
-    return (lambda x, y: (d1x * x + d1y * y + c[0],
-                          d2x * x + d2y * y + 1j * c[1]),
-            lambda x, y: (d1x, d1y, d2x, d2y))
+def slice_jacobian(fa_x, fa_y, gb_x, gb_y):
+    """The real Jacobian of V2 = {Re(fa - gb) = 0, Im(fa + gb) = 0} in
+    (Re x, Im x, Re y, Im y), from the partials of fa and gb: for an
+    analytic h, d/d(Re x) = h_x and d/d(Im x) = i h_x."""
+    d1x, d1y, d2x, d2y = fa_x - gb_x, fa_y - gb_y, fa_x + gb_x, fa_y + gb_y
+    return np.array([(d1x.real, -d1x.imag, d1y.real, -d1y.imag),
+                     (d2x.imag, d2x.real, d2y.imag, d2y.real)])
+
+
+def affine_phi(jac, c):
+    """The values `_refine` reads for Phi(x, y) = jac (x, y) + c."""
+    (a, b), (e, f) = jac
+    return lambda x, y: (a * x + b * y + c[0], e * x + f * y + c[1],
+                         a, b, e, f)
+
+
+def sample_checks(path):
+    """`slice` on a document, with each seed w that `real_slice` refines
+    and each sample checked against Phi = (f*unit, g) evaluated exactly:
+    Phi(x, y) = (conj w, w) to the residual tolerance, with a margin for
+    rounding.  Returns the report's real_slice section."""
+    from centerfocus.cli import parse_spec, run_pipeline
+    pairs, solved = [], []
+    real, refine = foliation.real_slice, foliation._refine
+
+    def recorded(evaluate, w):
+        solved.append((w, refine(evaluate, w)))
+        return solved[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foliation, "real_slice", lambda pair, grid: (
+            pairs.append(pair) or real(pair, grid)))
+        mp.setattr(foliation, "_refine", recorded)
+        report = run_pipeline(parse_spec(path), command="slice")
+    section = report["sections"]["real_slice"]
+    (pair,), tol = pairs, 2 * foliation._RESIDUAL_TOL
+    fa, gb = pair.absorbed()
+    assert len(solved) == section["n_samples"] + section["n_failed_seeds"]
+    for w, found in solved:
+        if found is not None:
+            assert abs(gb.evaluate(found[0]) - w) <= tol
+            assert abs(fa.evaluate(found[0]) - w.conjugate()) <= tol
+    return section
 
 
 unit_floats = st.floats(-1, 1, allow_subnormal=False)
-jacobians = st.lists(unit_floats, min_size=8, max_size=8).map(
-    lambda v: (tuple(v[:4]), tuple(v[4:])))
+unit_complex = st.builds(complex, unit_floats, unit_floats)
+complex_jacobians = st.lists(unit_complex, min_size=4, max_size=4).map(
+    lambda v: (tuple(v[:2]), tuple(v[2:])))
 
 
 class TestSliceKernels:
     @settings(max_examples=200, deadline=None)
-    @given(jacobians, st.tuples(unit_floats, unit_floats))
-    def test_step_is_the_least_norm_solution(self, jac, c):
-        # one Gauss-Newton step from 0 solves an affine residual, so the
-        # sample is the step itself: lstsq's least-norm solution
-        sv = np.linalg.svd(np.array(jac), compute_uv=False)
-        assume(sv[1] > 0.05 and math.hypot(*c) > 1e-3)
-        (x, y), _ = foliation._refine(*affine_slice(jac, c), (0.0,) * 4)
-        want, *_ = np.linalg.lstsq(np.array(jac), -np.array(c), rcond=None)
-        got = np.array([x.real, x.imag, y.real, y.imag])
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    @given(complex_jacobians, st.tuples(unit_complex, unit_complex),
+           unit_complex)
+    def test_one_step_solves_an_affine_phi(self, jac, c, w):
+        # Newton from (w, conj w) lands at J^-1 ((conj w, w) - c) in one
+        # step, and the second evaluation finds the residual within the
+        # tolerance
+        assume(np.linalg.svd(np.array(jac), compute_uv=False)[1] > 0.05)
+        target = np.array([w.conjugate(), w]) - np.array(c)
+        start = np.array(jac) @ np.array([w, w.conjugate()])
+        assume(np.linalg.norm(start - target) > 1e-6)
+        calls, evaluate = [], affine_phi(jac, c)
+        (x, y), _ = foliation._refine(
+            lambda *p: calls.append(p) or evaluate(*p), w)
+        want = np.linalg.solve(np.array(jac), target)
+        assert len(calls) == 2
+        assert abs(x - want[0]) + abs(y - want[1]) <= \
+            1e-12 * (1 + np.linalg.norm(want))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(unit_floats, min_size=4, max_size=4),
-           st.sampled_from([0.0, 0.5, -1.0, 2.0, -4.0]))
-    def test_rank_deficient_jacobian_fails_the_seed(self, row, k):
-        # the rows are dependent, where lstsq would have taken a
-        # least-squares step on
-        jac = (tuple(row), tuple(k * v for v in row))
-        assert foliation._refine(*affine_slice(jac, (0.5, 0.25)),
-                                 (0.0,) * 4) is None
-        assert foliation._lq(*jac)[2] is None
+           st.sampled_from([0.0, 0.5, -1.0, 2.0, -4.0]), unit_complex)
+    def test_rank_deficient_jacobian_fails_the_seed(self, row, k, w):
+        # J's rows are dependent, so Newton has no step; the same rows as
+        # real vectors are rank-deficient to `_lq`, which the contact order
+        # runs on
+        a, b = complex(*row[:2]), complex(*row[2:])
+        jac = ((a, b), (k * a, k * b))
+        assert foliation._refine(affine_phi(jac, (0.5, 0.25j)), w) is None
+        assert foliation._lq(tuple(row), tuple(k * v for v in row))[1] is None
 
-    @settings(max_examples=200, deadline=None)
-    @given(jacobians)
-    @example(((-1.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0)))  # y = conj(x)
-    @example(((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)))
-    def test_tangent_plane_is_the_orthonormal_complement(self, jac):
-        # for a well-conditioned Jacobian, as the slice's are
-        assume(np.linalg.svd(np.array(jac), compute_uv=False)[1] > 0.05)
-        q = foliation._lq(*jac)[2]
-        t = np.array(foliation._tangent_plane(q))
-        assert np.allclose(t @ t.T, np.eye(2), rtol=0, atol=1e-14)
-        assert np.allclose(np.array(q) @ t.T, 0, rtol=0, atol=1e-14)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(nonzero_gaussian, min_size=4, max_size=4),
+           st.one_of(st.just(gr(0)), nonzero_gaussian))
+    @example([gr(0), gr(1), gr(1), gr(0)], gr(0))  # y = conj(x)
+    def test_tangent_basis_spans_the_slice_kernel(self, c, q):
+        # f = c0 x + c1 y + q x^2 and g = c2 x + c3 y: at every sample the
+        # two rows passed to the contact order span the kernel of V2's
+        # real Jacobian
+        from centerfocus.foliation import FactorPair
+        n = 4
+        x, y = Poly2.var_x(n), Poly2.var_y(n)
+        lin = np.array([[v.to_complex() for v in c[:2]],
+                        [v.to_complex() for v in c[2:]]])
+        assume(np.linalg.svd(lin, compute_uv=False)[1] > 0.25)
+        pair = FactorPair(x * c[0] + y * c[1] + x * x * q, x * c[2] + y * c[3],
+                          Poly2.constant(1, n))
+        fa, gb = pair.absorbed()
+        partials = series.binary64(fa.diff_x(), fa.diff_y(), gb.diff_x(),
+                                   gb.diff_y())
+        seen, contact = [], foliation._contact_order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(foliation, "_contact_order", lambda av, bv, p, t: (
+                seen.append((p, t)) or contact(av, bv, p, t)))
+            real_slice(pair, SliceGrid(radii=(0.02,), n_angles=6))
+        assert len(seen) == 6
+        for point, basis in seen:
+            t = np.array(basis)
+            assert np.abs(slice_jacobian(*partials(*point)) @ t.T).max() \
+                <= 1e-12 * np.abs(t).max()
+            sv = np.linalg.svd(t, compute_uv=False)
+            assert sv[1] > 1e-6 * sv[0]
 
     @pytest.mark.parametrize("fixture", ["product_form",
                                          "product_form_perturbed",
@@ -926,9 +969,40 @@ class TestSliceKernels:
             (len(ref), failed, contact)
         assert max(abs(a - b) for p, q in zip(samples, ref)
                    for u, v in zip(p, q)
-                   for a, b in ((u.real, v.real), (u.imag, v.imag))) <= 1e-16
+                   for a, b in ((u.real, v.real), (u.imag, v.imag))) <= 1e-15
         assert abs(ver.min_re_fg - min_re) <= 1e-14 * abs(min_re)
         assert abs(ver.max_abs_im_fg - max_im) <= 1e-16
+
+    @pytest.mark.parametrize("fixture", ["product_form",
+                                         "product_form_perturbed"])
+    def test_fixture_samples_solve_phi_exactly(self, fixture):
+        assert sample_checks(FIXTURES / f"{fixture}.json")["n_samples"] == 60
+
+    def test_holomorphic_samples_solve_phi_exactly(self, monkeypatch,
+                                                   tmp_path):
+        # the slice documents of the benchmark's holomorphic workload,
+        # seed 1: complexified centers and foci and exact forms dF
+        monkeypatch.syspath_prepend(str(BENCH))
+        import gen
+        items = [item for item in gen.make_workload("holomorphic", 1)
+                 if item["command"] == "slice"]
+        assert len(items) == 6
+        for path in gen.write_workload(items, tmp_path):
+            assert sample_checks(path)["n_samples"] > 0
+
+    def test_default_grid_on_the_dense_exact_form(self, tmp_path):
+        # the slice, its checks and its gradient all use the pair as
+        # factor_fg returns it; a slice solved with g truncated at the
+        # degree of f*unit read contact order 0 at 27 of these 60 samples
+        # and max |Im(fg)| = 9.5e-8
+        from centerfocus.cli import parse_spec, run_pipeline
+        doc = json.loads((HIGH_ORDER / "exact_form_dense.json").read_text())
+        path = tmp_path / "exact_form_dense.json"
+        path.write_text(json.dumps({**doc, "analysis": {"order": 12}}))
+        section = run_pipeline(parse_spec(path),
+                               command="slice")["sections"]["real_slice"]
+        assert section["contact_order_histogram"] == {"1": 60}
+        assert section["max_abs_im_fg"] <= 1e-10
 
 
 # both sides of the tolerance: sin 1e-8 < sqrt(2) 1e-8 < sin 2e-8
@@ -1026,3 +1100,37 @@ class TestContactOrder:
         form = siegel_linear(n)
         with pytest.raises(ValueError):
             contact_order(form, (0.0, 0.0), ())
+
+
+def _xy(m):
+    return Poly2.var_x(m) * Poly2.var_y(m)
+
+
+# Each refusal of `foliation`: the call, the exception type and its message
+REFUSALS = {
+    "form-not-siegel": (
+        lambda: formal_first_integral_siegel(d_of(_xy(6) + _xy(6)), 6),
+        ValueError, "form is not in Siegel resonant shape"),
+    "form-below-order": (
+        lambda: formal_first_integral_siegel(siegel_linear(4), 6),
+        ValueError, "form truncated at 4; lift it to 6 first"),
+    "F-below-the-verified-degree": (
+        lambda: factor_fg(_xy(10), 8), ValueError,
+        "F truncated at 10; degree 11 is needed to verify the factorization "
+        "to degree 8"),
+    "vanishing-component": (
+        lambda: blowup(OneForm2(Poly2.zero(4), Poly2.var_x(4))), NotIsolated,
+        "a vanishing component makes the singular set a curve"),
+    # xy is not the product of the branches of xy + x^3 (f = y + x^2)
+    "unit-of-the-wrong-product": (
+        lambda: foliation._solve_unit(_xy(8) + Poly2.var_x(8) ** 3, _xy(8)),
+        BranchFailure, "residual term x^3 y^0 is not divisible by xy"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

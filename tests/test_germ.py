@@ -375,3 +375,24 @@ class TestPseudoOrbit:
             iterates.append(z)
         assert rec.iterates == iterates
         assert len(iterates) > 100
+
+
+# Each refusal of `germ`: the call, the exception type and its message
+REFUSALS = {
+    "truncation-zero": (lambda: Germ1({1: gr(0, 1)}, 0), ValueError,
+                        "truncation degree must be at least 1"),
+    "power-zero": (lambda: power(Germ1({1: gr(0, 1)}, 4), 0), ValueError,
+                   "power requires k >= 1"),
+    "k_max-zero": (lambda: finite_order(Germ1({1: gr(0, 1)}, 4), 0),
+                   ValueError, "k_max must be at least 1"),
+    "assignment": (lambda: setattr(Germ1({1: gr(0, 1)}, 4), "series", None),
+                   AttributeError, "Germ1 is immutable"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

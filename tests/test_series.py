@@ -894,3 +894,29 @@ def test_no_module_imports_numpy_scipy_or_sympy_at_load():
              for path in sorted(package.glob("*.py"))}
     assert len(found) > 1
     assert not any(found.values()), found
+
+
+# Each refusal of `series`: the call, the exception type and its message
+REFUSALS = {
+    "divide-by-zero": (lambda: gr(1, 2) / gr(0), ZeroDivisionError,
+                       "division by zero Gaussian rational"),
+    "negative-truncation": (lambda: Poly2({}, -1), ValueError,
+                            "truncation degree must be nonnegative"),
+    "negative-exponent": (lambda: Poly2({(-1, 2): 1}, 3), ValueError,
+                          "negative exponent (-1, 2)"),
+    "negative-power": (lambda: Poly2.var_x(3) ** -1, ValueError,
+                       "only nonnegative integer powers"),
+    "form-truncation-mismatch": (
+        lambda: OneForm2(Poly2.var_x(3), Poly2.var_y(4)), ValueError,
+        "components must share a truncation degree"),
+    "assignment": (lambda: setattr(Poly2.var_x(3), "parts", {}),
+                   AttributeError, "Poly2 is immutable"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
