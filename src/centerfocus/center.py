@@ -19,9 +19,9 @@ coefficient of F_k is reduced to lowest terms once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .series import (
     GaussianRational,
@@ -58,8 +58,7 @@ class IrrationalRotationFrequency(ValueError):
     rational, so the normalization cannot be carried out exactly."""
 
 
-@dataclass(frozen=True)
-class RotationNormalization:
+class RotationNormalization(NamedTuple):
     """Exact conjugation of a rotational field to (-y + ...) d/dx + (x + ...) d/dy."""
 
     change_matrix: tuple[tuple[GaussianRational, GaussianRational],
@@ -68,21 +67,18 @@ class RotationNormalization:
     normalized: VectorField2
 
 
-@dataclass(frozen=True)
-class LyapunovReport:
+class LyapunovReport(NamedTuple):
     first_integral: Poly2
     obstructions: list[tuple[int, GaussianRational]]  # (even degree, eta)
     first_nonzero: int | None  # index into obstructions
 
 
-@dataclass(frozen=True)
-class MorseReport:
+class MorseReport(NamedTuple):
     nondegenerate: bool
     definite: bool
 
 
-@dataclass(frozen=True)
-class CenterVerdict:
+class CenterVerdict(NamedTuple):
     status: str  # CENTER_TO_ORDER_N | FOCUS | NOT_APPLICABLE
     order: int
     normalization: RotationNormalization | None = None

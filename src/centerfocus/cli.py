@@ -25,19 +25,18 @@ CSV (t,x,y) with 17 significant digits.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import re
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, inf, isfinite
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from .germ import ROOTS_OF_UNITY, Germ1, InconclusiveOrder, finite_order, \
@@ -171,8 +170,7 @@ def _root_of_unity(p: int, q: int, where: str) -> Gaussian:
     )
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     kind: str
     truncation: int
     dx_terms: dict | None
@@ -650,13 +648,14 @@ def render_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # command line
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is an input error
-        raise ValidationError(f"{self.prog}: {message}")
-
-
 @cache  # built on first use, then shared by every call
 def _build_parser():
+    import argparse  # loaded when the first command line is parsed
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is an input error
+            raise ValidationError(f"{self.prog}: {message}")
+
     parser = _ArgumentParser(
         prog="centerfocus",
         description="center-focus analysis of planar rotational "

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .series import NumericFailure, Poly2, VectorField2, binary64
+from .series import NumericFailure, Poly2, VectorField2, _Value, binary64
 
 __all__ = [
     "StepUnderflow",
@@ -62,8 +62,7 @@ class _NumericField:
         return self.pq(*s)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Accepted integration steps, in the arrays scipy returns."""
 
     t: Sequence[float]
@@ -76,36 +75,29 @@ class Trajectory:
                 for tt, (x, y) in zip(self.t, self.states)]
 
 
-@dataclass(frozen=True)
-class TransverseSegment:
+class TransverseSegment(_Value):
     """Segment from the origin along a unit direction, of length epsilon."""
 
-    direction: tuple[float, float]
-    length: float
+    __slots__ = ("direction", "length")
 
-    def __post_init__(self):
-        norm = math.hypot(*self.direction)
-        if norm == 0 or self.length <= 0:
+    def __init__(self, direction: tuple[float, float], length: float):
+        norm = math.hypot(*direction)
+        if norm == 0 or length <= 0:
             raise ValueError("segment needs a direction and positive length")
-        object.__setattr__(
-            self, "direction",
-            (self.direction[0] / norm, self.direction[1] / norm),
-        )
+        super().__init__((direction[0] / norm, direction[1] / norm), length)
 
     @property
     def normal(self) -> tuple[float, float]:
         return (-self.direction[1], self.direction[0])
 
 
-@dataclass(frozen=True)
-class ReturnMapSample:
+class ReturnMapSample(NamedTuple):
     r_in: float
     r_out: float
     return_time: float
 
 
-@dataclass(frozen=True)
-class PeriodicSequenceReport:
+class PeriodicSequenceReport(NamedTuple):
     periodic: bool
     samples: list[ReturnMapSample]
     residuals: list[float]
@@ -115,8 +107,7 @@ class PeriodicSequenceReport:
         return "PERIODIC_SEQUENCE" if self.periodic else "NOT_PERIODIC"
 
 
-@dataclass(frozen=True)
-class PointOrderScan:
+class PointOrderScan(NamedTuple):
     count: int
     budget_exhausted: bool
 

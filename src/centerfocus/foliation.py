@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .series import (
     GaussianRational,
@@ -81,16 +80,14 @@ class NoSamples(NumericFailure):
     """Slice refinement failed at every seed."""
 
 
-@dataclass(frozen=True)
-class DivisorSingularity:
+class DivisorSingularity(NamedTuple):
     chart: str  # "t" (y = t x) or "s" (x = s y)
     location: complex
     eigenvalues: tuple[complex, complex]
     ratio: complex | None  # smaller/larger by modulus
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(NamedTuple):
     chart_t: OneForm2  # A dx + B dt in coordinates (x, t)
     chart_s: OneForm2  # A ds + B dy in coordinates (s, y)
     divided_power_t: int
@@ -99,8 +96,7 @@ class BlowupResult:
     singularities_on_E: list[DivisorSingularity]
 
 
-@dataclass(frozen=True)
-class FactorPair:
+class FactorPair(NamedTuple):
     """Branches of a Morse level set: F = f * g * unit to truncation."""
 
     f: Poly2  # y - a(x)
@@ -121,14 +117,12 @@ class FactorPair:
         return self.f * self.unit, self.g
 
 
-@dataclass(frozen=True)
-class SliceGrid:
+class SliceGrid(NamedTuple):
     radii: tuple[float, ...] = (0.05, 0.08, 0.12, 0.16, 0.2)
     n_angles: int = 12
 
 
-@dataclass(frozen=True)
-class SliceVerification:
+class SliceVerification(NamedTuple):
     n_samples: int
     n_failed_seeds: int
     max_abs_im_fg: float
@@ -430,7 +424,8 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
 # ---------------------------------------------------------------------------
 # totally real slice sampling
 
-_RESIDUAL_TOL, _MAX_ITER = 1e-10, 60  # of Newton on the slice
+# of Newton on the slice
+_RESIDUAL_TOL, _MAX_ITER, _HALVINGS = 1e-10, 60, 10
 
 
 def _dot(a, b):  # of two vectors of R^4
@@ -468,20 +463,32 @@ def _cramer(d, r1, r2):
     return (d[5] * r1 - d[3] * r2) / det, (d[2] * r2 - d[4] * r1) / det
 
 
-def _refine(evaluate, w):
+def _refine(evaluate, w, halvings=0):
     """Newton on Phi = (f*unit, g) = (conj w, w) from (x, y) = (w, conj w)
     to a residual norm of _RESIDUAL_TOL: the sample and the values d there
-    (`evaluate`), or None at a singular J or after _MAX_ITER steps."""
-    x, y = w, w.conjugate()
-    for _ in range(_MAX_ITER + 1):
+    (`evaluate`), or None at a singular J or after _MAX_ITER steps.  With
+    halvings > 0 a step that leaves the residual norm no lower is halved,
+    and the seed fails once `halvings` halvings have not lowered it."""
+    def at(x, y):
         d = evaluate(x, y)
         r = (w.conjugate() - d[0], w - d[1])
+        return (x, y), d, r, math.hypot(abs(r[0]), abs(r[1]))
+
+    point, d, r, norm = at(w, w.conjugate())
+    for _ in range(_MAX_ITER + 1):
         step = _cramer(d, *r)
         if step is None:
             return None
-        if math.hypot(abs(r[0]), abs(r[1])) <= _RESIDUAL_TOL:
-            return (x, y), d
-        x, y = x + step[0], y + step[1]
+        if norm <= _RESIDUAL_TOL:
+            return point, d
+        for _ in range(halvings + 1):  # the full step first, as it is
+            trial = at(point[0] + step[0], point[1] + step[1])
+            if trial[3] < norm or not halvings:
+                break
+            step = (step[0] / 2, step[1] / 2)
+        else:
+            return None
+        point, d, r, norm = trial
     return None
 
 
@@ -503,7 +510,8 @@ def real_slice(
     samples, contact, failed, max_im, min_re = [], [], 0, 0.0, float("inf")
     for w in [r * cmath.exp(2j * math.pi * k / grid.n_angles)
               for r in grid.radii for k in range(grid.n_angles)]:
-        found = _refine(evaluate, w)
+        # full steps as long as they converge, halved ones where they fail
+        found = _refine(evaluate, w) or _refine(evaluate, w, _HALVINGS)
         if found is None:
             failed += 1
             continue

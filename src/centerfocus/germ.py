@@ -7,8 +7,7 @@ iterated pseudo-orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .series import (GaussianRational, Poly2, Scalar, _rounded, power_rows,
                      substitute, substitution_root)
@@ -190,13 +189,15 @@ def finite_order(f: Germ1, k_max: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """Numerically iterated pseudo-orbit of a point under a germ."""
 
     status: str  # "periodic" | "escaped" | "undecided"
     period: int | None
-    iterates: list[complex] = field(repr=False)
+    iterates: list[complex]
+
+    def __repr__(self) -> str:  # the iterates left out
+        return f"OrbitRecord(status={self.status!r}, period={self.period!r})"
 
 
 def pseudo_orbit(

@@ -20,7 +20,6 @@ s^j as Gaussian-integer rows, each over one denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -77,16 +76,53 @@ def _coerced(op):
     return method
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class _Value:
+    """An immutable value held in slots: equal to an instance of its own
+    class whose fields (the slots, in order) are equal, and hashed and
+    shown by its fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = [f"{n}={getattr(self, n)!r}" for n in self.__slots__]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
+class GaussianRational(_Value):
     """Exact element of Q(i): a pair of Fractions.
 
     Fraction keeps numerators/denominators in lowest terms with positive
     denominators, which is exactly the coefficient invariant we need.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        super().__init__(re, im)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -430,16 +466,19 @@ def _powers(one, base, n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class VectorField2:
+def _coherent(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2]:
+    if a.truncation_degree != b.truncation_degree:
+        raise ValueError("components must share a truncation degree")
+    return a, b
+
+
+class VectorField2(_Value):
     """Planar field X = p d/dx + q d/dy with coherent components."""
 
-    p: Poly2
-    q: Poly2
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p.truncation_degree != self.q.truncation_degree:
-            raise ValueError("components must share a truncation degree")
+    def __init__(self, p: Poly2, q: Poly2):
+        super().__init__(*_coherent(p, q))
 
     @property
     def truncation_degree(self) -> int:
@@ -473,16 +512,13 @@ class VectorField2:
         return OneForm2(self.q, -self.p)
 
 
-@dataclass(frozen=True)
-class OneForm2:
+class OneForm2(_Value):
     """Planar 1-form w = a dx + b dy (second variable may be a chart name)."""
 
-    a: Poly2
-    b: Poly2
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.truncation_degree != self.b.truncation_degree:
-            raise ValueError("components must share a truncation degree")
+    def __init__(self, a: Poly2, b: Poly2):
+        super().__init__(*_coherent(a, b))
 
     @property
     def truncation_degree(self) -> int:

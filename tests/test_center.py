@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from centerfocus import center
 from centerfocus.center import (
+    CenterVerdict,
     IrrationalRotationFrequency,
     NotARotation,
     certify_center,
@@ -508,6 +509,9 @@ class TestCertifyCenter:
         x, y = Poly2.var_x(n), Poly2.var_y(n)
         verdict = certify_center(VectorField2(y, x), 8)
         assert verdict.status == "NOT_APPLICABLE"
+        # what a NOT_APPLICABLE verdict leaves out keeps its default
+        assert verdict[2:7] == (None,) * 5 and verdict.message
+        assert CenterVerdict("FOCUS", 8).message == ""
 
     def test_irrational_frequency_not_applicable(self):
         # x' = -2y, y' = x rotates at frequency sqrt(2)

@@ -1015,6 +1015,21 @@ class TestInternalError:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_src_imports_no_dataclasses(self):
+        # lint: `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`,
+        # a seventh of a cold `lyapunov` process; the value types are
+        # NamedTuples and slotted classes instead
+        import centerfocus
+        root = Path(centerfocus.__file__).resolve().parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(root.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(
+                     a.name.split(".")[0] == "dataclasses" for a in node.names)
+                 or isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "dataclasses"]
+        assert found == []
+
     def test_failed_siegel_check_exits_3(self, monkeypatch, capsys):
         from centerfocus import foliation
         monkeypatch.setattr(foliation, "_siegel_inverse",
@@ -1050,51 +1065,58 @@ class TestInternalError:
         assert captured.out == ""
 
 
-# Imports `centerfocus`, runs the command line given after the script
-# (if any) with its report sent to a file, and prints the exit code,
-# which of numpy, scipy and sympy the interpreter then holds, and which
-# centerfocus submodules.
+# Imports `centerfocus.cli` (or only `centerfocus`, with no command
+# line), runs the command line given after the script (if any) with its
+# report sent to a file, and prints the exit code, which of the watched
+# modules the interpreter then holds, and which centerfocus submodules.
 _LOADED_AFTER = """
 import json, sys
 import centerfocus
 code = None
 if len(sys.argv) > 2:
     from centerfocus.cli import main
-    code = main(sys.argv[2:] + ["--out", sys.argv[1]])
-print(json.dumps([code, sorted(m for m in ("numpy", "scipy", "sympy")
-                               if m in sys.modules),
+    if sys.argv[2] != "-":
+        code = main(sys.argv[2:] + ["--out", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in %r if m in sys.modules),
                   sorted(m.split(".", 1)[1] for m in sys.modules
                          if m.startswith("centerfocus."))]))
 """
-
+# numpy, scipy and sympy are heavy; `dataclasses` and `inspect` (with its
+# `ast`, `dis` and `tokenize`) cost a cold process more than the exact
+# stages' own import; `argparse` loads with the first command line
+_WATCHED = ("argparse", "dataclasses", "inspect", "numpy", "scipy", "sympy")
 _CLI = ["cli", "germ", "series"]  # what `import centerfocus.cli` loads
 
 
 @pytest.mark.parametrize("argv, loaded, own", [
     ([], [], []),
-    (["lyapunov", "linear_center.json"], [], _CLI + ["center"]),
-    (["germ", "germ_parabolic.json"], [], _CLI),
-    (["slice", "product_form.json"], [], _CLI + ["foliation"]),
-    (["returnmap", "linear_center.json"], ["numpy", "scipy"],
+    (["-"], [], _CLI),
+    (["lyapunov", "linear_center.json"], ["argparse"], _CLI + ["center"]),
+    (["germ", "germ_parabolic.json"], ["argparse"], _CLI),
+    (["slice", "product_form.json"], ["argparse"], _CLI + ["foliation"]),
+    (["returnmap", "linear_center.json"],
+     ["argparse", "dataclasses", "inspect", "numpy", "scipy"],
      _CLI + ["center", "flow"]),
-    (["blowup", "product_form.json"], ["sympy"],
+    (["blowup", "product_form.json"], ["argparse", "inspect", "sympy"],
      _CLI + ["foliation"]),
-], ids=["import", "lyapunov", "germ", "slice", "returnmap", "blowup"])
+], ids=["import", "import-cli", "lyapunov", "germ", "slice", "returnmap",
+        "blowup"])
 def test_heavy_modules_load_where_their_stage_runs(tmp_path, argv, loaded,
                                                    own):
-    """The exact stages run on the standard library alone; numpy, scipy
-    and sympy are imported by the stages that use them, and each
-    centerfocus module by the first stage that calls it."""
+    """The exact stages run on the standard library alone, and load
+    neither `dataclasses` nor `inspect`; numpy, scipy and sympy are
+    imported by the stages that use them, argparse by the first command
+    line, and each centerfocus module by the first stage that calls it."""
     src = Path(__file__).resolve().parents[1] / "src"
     args = argv[:1] + [str(FIXTURES / name) for name in argv[1:]]
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, str(tmp_path / "r.json"),
-         *args],
+        [sys.executable, "-c", _LOADED_AFTER % (_WATCHED,),
+         str(tmp_path / "r.json"), *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     code, modules, submodules = json.loads(proc.stdout)
-    assert code == (0 if argv else None)
+    assert code == (0 if argv[:1] not in ([], ["-"]) else None)
     assert modules == loaded
     assert submodules == sorted(own)
 

@@ -295,6 +295,16 @@ ENTRY_POINTS = {
 }
 
 
+def test_segment_normalises_its_direction():
+    seg = TransverseSegment([3.0, -4.0], 2.0)
+    assert (seg.direction, seg.normal) == ((0.6, -0.8), (0.8, 0.6))
+    assert seg == TransverseSegment((6.0, -8.0), 2.0) != \
+        TransverseSegment((6.0, -8.0), 1.0)
+    assert hash(seg) == hash(TransverseSegment((6.0, -8.0), 2.0))
+    assert repr(seg) == \
+        "TransverseSegment(direction=(0.6, -0.8), length=2.0)"
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
@@ -380,6 +390,8 @@ REFUSALS = {
     "segment-of-length-zero": (
         lambda: TransverseSegment((1.0, 0.0), 0.0), ValueError,
         "segment needs a direction and positive length"),
+    "segment-assignment": (lambda: setattr(SEG, "length", 1.0),
+                           AttributeError, "cannot assign to field 'length'"),
     "radii-empty": (lambda: detect_periodic_sequence(rotation(), SEG, ()),
                     ValueError, "radii must be positive"),
     "radius-negative": (

@@ -688,6 +688,11 @@ class TestFactorFg:
 
 
 class TestRealSlice:
+    def test_grid_defaults(self):
+        grid = SliceGrid(n_angles=4)
+        assert grid.radii == (0.05, 0.08, 0.12, 0.16, 0.2)
+        assert SliceGrid() == SliceGrid(grid.radii, 12)
+
     def test_model_pair_conjugate_slice(self):
         # f = y, g = x: V2 is y = conj(x) and fg = |x|^2 >= 0
         n = 10
@@ -782,6 +787,18 @@ BENCH = Path(__file__).parents[1] / "perfbench"
 # on four unit rows, as `_contact_order` ran it before it moved to
 # binary64 tuples.
 
+# An exact form dF, seed 6 of the holomorphic workload's exact_dense family
+FAR_EXACT_FORM = {"kind": "complex_form", "truncation": 4, "dx": [
+    [0, 1, "1"], [0, 2, "-1/3+-1/3 i"], [0, 3, "-1/3+-2/3 i"],
+    [0, 4, "2/3+2/3 i"], [1, 1, "-4/3+-2/3 i"], [1, 3, "-4/3+4/3 i"],
+    [2, 0, "2+2 i"], [2, 1, "-2+1 i"], [2, 2, "1+-1 i"], [3, 0, "4/3+-8/3 i"],
+    [3, 1, "-8/3+8/3 i"], [4, 0, "5/3+-5/3 i"]], "dy": [
+    [0, 2, "-1+-2 i"], [0, 3, "-8/3+-4/3 i"], [0, 4, "5/3+5/3 i"],
+    [1, 0, "1"], [1, 1, "-2/3+-2/3 i"], [1, 2, "-1+-2 i"], [1, 3, "8/3+8/3 i"],
+    [2, 0, "-2/3+-1/3 i"], [2, 2, "-2+2 i"], [3, 0, "-2/3+1/3 i"],
+    [3, 1, "2/3+-2/3 i"], [4, 0, "-2/3+2/3 i"]]}
+
+
 def reference_refine(evaluate, w):
     x, y = w, w.conjugate()
     for _ in range(foliation._MAX_ITER + 1):
@@ -853,12 +870,12 @@ def sample_checks(path):
     Phi(x, y) = (conj w, w) to the residual tolerance, with a margin for
     rounding.  Returns the report's real_slice section."""
     from centerfocus.cli import parse_spec, run_pipeline
-    pairs, solved = [], []
+    pairs, solved = [], {}
     real, refine = foliation.real_slice, foliation._refine
 
-    def recorded(evaluate, w):
-        solved.append((w, refine(evaluate, w)))
-        return solved[-1][1]
+    def recorded(evaluate, w, *halvings):
+        solved[w] = refine(evaluate, w, *halvings)  # a retry replaces it
+        return solved[w]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(foliation, "real_slice", lambda pair, grid: (
@@ -869,7 +886,7 @@ def sample_checks(path):
     (pair,), tol = pairs, 2 * foliation._RESIDUAL_TOL
     fa, gb = pair.absorbed()
     assert len(solved) == section["n_samples"] + section["n_failed_seeds"]
-    for w, found in solved:
+    for w, found in solved.items():
         if found is not None:
             assert abs(gb.evaluate(found[0]) - w) <= tol
             assert abs(fa.evaluate(found[0]) - w.conjugate()) <= tol
@@ -1003,6 +1020,22 @@ class TestSliceKernels:
                                command="slice")["sections"]["real_slice"]
         assert section["contact_order_histogram"] == {"1": 60}
         assert section["max_abs_im_fg"] <= 1e-10
+
+    def test_a_seed_that_full_steps_lose_is_kept(self, monkeypatch,
+                                                 tmp_path):
+        # the benchmark's holomorphic workload, seed 6, 03-exact_dense, at
+        # r = 0.7: full Newton steps from angle 7 of 20 run the residual
+        # 3.3, 1.2, 14, 2e8, ... and fail the seed after 60 steps; a
+        # retry that halves each step the residual does not fall under
+        # converges
+        path = tmp_path / "exact_dense.json"
+        path.write_text(json.dumps({**FAR_EXACT_FORM, "analysis": {
+            "order": 12, "slice_radii": [0.7], "slice_angles": 20}}))
+        section = sample_checks(path)
+        assert (section["n_samples"], section["n_failed_seeds"]) == (20, 0)
+        assert section["contact_order_histogram"] == {"1": 20}
+        monkeypatch.setattr(foliation, "_HALVINGS", 0)  # no retry
+        assert sample_checks(path)["n_failed_seeds"] == 1
 
 
 # both sides of the tolerance: sin 1e-8 < sqrt(2) 1e-8 < sin 2e-8

@@ -48,6 +48,45 @@ class TestGaussianRational:
         assert gr(0, 1).im != 0 and not Poly2.constant(gr(0, 1), 0).real
 
 
+class TestValueTypes:
+    """GaussianRational, VectorField2 and OneForm2 are immutable values:
+    equal to an instance of their own class with equal fields, hashed and
+    shown by their fields.  Assignment is refused in `test_refusals`."""
+
+    def test_scalar_equality_hash_and_repr(self):
+        a, b = gr(Fraction(2, 4), -3), GaussianRational(Fraction(1, 2),
+                                                         Fraction(-3))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(a) == hash((Fraction(1, 2), Fraction(-3)))
+        assert a != gr(Fraction(1, 2), 3) and len({a, b, gr(0)}) == 2
+        assert GaussianRational() == gr(0)
+        # an int, a Fraction or a tuple of the parts is not a scalar
+        # (`parts_of` tells a Gaussian tuple apart by its type)
+        assert [gr(1) == 1, 1 == gr(1), gr(1) == Fraction(1),
+                gr(1) == (Fraction(1), Fraction(0))] == [False] * 4
+        assert not isinstance(a, tuple)
+        assert repr(a) == \
+            "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"
+
+    def test_field_and_form_equality_and_repr(self):
+        x, y = Poly2.var_x(2), Poly2.var_y(2)
+        assert VectorField2(x, y) == VectorField2(x, y)
+        assert VectorField2(x, y) != VectorField2(y, x)
+        assert VectorField2(x, y) != OneForm2(x, y)  # equal fields
+        assert repr(OneForm2(x, y)) == \
+            "OneForm2(a=Poly2[(1)x; N=2], b=Poly2[(1)y; N=2])"
+        with pytest.raises(TypeError):  # a Poly2 has no hash
+            hash(VectorField2(x, y))
+
+    def test_copies_are_equal(self):
+        import copy
+        import pickle
+        a = gr(Fraction(1, 3), 2)
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        fld = VectorField2(Poly2.var_y(2), Poly2.var_x(2))
+        assert copy.copy(fld) == fld
+
+
 class TestPoly2Basics:
     def test_zero_terms_dropped(self):
         p = poly({(1, 0): 0, (0, 1): 1}, 3)
@@ -911,6 +950,23 @@ REFUSALS = {
         "components must share a truncation degree"),
     "assignment": (lambda: setattr(Poly2.var_x(3), "parts", {}),
                    AttributeError, "Poly2 is immutable"),
+    "field-truncation-mismatch": (
+        lambda: VectorField2(Poly2.var_y(4), Poly2.var_x(3)), ValueError,
+        "components must share a truncation degree"),
+    "scalar-assignment": (lambda: setattr(gr(1), "re", Fraction(2)),
+                          AttributeError, "cannot assign to field 're'"),
+    "scalar-deletion": (lambda: delattr(gr(1), "im"),
+                        AttributeError, "cannot delete field 'im'"),
+    "scalar-new-attribute": (lambda: setattr(gr(1), "den", 1),
+                             AttributeError, "cannot assign to field 'den'"),
+    "field-assignment": (
+        lambda: setattr(VectorField2(Poly2.var_y(3), Poly2.var_x(3)), "p",
+                        Poly2.zero(3)),
+        AttributeError, "cannot assign to field 'p'"),
+    "form-assignment": (
+        lambda: setattr(OneForm2(Poly2.var_y(3), Poly2.var_x(3)), "b",
+                        Poly2.zero(3)),
+        AttributeError, "cannot assign to field 'b'"),
 }
 
 
