@@ -424,8 +424,7 @@ def factor_fg(F: Poly2, n: int) -> FactorPair:
 # ---------------------------------------------------------------------------
 # totally real slice sampling
 
-# of Newton on the slice
-_RESIDUAL_TOL, _MAX_ITER, _HALVINGS = 1e-10, 60, 10
+_RESIDUAL_TOL, _MAX_ITER, _HALVINGS = 1e-10, 60, 10  # of Newton on the slice
 
 
 def _dot(a, b):  # of two vectors of R^4

@@ -108,8 +108,8 @@ class _Value:
         fields = [f"{n}={getattr(self, n)!r}" for n in self.__slots__]
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._fields()
+    def __setstate__(self, state):  # copy and pickle: (None, {slot: value})
+        _Value.__init__(self, *[state[1][name] for name in self.__slots__])
 
 
 class GaussianRational(_Value):
@@ -466,19 +466,15 @@ def _powers(one, base, n: int) -> list:
     return out
 
 
-def _coherent(a: Poly2, b: Poly2) -> tuple[Poly2, Poly2]:
-    if a.truncation_degree != b.truncation_degree:
-        raise ValueError("components must share a truncation degree")
-    return a, b
-
-
 class VectorField2(_Value):
     """Planar field X = p d/dx + q d/dy with coherent components."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p: Poly2, q: Poly2):
-        super().__init__(*_coherent(p, q))
+        if p.truncation_degree != q.truncation_degree:
+            raise ValueError("components must share a truncation degree")
+        super().__init__(p, q)
 
     @property
     def truncation_degree(self) -> int:
@@ -518,7 +514,9 @@ class OneForm2(_Value):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Poly2, b: Poly2):
-        super().__init__(*_coherent(a, b))
+        if a.truncation_degree != b.truncation_degree:
+            raise ValueError("components must share a truncation degree")
+        super().__init__(a, b)
 
     @property
     def truncation_degree(self) -> int:

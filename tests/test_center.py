@@ -510,7 +510,9 @@ class TestCertifyCenter:
         verdict = certify_center(VectorField2(y, x), 8)
         assert verdict.status == "NOT_APPLICABLE"
         # what a NOT_APPLICABLE verdict leaves out keeps its default
-        assert verdict[2:7] == (None,) * 5 and verdict.message
+        assert [verdict.normalization, verdict.report, verdict.morse,
+                verdict.focus_degree, verdict.focus_coefficient] == [None] * 5
+        assert verdict.message
         assert CenterVerdict("FOCUS", 8).message == ""
 
     def test_irrational_frequency_not_applicable(self):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -303,6 +305,10 @@ def test_segment_normalises_its_direction():
     assert hash(seg) == hash(TransverseSegment((6.0, -8.0), 2.0))
     assert repr(seg) == \
         "TransverseSegment(direction=(0.6, -0.8), length=2.0)"
+    # a copy keeps the stored direction, which normalising it again moves
+    seg = TransverseSegment((1.0, 1.0), 1.0)
+    assert TransverseSegment(seg.direction, 1.0) != seg
+    assert copy.copy(seg) == seg == pickle.loads(pickle.dumps(seg))
 
 
 class TestInputChecks:
