@@ -93,16 +93,16 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = [f"{n}={getattr(self, n)!r}" for n in self.__slots__]
