@@ -396,6 +396,25 @@ def test_reports_state_each_value_once(fixture, command):
     _check_schema_2(run_pipeline(spec, command=command))
 
 
+def _not_json(node, path):
+    """Paths of the values in `node` that JSON has no type for; a tuple,
+    such as a NamedTuple record, would be written as a list unnoticed."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items()
+                for p in _not_json(v, f"{path}.{k}")]
+    if type(node) is list:
+        return [p for k, v in enumerate(node)
+                for p in _not_json(v, f"{path}[{k}]")]
+    return [] if type(node) in (str, int, float, bool, type(None)) else \
+        [f"{path}: {type(node).__name__}"]
+
+
+@pytest.mark.parametrize("fixture,command", list(_golden_cases()))
+def test_reports_hold_only_json_values(fixture, command):
+    spec = parse_spec(FIXTURES / f"{fixture}.json")
+    assert _not_json(run_pipeline(spec, command=command), "report") == []
+
+
 @pytest.mark.parametrize("fixture", ["linear_center", "cubic_focus"])
 def test_golden_orbit_dumps(tmp_path, fixture):
     """`--dump-orbits` writes the recorded CSVs byte for byte."""

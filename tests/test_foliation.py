@@ -1037,6 +1037,26 @@ class TestSliceKernels:
         monkeypatch.setattr(foliation, "_HALVINGS", 0)  # no retry
         assert sample_checks(path)["n_failed_seeds"] == 1
 
+    def test_a_seed_that_halved_steps_lose_is_kept(self, monkeypatch,
+                                                   tmp_path):
+        # the other way round: on product_form_perturbed at r = 0.7 and
+        # 1.0 the residual rises on the way to a root, so halving each
+        # step it does not fall under stalls one seed per radius where J
+        # turns singular, while full steps converge; hence full steps
+        # first and the halved retry second, not damping alone
+        doc = json.loads((FIXTURES / "product_form_perturbed.json")
+                         .read_text())
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps({**doc, "analysis": {
+            "order": 10, "slice_radii": [0.7, 1.0], "slice_angles": 20}}))
+        section = sample_checks(path)
+        assert (section["n_samples"], section["n_failed_seeds"]) == (40, 0)
+        assert section["contact_order_histogram"] == {"1": 40}
+        refine = foliation._refine
+        monkeypatch.setattr(foliation, "_refine", lambda evaluate, w, *_: (
+            refine(evaluate, w, foliation._HALVINGS)))  # damped passes only
+        assert sample_checks(path)["n_failed_seeds"] == 2
+
 
 # both sides of the tolerance: sin 1e-8 < sqrt(2) 1e-8 < sin 2e-8
 PRINCIPAL_ANGLES = (0.0, 1e-12, 1e-8, 2e-8, 1e-6, 0.3, math.pi / 2)
